@@ -184,7 +184,10 @@ impl<V> Reduce<V> {
         self.ops.is_empty()
     }
 
-    /// Runs the program over the value stack.
+    /// Runs the program over the value stack — the interpreter behind
+    /// [`crate::parse_tokens`], flap-fuse's Fig 9 parser and the
+    /// baselines. The staged VM runs [`Reduce::lower`]ed programs
+    /// instead.
     #[inline]
     pub fn run(&self, st: &mut Vec<V>) {
         for op in self.ops.iter() {
@@ -212,6 +215,151 @@ impl<V> Reduce<V> {
                     st[len - *span as usize..].rotate_left(*by as usize);
                 }
             }
+        }
+    }
+
+    /// Lowers the program into its production's *continuation*: what
+    /// runs once the lead value is on the stack, in execution order,
+    /// with each tail nonterminal's parse placed where the program
+    /// first needs its value.
+    ///
+    /// A program evaluates an expression tree over its arguments. User
+    /// and map actions are the inner nodes, argument (and ε) values the
+    /// leaves; swaps and rotations only route values to their
+    /// consumers. Normalization keeps the argument leaves in order —
+    /// the (seq), `map` and (fix) compositions each preserve that — so
+    /// the tree's post-order visits the lead value first and then
+    /// interleaves each tail argument with the actions that consume
+    /// it. Executed in that order, every action finds its operands on
+    /// top of the stack and no rotation survives.
+    ///
+    /// A token production's continuation omits the lead value (the
+    /// caller pushes it); an ε program (arity 0) lowers to its
+    /// [`ContOp::Eps`] leaf followed by its maps.
+    ///
+    /// # Panics
+    ///
+    /// If the program breaks an invariant normalization guarantees: it
+    /// underflows its arguments, does not leave exactly one value,
+    /// consumes its arguments out of order, or pushes an ε value in a
+    /// token production (arity ≥ 1).
+    pub fn lower(&self) -> Vec<ContOp<V>> {
+        /// A post-order entry: argument leaf `i`, or `self.ops[k]`.
+        #[derive(Clone, Copy)]
+        enum Node {
+            Arg(u16),
+            Op(usize),
+        }
+        let broken = |why: &str| -> ! {
+            panic!("reduce program breaks a normalization invariant: {why} in {self:?}")
+        };
+        // symbolic execution: each stack slot holds the post-order of
+        // the subtree that computes it
+        let mut stack: Vec<Vec<Node>> = (0..self.arity).map(|i| vec![Node::Arg(i)]).collect();
+        for (k, op) in self.ops.iter().enumerate() {
+            let len = stack.len();
+            match op {
+                ReduceOp::User(_) => {
+                    if len < 2 {
+                        broken("a user action underflows the stack");
+                    }
+                    let b = stack.pop().expect("checked above");
+                    let a = stack.last_mut().expect("checked above");
+                    a.extend(b);
+                    a.push(Node::Op(k));
+                }
+                ReduceOp::Map(_) => match stack.last_mut() {
+                    Some(v) => v.push(Node::Op(k)),
+                    None => broken("a map action underflows the stack"),
+                },
+                ReduceOp::PushEps(_) => {
+                    if self.arity > 0 {
+                        broken("a token production's program pushes an ε value");
+                    }
+                    stack.push(vec![Node::Op(k)]);
+                }
+                ReduceOp::Swap => {
+                    if len < 2 {
+                        broken("a swap underflows the stack");
+                    }
+                    stack.swap(len - 1, len - 2);
+                }
+                ReduceOp::RotR { span } => {
+                    let span = *span as usize;
+                    if span == 0 || span > len {
+                        broken("a rotation spans more than the stack");
+                    }
+                    stack[len - span..].rotate_right(1);
+                }
+                ReduceOp::RotL { span, by } => {
+                    let (span, by) = (*span as usize, *by as usize);
+                    if span > len || by > span {
+                        broken("a rotation spans more than the stack");
+                    }
+                    stack[len - span..].rotate_left(by);
+                }
+            }
+        }
+        if stack.len() != 1 {
+            broken("the program must leave exactly one value");
+        }
+        let tree = stack.pop().expect("checked above");
+        let mut next_arg = 0u16;
+        let mut out = Vec::with_capacity(tree.len());
+        for node in tree {
+            match node {
+                Node::Arg(i) => {
+                    if i != next_arg {
+                        broken("arguments are consumed out of order");
+                    }
+                    next_arg += 1;
+                    if i > 0 {
+                        out.push(ContOp::Tail(i - 1));
+                    }
+                }
+                Node::Op(k) => out.push(match &self.ops[k] {
+                    ReduceOp::User(f) => ContOp::User(Arc::clone(f)),
+                    ReduceOp::Map(f) => ContOp::Map(Arc::clone(f)),
+                    ReduceOp::PushEps(f) => ContOp::Eps(Arc::clone(f)),
+                    _ => unreachable!("only actions enter the tree"),
+                }),
+            }
+        }
+        out
+    }
+}
+
+/// One step of a lowered reduce program (see [`Reduce::lower`]).
+pub enum ContOp<V> {
+    /// Parse the production's tail nonterminal at this index, pushing
+    /// its value.
+    Tail(u16),
+    /// Pop `b`, pop `a`, push `f(a, b)` (a user sequencing action).
+    User(flap_cfe::SeqAction<V>),
+    /// Pop `v`, push `f(v)` (a user `map` action).
+    Map(flap_cfe::MapAction<V>),
+    /// Push `f()` (a user ε action).
+    Eps(flap_cfe::EpsAction<V>),
+}
+
+impl<V> Clone for ContOp<V> {
+    fn clone(&self) -> Self {
+        match self {
+            ContOp::Tail(i) => ContOp::Tail(*i),
+            ContOp::User(f) => ContOp::User(Arc::clone(f)),
+            ContOp::Map(f) => ContOp::Map(Arc::clone(f)),
+            ContOp::Eps(f) => ContOp::Eps(Arc::clone(f)),
+        }
+    }
+}
+
+impl<V> fmt::Debug for ContOp<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ContOp::Tail(i) => write!(f, "Tail({i})"),
+            ContOp::User(_) => write!(f, "User"),
+            ContOp::Map(_) => write!(f, "Map"),
+            ContOp::Eps(_) => write!(f, "Eps"),
         }
     }
 }
@@ -787,6 +935,37 @@ mod tests {
         assert_eq!(trimmed.nt_count(), 2);
         assert_eq!(trimmed.prod_count(), 2);
         assert_eq!(trimmed.check_dgnf(), Ok(()));
+    }
+
+    fn user() -> flap_cfe::SeqAction<i64> {
+        Arc::new(|a, b| a - b)
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one value")]
+    fn lowering_rejects_unconsumed_arguments() {
+        // an identity program cannot fold a non-empty tail
+        Reduce::<i64>::from_ops(Vec::new(), 2).lower();
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn lowering_rejects_reordered_arguments() {
+        // f(b, a): the tail value would be needed before the lead's
+        Reduce::from_ops(vec![ReduceOp::Swap, ReduceOp::User(user())], 2).lower();
+    }
+
+    #[test]
+    #[should_panic(expected = "pushes an ε value")]
+    fn lowering_rejects_eps_in_token_programs() {
+        let eps: flap_cfe::EpsAction<i64> = Arc::new(|| 0);
+        Reduce::from_ops(vec![ReduceOp::PushEps(eps), ReduceOp::User(user())], 1).lower();
+    }
+
+    #[test]
+    #[should_panic(expected = "underflows")]
+    fn lowering_rejects_underflow() {
+        Reduce::from_ops(vec![ReduceOp::User(user())], 1).lower();
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //!
 //! * [`Grammar`] — normal-form grammars `n → ε | t n̄ | α n̄` with
 //!   semantic actions threaded through every production
-//!   ([`Reduce`] folds over a value stack);
+//!   ([`Reduce`] folds over a value stack, and [`Reduce::lower`]
+//!   turns a fold into post-order steps that need no stack
+//!   rotations);
 //! * [`normalize`] — the normalization function `N⟦·⟧` of Fig 4,
 //!   including the fixed-point substitution ("tying the knot") and
 //!   the appendix's alias-elimination optimization;
@@ -49,6 +51,8 @@ mod normalize;
 mod parse;
 
 pub use expand::{expand_words, expands_to};
-pub use grammar::{trim, DgnfError, DisplayGrammar, Grammar, Lead, NtEntry, NtId, Prod, Reduce};
+pub use grammar::{
+    trim, ContOp, DgnfError, DisplayGrammar, Grammar, Lead, NtEntry, NtId, Prod, Reduce, ReduceOp,
+};
 pub use normalize::{normalize, normalize_untrimmed, NormalizeError};
 pub use parse::{parse_tokens, DgnfParseError};

@@ -383,3 +383,138 @@ impl<V: 'static> Normalizer<V> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grammar::ContOp;
+
+    fn seq(name: &'static str) -> SeqAction<String> {
+        Arc::new(move |a, b| format!("{name}({a},{b})"))
+    }
+
+    fn map(name: &'static str) -> MapAction<String> {
+        Arc::new(move |a| format!("{name}({a})"))
+    }
+
+    /// Runs a lowered continuation the way the staged VM does: the
+    /// lead value is already pushed, each `Tail` pushes the next
+    /// argument, every action works on the top of the stack.
+    fn run_lowered(ops: &[ContOp<String>], args: &[String]) -> String {
+        let mut st: Vec<String> = args.first().cloned().into_iter().collect();
+        for op in ops {
+            match op {
+                ContOp::Tail(i) => st.push(args[*i as usize + 1].clone()),
+                ContOp::User(f) => {
+                    let b = st.pop().unwrap();
+                    let a = st.pop().unwrap();
+                    st.push(f(a, b));
+                }
+                ContOp::Map(f) => {
+                    let v = st.pop().unwrap();
+                    st.push(f(v));
+                }
+                ContOp::Eps(f) => st.push(f()),
+            }
+        }
+        assert_eq!(st.len(), 1, "a lowered program leaves one value");
+        st.pop().unwrap()
+    }
+
+    /// Lowers `r` and checks it computes what `Reduce::run` computes
+    /// on distinct, order-revealing arguments; returns the shape.
+    fn lowers_faithfully(r: &Reduce<String>) -> String {
+        let args: Vec<String> = (0..r.arity()).map(|i| format!("v{i}")).collect();
+        let mut st = args.clone();
+        r.run(&mut st);
+        let lowered = r.lower();
+        assert_eq!(run_lowered(&lowered, &args), st[0], "program {r:?}");
+        let tails: Vec<u16> = lowered
+            .iter()
+            .filter_map(|op| match op {
+                ContOp::Tail(i) => Some(*i),
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<u16> = (0..r.arity().saturating_sub(1)).collect();
+        assert_eq!(tails, expected, "tail arguments in order, each once");
+        format!("{lowered:?}")
+    }
+
+    #[test]
+    fn seq_chains_lower_to_interleaved_post_order() {
+        let mut r = Reduce::identity();
+        for name in ["a", "b", "c", "d", "e"] {
+            r = seq_reduce(r, seq(name));
+            lowers_faithfully(&r);
+        }
+        // five appended values: rotations spanning 3..=6 all vanish
+        assert!(r
+            .ops()
+            .iter()
+            .any(|op| matches!(op, ReduceOp::RotR { span: 6 })));
+        assert_eq!(
+            lowers_faithfully(&r),
+            "[Tail(0), User, Tail(1), User, Tail(2), User, Tail(3), User, Tail(4), User]"
+        );
+    }
+
+    #[test]
+    fn maps_inside_seq_lower_in_place() {
+        // map over a seq whose result is then extended: the map runs
+        // between the arguments it separates (the `Swap, Map, Swap`
+        // shape)
+        let inner = map_reduce(seq_reduce(Reduce::identity(), seq("a")), map("m"));
+        let r = seq_reduce(map_reduce(inner, map("n")), seq("b"));
+        assert_eq!(
+            lowers_faithfully(&r),
+            "[Tail(0), User, Map, Map, Tail(1), User]"
+        );
+        // a map on the lead value alone runs before any tail
+        let lead = seq_reduce(map_reduce(Reduce::identity(), map("m")), seq("a"));
+        assert_eq!(lowers_faithfully(&lead), "[Map, Tail(0), User]");
+    }
+
+    #[test]
+    fn fix_substitution_with_outer_tail_lowers() {
+        // inner production of arity 3 substituted into an α-production
+        // with a two-nonterminal tail: RotL(5, 3) on entry
+        let inner = seq_reduce(seq_reduce(Reduce::identity(), seq("a")), seq("b"));
+        let outer = seq_reduce(seq_reduce(Reduce::identity(), seq("c")), seq("d"));
+        let r = subst_reduce(&inner, 2, &outer);
+        assert!(r
+            .ops()
+            .iter()
+            .any(|op| matches!(op, ReduceOp::RotL { span: 5, by: 3 })));
+        assert_eq!(
+            lowers_faithfully(&r),
+            "[Tail(0), User, Tail(1), User, Tail(2), User, Tail(3), User]"
+        );
+        // nested: the substituted program is itself substituted
+        let outer2 = map_reduce(seq_reduce(Reduce::identity(), seq("e")), map("m"));
+        let nested = subst_reduce(&r, 1, &outer2);
+        lowers_faithfully(&nested);
+        // empty outer tail: the programs simply concatenate
+        lowers_faithfully(&subst_reduce(
+            &inner,
+            0,
+            &map_reduce(Reduce::identity(), map("m")),
+        ));
+    }
+
+    #[test]
+    fn eps_programs_lower_to_eps_then_maps() {
+        let e = Reduce::eps(Arc::new(|| "z".to_string()));
+        let r = subst_reduce(
+            &map_reduce(e, map("m")),
+            0,
+            &map_reduce(Reduce::identity(), map("n")),
+        );
+        assert_eq!(lowers_faithfully(&r), "[Eps, Map, Map]");
+    }
+
+    #[test]
+    fn identity_lowers_to_nothing() {
+        assert_eq!(lowers_faithfully(&Reduce::identity()), "[]");
+    }
+}

@@ -187,7 +187,8 @@ impl std::error::Error for FusedParseError {}
 /// Reduces are addressed by index rather than held by borrow or
 /// `Arc` clone, so entries stay `Copy` and the stack can live in a
 /// session that outlives any single call without refcount traffic on
-/// the per-token hot path (mirroring the staged VM's `Ctl::Reduce(u32)`).
+/// the per-token hot path (as the staged VM's one-word control entries
+/// index its action tables).
 #[derive(Clone, Copy)]
 pub(crate) enum Ctl {
     Nt(NtId),

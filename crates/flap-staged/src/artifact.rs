@@ -33,12 +33,13 @@ use std::sync::Arc;
 use flap_artifact::{
     AlignedBuf, Artifact, ArtifactError, ArtifactWriter, Fnv64, SectionBuf, SectionReader,
 };
-use flap_cfe::TokAction;
-use flap_dgnf::Reduce;
+use flap_cfe::{EpsAction, SeqAction, TokAction};
+use flap_dgnf::ContOp;
 use flap_fuse::{Expected, FusedGrammar};
 use flap_regex::{AlignedU32s, FlatDfa};
 
-use crate::compile::{decode_stop, CompiledParser, CompiledProd, StopAction, STOP};
+use crate::compile::{decode_stop, CompiledParser, StopAction, STOP};
+use crate::cont::Conts;
 
 /// Scalar header fields: stride, state count, counts, fingerprint.
 pub const SEC_META: u32 = 1;
@@ -81,12 +82,9 @@ impl<V> CompiledParser<V> {
         // PRODS first so the string table is populated in production
         // order (stable, independent of expected-set iteration).
         let mut prods = SectionBuf::new();
-        prods.put_u32(self.prods.len() as u32);
-        for (i, p) in self.prods.iter().enumerate() {
-            let (kind, arity, tail): (u8, u16, &[u32]) = match p {
-                CompiledProd::Skip { .. } => (0, 0, &[]),
-                CompiledProd::Token { reduce, tail, .. } => (1, reduce.arity(), tail),
-            };
+        prods.put_u32(self.prod_count() as u32);
+        for i in 0..self.prod_count() {
+            let (kind, arity, tail) = self.prod_shape(i);
             prods.put_u8(kind);
             prods.put_u32(self.prod_owner[i]);
             let name_id = match &self.prod_names[i] {
@@ -96,7 +94,7 @@ impl<V> CompiledParser<V> {
             prods.put_u32(name_id);
             prods.put_u16(arity);
             prods.put_u32(tail.len() as u32);
-            for &t in tail {
+            for t in tail {
                 prods.put_u32(t);
             }
         }
@@ -114,7 +112,7 @@ impl<V> CompiledParser<V> {
         nt.put_u32(self.nt_start.len() as u32);
         for (i, &start) in self.nt_start.iter().enumerate() {
             nt.put_u32(start);
-            nt.put_u8(u8::from(self.eps[i].is_some()));
+            nt.put_u8(u8::from(self.conts.eps[i].is_some()));
         }
 
         let mut class_map = SectionBuf::new();
@@ -127,7 +125,7 @@ impl<V> CompiledParser<V> {
         meta.put_u32(nstates as u32);
         meta.put_u32(self.start_nt);
         meta.put_u32(self.nt_start.len() as u32);
-        meta.put_u32(self.prods.len() as u32);
+        meta.put_u32(self.prod_count() as u32);
         meta.put_u8(u8::from(self.skip.is_some()));
         meta.put_u64(self.shape_fingerprint());
 
@@ -153,19 +151,27 @@ impl<V> CompiledParser<V> {
     pub fn shape_fingerprint(&self) -> u64 {
         let mut h = shape_hasher(
             self.nt_start.len(),
-            self.prods.len(),
+            self.prod_count(),
             self.start_nt,
-            self.eps.iter().map(Option::is_some),
+            self.conts.eps.iter().map(Option::is_some),
         );
-        for (i, p) in self.prods.iter().enumerate() {
-            match p {
-                CompiledProd::Skip { .. } => hash_prod(&mut h, 0, self.prod_owner[i], 0, &[]),
-                CompiledProd::Token { reduce, tail, .. } => {
-                    hash_prod(&mut h, 1, self.prod_owner[i], reduce.arity(), tail)
-                }
-            }
+        for i in 0..self.prod_count() {
+            let (kind, arity, tail) = self.prod_shape(i);
+            hash_prod(&mut h, kind, self.prod_owner[i], arity, &tail);
         }
         h.finish()
+    }
+
+    /// Kind (0 skip, 1 token), reduce arity and tail of flat
+    /// production `p`, read back from the continuation pool. A token
+    /// production's reduce consumes its lead value and one value per
+    /// tail nonterminal (lowering checks exactly that).
+    fn prod_shape(&self, p: usize) -> (u8, u16, Vec<u32>) {
+        if self.conts.is_skip(p) {
+            return (0, 0, Vec::new());
+        }
+        let tail = self.conts.tail(p);
+        (1, tail.len() as u16 + 1, tail)
     }
 
     /// Whether every transition block borrows from a shared artifact
@@ -396,6 +402,11 @@ fn decode_tables(buf: &Arc<AlignedBuf>) -> Result<DecodedTables, ArtifactError> 
         if kind == 0 && (!tail.is_empty() || arity != 0 || name.is_some()) {
             return Err(ArtifactError::Malformed("skip production with token data"));
         }
+        if kind == 1 && arity as usize != tail.len() + 1 {
+            return Err(ArtifactError::Malformed(
+                "production arity disagrees with its tail",
+            ));
+        }
         prods.push(ProdRecord {
             kind,
             owner,
@@ -520,8 +531,7 @@ impl DecodedTables {
     /// Assembles the parser around caller-provided actions.
     fn into_parser<V>(
         self,
-        prods: Vec<CompiledProd<V>>,
-        eps: Vec<Option<Reduce<V>>>,
+        conts: Conts<V>,
         prod_names: Vec<Option<Arc<str>>>,
     ) -> CompiledParser<V> {
         CompiledParser {
@@ -534,8 +544,7 @@ impl DecodedTables {
             trans: self.trans,
             nt_start: self.nt_start,
             nt_start_row: self.nt_start_row,
-            prods,
-            eps,
+            conts,
             skip: self.skip,
             start_nt: self.start_nt,
             // Fresh identity: suspended streaming sessions must not
@@ -551,7 +560,9 @@ impl DecodedTables {
 /// Loads an artifact as a *recognizer*: a `CompiledParser<()>` whose
 /// actions are no-ops. Validation, streaming, error positions and
 /// expected-token diagnostics all behave exactly as the originating
-/// parser; only semantic values are gone.
+/// parser; only semantic values are gone. Each token production folds
+/// its tail's unit values left to right, so a parse still yields
+/// exactly one `()`.
 ///
 /// The transition blocks borrow from `buf` — no table bytes are
 /// copied or allocated, and cloning the result shares them.
@@ -563,29 +574,26 @@ impl DecodedTables {
 pub fn load_recognizer(buf: &Arc<AlignedBuf>) -> Result<CompiledParser<()>, ArtifactError> {
     let t = decode_tables(buf)?;
     let noop: TokAction<()> = Arc::new(|_| ());
-    let unit_eps: flap_cfe::EpsAction<()> = Arc::new(|| ());
-    let prods = t
-        .prods
-        .iter()
-        .map(|p| {
-            if p.kind == 0 {
-                CompiledProd::Skip { nt: p.owner }
-            } else {
-                CompiledProd::Token {
-                    tok_action: Arc::clone(&noop),
-                    reduce: Reduce::identity(),
-                    tail: p.tail.clone(),
-                }
-            }
-        })
-        .collect();
-    let eps = t
-        .eps_flags
-        .iter()
-        .map(|&flag| flag.then(|| Reduce::eps(Arc::clone(&unit_eps))))
-        .collect();
+    let unit: SeqAction<()> = Arc::new(|(), ()| ());
+    let unit_eps: EpsAction<()> = Arc::new(|| ());
+    let mut conts = Conts::new();
+    for p in &t.prods {
+        if p.kind == 0 {
+            conts.push_skip();
+        } else {
+            // the lowered unit left fold: each tail value is folded in
+            // as soon as its nonterminal completes
+            let fold = (0..p.tail.len() as u16)
+                .flat_map(|i| [ContOp::Tail(i), ContOp::User(Arc::clone(&unit))])
+                .collect();
+            conts.push_token(Arc::clone(&noop), &p.tail, fold);
+        }
+    }
+    for &flag in &t.eps_flags {
+        conts.push_eps(flag.then(|| vec![ContOp::Eps(Arc::clone(&unit_eps))]));
+    }
     let prod_names = t.prod_names.clone();
-    Ok(t.into_parser(prods, eps, prod_names))
+    Ok(t.into_parser(conts, prod_names))
 }
 
 /// Loads an artifact and re-attaches the semantic actions of
@@ -635,9 +643,8 @@ pub fn attach<V>(
         )));
     }
 
-    let mut prods: Vec<CompiledProd<V>> = Vec::with_capacity(t.prods.len());
+    let mut conts = Conts::new();
     let mut prod_names: Vec<Option<Arc<str>>> = Vec::with_capacity(t.prods.len());
-    let mut eps: Vec<Option<Reduce<V>>> = Vec::with_capacity(t.eps_flags.len());
     let mut flat = 0usize;
     for nt in fused.nts() {
         let entry = fused.entry(nt);
@@ -653,7 +660,7 @@ pub fn attach<V>(
                 },
             )));
         }
-        eps.push(entry.eps.as_ref().map(|(_, e)| e.clone()));
+        conts.push_fused_eps(entry);
         for p in &entry.prods {
             let rec = &t.prods[flat];
             if rec.owner != nt.index() as u32 {
@@ -670,9 +677,6 @@ pub fn attach<V>(
                             "production {flat} is a skip rule in the grammar, a token in the artifact"
                         )));
                     }
-                    prods.push(CompiledProd::Skip {
-                        nt: nt.index() as u32,
-                    });
                     prod_names.push(None);
                 }
                 Some(tok) => {
@@ -694,14 +698,10 @@ pub fn attach<V>(
                             "production {flat} has a different tail in the grammar"
                         )));
                     }
-                    prods.push(CompiledProd::Token {
-                        tok_action: Arc::clone(&tok.tok_action),
-                        reduce: tok.reduce.clone(),
-                        tail,
-                    });
                     prod_names.push(Some(Arc::clone(fused.token_name_arc(tok.token))));
                 }
             }
+            conts.push_fused(p);
             flat += 1;
         }
     }
@@ -712,7 +712,7 @@ pub fn attach<V>(
     if fused_shape_fingerprint(fused) != t.fingerprint {
         return Err(ArtifactError::Malformed("fingerprint disagrees with shape"));
     }
-    Ok(t.into_parser(prods, eps, prod_names))
+    Ok(t.into_parser(conts, prod_names))
 }
 
 /// The shape fingerprint stored in an artifact, without decoding the

@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use flap_regex::ByteSet;
 
-use crate::compile::{CompiledParser, CompiledProd, StopAction, STOP};
+use crate::compile::{CompiledParser, StopAction, STOP};
 
 /// Emits the compiled parser as the source of a Rust module named
 /// `module_name`, exposing
@@ -176,32 +176,30 @@ pub fn emit_rust<V>(p: &CompiledParser<V>, module_name: &str) -> String {
                 let _ = writeln!(w, "        let _ = (s, rs);");
                 let _ = writeln!(w, "        Ok(r)");
             }
-            StopAction::Match(prod) => match &p.prods[prod as usize] {
-                CompiledProd::Skip { nt } => {
-                    let _ = writeln!(w, "        let _ = r;");
-                    let _ = writeln!(w, "        nt_{}(s, rs)", nt);
-                }
-                CompiledProd::Token { tail, .. } => {
-                    let _ = writeln!(w, "        let _ = r;");
-                    let _ = writeln!(w, "        let i = rs;");
-                    // all but the last continuation propagate errors;
-                    // the last is emitted in tail position so that
-                    // right-recursive lists (one production per list
-                    // element) compile to a loop rather than one
-                    // stack frame per element
-                    match tail.split_last() {
-                        None => {
-                            let _ = writeln!(w, "        Ok(i)");
+            StopAction::Match(prod) if p.conts.is_skip(prod as usize) => {
+                let _ = writeln!(w, "        let _ = r;");
+                let _ = writeln!(w, "        nt_{}(s, rs)", p.prod_owner[prod as usize]);
+            }
+            StopAction::Match(prod) => {
+                let _ = writeln!(w, "        let _ = r;");
+                let _ = writeln!(w, "        let i = rs;");
+                // all but the last continuation propagate errors;
+                // the last is emitted in tail position so that
+                // right-recursive lists (one production per list
+                // element) compile to a loop rather than one
+                // stack frame per element
+                match p.conts.tail(prod as usize).split_last() {
+                    None => {
+                        let _ = writeln!(w, "        Ok(i)");
+                    }
+                    Some((last, init)) => {
+                        for m in init {
+                            let _ = writeln!(w, "        let i = nt_{}(s, i)?;", m);
                         }
-                        Some((last, init)) => {
-                            for m in init {
-                                let _ = writeln!(w, "        let i = nt_{}(s, i)?;", m);
-                            }
-                            let _ = writeln!(w, "        nt_{}(s, i)", last);
-                        }
+                        let _ = writeln!(w, "        nt_{}(s, i)", last);
                     }
                 }
-            },
+            }
         }
         let _ = writeln!(w, "    }}");
     }

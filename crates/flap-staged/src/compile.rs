@@ -21,6 +21,16 @@
 //! computation, no token materialization, no allocation. Trailing
 //! skip input goes through the skip DFA's SWAR self-loop fast path.
 //!
+//! What a production does once its token matches is compiled ahead of
+//! time too. Each token production's reduce program is lowered
+//! ([`flap_dgnf::Reduce::lower`]) into post-order action steps
+//! interleaved with its tail nonterminals, and every continuation is
+//! stored pre-reversed in one flat pool of one-word control entries
+//! (see [`crate::cont`]); ε programs lower the same way. Like flap's
+//! generated code (§2.8), the VM then applies each semantic action
+//! directly to its operands: no value-stack rotations and no
+//! per-production program interpreter remain at parse time.
+//!
 //! The [`codegen`](crate::codegen) module additionally prints the
 //! states as genuine Rust source (the §5.5 excerpt), which is what a
 //! build-script user can compile ahead of time.
@@ -28,11 +38,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use flap_cfe::TokAction;
-use flap_dgnf::Reduce;
 use flap_fuse::{Expected, FusedGrammar};
 use flap_lex::{Lexer, Token};
 use flap_regex::{AlignedU32s, ByteClasses, ByteSet, ClassCache, FlatDfa, RegexArena, RegexId};
+
+use crate::cont::Conts;
 
 /// Transition-table entry: `STOP`, or a target state with a *mark*
 /// bit recording that entering the target establishes a new longest
@@ -91,21 +101,6 @@ pub struct State {
     pub(crate) classes: Vec<(ByteSet, u32)>,
 }
 
-/// A fused production in its compiled form.
-pub(crate) enum CompiledProd<V> {
-    /// F2 skip self-loop: retry the owning nonterminal.
-    Skip {
-        /// The nonterminal to re-enter.
-        nt: u32,
-    },
-    /// F1 token production.
-    Token {
-        tok_action: TokAction<V>,
-        reduce: Reduce<V>,
-        tail: Vec<u32>,
-    },
-}
-
 /// A fused grammar compiled to transition tables — flap's "generated
 /// code", executable via [`CompiledParser::parse`] or printable as
 /// Rust source via [`crate::codegen::emit_rust`].
@@ -128,10 +123,10 @@ pub struct CompiledParser<V> {
     pub(crate) nt_start: Vec<u32>,
     /// Start *row* per nonterminal (premultiplied, used by the VM).
     pub(crate) nt_start_row: Vec<u32>,
-    /// Flat production table; `StopAction::Match` indexes into it.
-    pub(crate) prods: Vec<CompiledProd<V>>,
-    /// ε reduces per nonterminal (`StopAction::Eps` indexes by NT).
-    pub(crate) eps: Vec<Option<Reduce<V>>>,
+    /// Per flat production (`StopAction::Match`) and per ε rule
+    /// (`StopAction::Eps`): the lowered continuations, one-word
+    /// control entries in one flat pool (see [`crate::cont`]).
+    pub(crate) conts: Conts<V>,
     /// Flattened DFA for the skip regex (sink precomputed as the
     /// `DEAD` sentinel), used to consume trailing skippable input;
     /// `None` when the lexer had no skip rule.
@@ -175,45 +170,36 @@ impl<V> CompiledParser<V> {
             worklist: Vec::new(),
         };
 
-        // Flatten productions and pre-allocate per-NT tables.
+        // Flatten productions, lowering each reduce program into its
+        // continuation, and pre-allocate per-NT tables.
         let nt_count = fused.nt_count();
-        let mut prods: Vec<CompiledProd<V>> = Vec::new();
+        let mut conts = Conts::new();
         let mut prod_token: Vec<Option<Token>> = Vec::new();
         let mut prod_owner: Vec<u32> = Vec::new();
-        let mut eps: Vec<Option<Reduce<V>>> = Vec::with_capacity(nt_count);
         let mut per_nt_prods: Vec<Vec<(RegexId, u32)>> = Vec::with_capacity(nt_count);
         for nt in fused.nts() {
             let entry = fused.entry(nt);
             let mut list = Vec::with_capacity(entry.prods.len());
             for p in &entry.prods {
-                let flat = prods.len() as u32;
-                match &p.token {
-                    None => prods.push(CompiledProd::Skip {
-                        nt: nt.index() as u32,
-                    }),
-                    Some(t) => prods.push(CompiledProd::Token {
-                        tok_action: Arc::clone(&t.tok_action),
-                        reduce: t.reduce.clone(),
-                        tail: t.tail.iter().map(|m| m.index() as u32).collect(),
-                    }),
-                }
+                let flat = conts.heads.len() as u32;
+                conts.push_fused(p);
                 prod_token.push(p.token.as_ref().map(|t| t.token));
                 prod_owner.push(nt.index() as u32);
                 list.push((p.regex, flat));
             }
             per_nt_prods.push(list);
-            eps.push(entry.eps.as_ref().map(|(_, e)| e.clone()));
+            conts.push_fused_eps(entry);
         }
 
         // One start state per nonterminal: k = back iff it has ε.
         let mut nt_start = Vec::with_capacity(nt_count);
-        for nt in 0..nt_count {
-            let k = if eps[nt].is_some() {
+        for (nt, (live, eps)) in per_nt_prods.iter().zip(&conts.eps).enumerate() {
+            let k = if eps.is_some() {
                 StopAction::Eps(nt as u32)
             } else {
                 StopAction::Fail
             };
-            let id = c.intern(per_nt_prods[nt].clone(), k);
+            let id = c.intern(live.clone(), k);
             nt_start.push(id);
         }
         c.run();
@@ -283,8 +269,7 @@ impl<V> CompiledParser<V> {
             trans,
             nt_start,
             nt_start_row,
-            prods,
-            eps,
+            conts,
             skip,
             start_nt: fused.start().index() as u32,
             stream_id: flap_fuse::stream::next_owner_id(),
@@ -309,7 +294,7 @@ impl<V> CompiledParser<V> {
     /// `class`/`rule` identifiers this parser's engine reports to an
     /// [`Observer`](flap_fuse::Observer).
     pub fn prod_count(&self) -> usize {
-        self.prods.len()
+        self.conts.heads.len()
     }
 
     /// Token name of flat production `p`, or `None` for F2 skip

@@ -29,7 +29,8 @@ use flap_fuse::incremental::{Ckpt, EditLog};
 use flap_fuse::{FusedParseError, IncrementalConfig, NoopObserver, Observer, ReuseStats};
 
 use crate::compile::CompiledParser;
-use crate::vm::{Ctl, Flow, ParseSession, Resume};
+use crate::cont::Ctl;
+use crate::vm::{Flow, ParseSession, Resume};
 
 /// Suspended state of the staged VM at a checkpoint.
 struct VmState<V> {
@@ -40,8 +41,8 @@ struct VmState<V> {
 
 /// Which engine instantiation a session's checkpoints belong to.
 /// Value checkpoints carry cloned value stacks; validation
-/// checkpoints have empty ones (and control stacks free of reduce
-/// entries), so the two are not interchangeable.
+/// checkpoints have empty ones (and control stacks free of action
+/// words), so the two are not interchangeable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
     Value,

@@ -99,6 +99,7 @@
 pub mod artifact;
 pub mod codegen;
 mod compile;
+mod cont;
 mod incremental;
 mod metrics;
 mod vm;

@@ -8,11 +8,26 @@
 //! bytes at a time via SWAR; inside this token loop the same
 //! acceleration measured net-negative — token-shaped runs are too
 //! short to amortize the scanner dispatch — so per-byte stepping
-//! stays unconditional.) Longest-match
-//! bookkeeping is one conditional move (the mark bit); production
-//! completion pushes the tail nonterminals on an explicit control
-//! stack instead of making nested calls, so deeply nested inputs
-//! cannot overflow the machine stack.
+//! stays unconditional.) Longest-match bookkeeping is one conditional
+//! move (the mark bit).
+//!
+//! ### The control stack
+//!
+//! Nested calls become an explicit stack of one-word entries, so
+//! deeply nested inputs cannot overflow the machine stack. Each entry
+//! is a nonterminal to parse or an action to apply (see
+//! [`crate::cont`]). Committing a token production pushes the token's
+//! value and copies the production's pre-reversed continuation — its
+//! tail nonterminals interleaved with its lowered reduce actions —
+//! onto the control stack with one `extend_from_slice`; when the
+//! continuation begins with a nonterminal, scanning jumps straight
+//! into it. Popping an action word applies the action to the topmost
+//! values: binary actions pop two and push one, maps replace the top.
+//! The production is complete when its last word has run, which is
+//! where [`Observer::reduce`] fires. ε rules run their (action-only)
+//! programs inline at the ε stop. With actions compiled out, a
+//! production pushes only its tail nonterminals, so recognition and
+//! validation carry no action words at all.
 //!
 //! ### One resumable hot loop
 //!
@@ -57,15 +72,8 @@
 use flap_fuse::obs::{NoopObserver, Observer};
 use flap_fuse::{line_col, ByteSource, FusedParseError, Step, StreamError, StreamState};
 
-use crate::compile::{decode_stop, CompiledParser, CompiledProd, StopAction, STOP};
-
-/// Control-stack entry: parse a nonterminal, or run a production's
-/// reduce.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Ctl {
-    Nt(u32),
-    Reduce(u32),
-}
+use crate::compile::{decode_stop, CompiledParser, StopAction, STOP};
+use crate::cont::Ctl;
 
 /// Where a suspended parse resumes — the automaton position saved
 /// when a feed runs out of bytes.
@@ -114,9 +122,10 @@ pub(crate) enum Flow {
     TrailingInput { pos: usize },
 }
 
-/// Caller-owned per-parse scratch state: the control stack and value
-/// stack of the Fig 10 machine, plus the suspension point and
-/// retained byte tail of an in-progress streaming parse.
+/// Caller-owned per-parse scratch state: the control stack (one word
+/// per pending nonterminal or action) and value stack of the Fig 10
+/// machine, plus the suspension point and retained byte tail of an
+/// in-progress streaming parse.
 ///
 /// A [`CompiledParser`] is immutable (and `Send + Sync`) after
 /// compilation; every piece of state that parsing mutates lives here
@@ -204,7 +213,7 @@ impl<V> ParseSession<V> {
     /// the parser with streaming id `owner`.
     pub(crate) fn begin(&mut self, start_nt: u32, owner: u64) {
         self.reset();
-        self.control.push(Ctl::Nt(start_nt));
+        self.control.push(Ctl::nt(start_nt));
         self.resume = Resume::Control;
         self.owner = owner;
     }
@@ -222,8 +231,9 @@ impl<V> CompiledParser<V> {
     ///
     /// Runs the automaton over `input` until it needs more bytes
     /// (`last == false`), finishes, or fails. With `ACTIONS == false`
-    /// semantic actions (and the value stack) are skipped entirely,
-    /// which is what [`CompiledParser::recognize`] measures.
+    /// semantic actions (and the value stack) are skipped entirely —
+    /// productions push their nonterminal-only slices — which is what
+    /// [`CompiledParser::recognize`] measures.
     ///
     /// `obs` receives per-event hooks (token commits, skips,
     /// reductions, nonterminal dispatches — never per byte);
@@ -249,34 +259,31 @@ impl<V> CompiledParser<V> {
                 } => Some((nt, st as usize, rs_len, scanned)),
                 _ => None,
             };
+            let conts = &self.conts;
             'outer: loop {
                 // Resume a suspended scan (the token tail starts at
                 // buffer offset 0 by the retention invariant), or pop
-                // the next control entry and start a fresh one.
-                let (nt, mut tok_start, mut row, mut rs, mut i) = match suspended.take() {
+                // control words — running action words in place —
+                // until a nonterminal starts a fresh scan.
+                let (mut nt, mut tok_start, mut row, mut rs, mut i) = match suspended.take() {
                     Some((nt, row, rs_len, scanned)) => (nt, 0, row, rs_len, scanned),
-                    None => match control.pop() {
-                        None => break 'outer,
-                        Some(Ctl::Reduce(p)) => {
-                            if ACTIONS {
-                                match &self.prods[p as usize] {
-                                    CompiledProd::Token { reduce, .. } => reduce.run(values),
-                                    CompiledProd::Skip { .. } => {
-                                        unreachable!("skip has no reduce")
-                                    }
-                                }
-                            }
-                            obs.reduce(p);
-                            continue 'outer;
-                        }
-                        Some(Ctl::Nt(nt)) => {
+                    None => loop {
+                        let Some(w) = control.pop() else {
+                            break 'outer;
+                        };
+                        if w.is_nt() {
+                            let nt = w.payload();
                             let row = self.nt_start_row[nt as usize];
                             obs.nt_row(row);
-                            (nt, pos, row as usize, pos, pos)
+                            break (nt, pos, row as usize, pos, pos);
+                        }
+                        if ACTIONS {
+                            conts.run(w, values, obs);
                         }
                     },
                 };
-                // skip productions (F2 self-loops) restart the scan
+                // skip productions (F2 self-loops) and continuations
+                // that begin with a nonterminal restart the scan
                 // inline, without a control-stack round trip
                 'token: loop {
                     let stop = loop {
@@ -324,10 +331,11 @@ impl<V> CompiledParser<V> {
                         }
                         StopAction::Eps(n) => {
                             if ACTIONS {
-                                let eps = self.eps[n as usize]
-                                    .as_ref()
+                                let eps = conts.eps[n as usize]
                                     .expect("Eps stop action implies an ε rule");
-                                eps.run(values);
+                                for &w in conts.slice(eps) {
+                                    conts.run(w, values, obs);
+                                }
                             }
                             obs.eps_reduce();
                             pos = tok_start;
@@ -335,8 +343,9 @@ impl<V> CompiledParser<V> {
                         }
                         StopAction::Match(p) => {
                             pos = rs;
-                            match &self.prods[p as usize] {
-                                CompiledProd::Skip { .. } => {
+                            let head = &conts.heads[p as usize];
+                            let cont = match &head.tok_action {
+                                None => {
                                     obs.skipped(pos - tok_start);
                                     tok_start = pos;
                                     row = self.nt_start_row[nt as usize] as usize;
@@ -345,23 +354,31 @@ impl<V> CompiledParser<V> {
                                     i = pos;
                                     continue 'token;
                                 }
-                                CompiledProd::Token {
-                                    tok_action,
-                                    tail,
-                                    reduce,
-                                } => {
+                                Some(tok_action) => {
                                     obs.token(p, rs - tok_start);
                                     if ACTIONS {
                                         values.push(tok_action(&input[tok_start..rs]));
-                                        // identity reductions (plain
-                                        // `n → t`) need no round trip
-                                        if !reduce.is_identity() {
-                                            control.push(Ctl::Reduce(p));
-                                        }
+                                        conts.slice(head.cont)
+                                    } else {
+                                        conts.slice(head.nts)
                                     }
-                                    for &m in tail.iter().rev() {
-                                        control.push(Ctl::Nt(m));
-                                    }
+                                }
+                            };
+                            // The continuation's last word runs first:
+                            // when it is a nonterminal, scan it now.
+                            match cont.split_last() {
+                                Some((&top, rest)) if top.is_nt() => {
+                                    control.extend_from_slice(rest);
+                                    nt = top.payload();
+                                    tok_start = pos;
+                                    row = self.nt_start_row[nt as usize] as usize;
+                                    obs.nt_row(row as u32);
+                                    rs = pos;
+                                    i = pos;
+                                    continue 'token;
+                                }
+                                _ => {
+                                    control.extend_from_slice(cont);
                                     continue 'outer;
                                 }
                             }

@@ -18,7 +18,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use flap::artifact::{load_recognizer, AlignedBuf, ArtifactError};
-use flap::{Parser, SliceChunks};
+use flap::{ParseSession, Parser, SliceChunks, Step};
 use flap_grammars::GrammarDef;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -146,6 +146,33 @@ fn round_trip_is_observationally_identical_for_every_grammar() {
     assert_round_trip(flap_grammars::csv::def());
     assert_round_trip(flap_grammars::json::def());
     assert_round_trip(flap_grammars::arith::def());
+}
+
+#[test]
+fn loaded_recognizers_asked_for_a_value_yield_exactly_one() {
+    // A recognizer's token productions fold their tails' unit values,
+    // so a parse ends with exactly one `()` on the value stack — which
+    // the VM asserts in debug builds, one-shot and streaming alike.
+    let def = flap_grammars::json::def();
+    let buf = Arc::new(AlignedBuf::from_bytes(&def.flap_parser().to_artifact()));
+    let recognizer = load_recognizer(&buf).expect("recognizer loads");
+    let small = br#"[1, 2, {"a": 3}]"#.to_vec();
+    let large = (def.generate)(42, 4 * 1024);
+    let mut session = ParseSession::new();
+    for doc in [&small, &large] {
+        assert_eq!(recognizer.parse(doc), Ok(()));
+        assert_eq!(recognizer.parse_with(&mut session, doc), Ok(()));
+        for chunk in [1, 5, 512] {
+            let mut stream = recognizer.stream(&mut session);
+            for piece in doc.chunks(chunk) {
+                assert!(matches!(stream.feed(piece), Step::NeedMore));
+            }
+            assert!(
+                matches!(stream.finish(), Step::Done(())),
+                "chunks of {chunk}"
+            );
+        }
+    }
 }
 
 #[test]

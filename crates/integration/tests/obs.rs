@@ -110,6 +110,82 @@ fn profiler_accounts_for_every_input_byte() {
     assert_eq!(prof.feed_bytes, input.len() as u64);
 }
 
+/// Per flat production: whether completing it runs a reduce action
+/// (a non-identity program), i.e. must fire `Observer::reduce`.
+fn reducing_productions<V: 'static>(parser: &Parser<V>) -> Vec<bool> {
+    let fused = parser.fused();
+    fused
+        .nts()
+        .flat_map(|nt| {
+            fused.entry(nt).prods.iter().map(|p| {
+                p.token
+                    .as_ref()
+                    .is_some_and(|tok| !tok.reduce.is_identity())
+            })
+        })
+        .collect()
+}
+
+/// The observer contract: `reduce(p)` fires exactly once per completed
+/// token production `p` with a non-identity reduce, under the flat
+/// production index its `token` event used — on a valid document
+/// every committed production completes.
+fn reductions_match_committed_productions<V: 'static>(def: &GrammarDef<V>) {
+    let parser = def.flap_parser();
+    let reducing = reducing_productions(&parser);
+    assert_eq!(reducing.len(), parser.compiled().prod_count());
+    let input = (def.generate)(42, 8 * 1024);
+    let check = |prof: &ParseProfiler, how: &str| {
+        let mut expected = 0;
+        for (p, &reduces) in reducing.iter().enumerate() {
+            let committed = prof.tokens_by_class.get(p).copied().unwrap_or(0);
+            let want = if reduces { committed } else { 0 };
+            let got = prof.reductions.get(p).copied().unwrap_or(0);
+            assert_eq!(
+                got, want,
+                "[{}] {how}: production {p} committed {committed} times",
+                def.name
+            );
+            expected += want;
+        }
+        assert!(expected > 0, "[{}] the document reduces", def.name);
+        assert_eq!(prof.reduction_count(), expected);
+    };
+
+    let mut session = parser.session();
+    let mut prof = ParseProfiler::new();
+    parser
+        .parse_with_obs(&mut session, &input, &mut prof)
+        .expect("generated input parses");
+    check(&prof, "one-shot");
+
+    prof.reset();
+    let mut stream = parser.stream(&mut session);
+    for piece in input.chunks(97) {
+        assert!(
+            matches!(stream.feed_obs(piece, &mut prof), flap::Step::NeedMore),
+            "[{}] mid-stream step",
+            def.name
+        );
+    }
+    assert!(
+        matches!(stream.finish_obs(&mut prof), flap::Step::Done(_)),
+        "[{}] final step",
+        def.name
+    );
+    check(&prof, "chunked");
+}
+
+#[test]
+fn profiler_counts_one_reduction_per_completed_reducing_production() {
+    reductions_match_committed_productions(&flap_grammars::json::def());
+    reductions_match_committed_productions(&flap_grammars::sexp::def());
+    reductions_match_committed_productions(&flap_grammars::arith::def());
+    reductions_match_committed_productions(&flap_grammars::csv::def());
+    reductions_match_committed_productions(&flap_grammars::pgn::def());
+    reductions_match_committed_productions(&flap_grammars::ppm::def());
+}
+
 /// A word-counting pool whose semantic action sleeps on the lexeme
 /// `slow`, pinning a worker so both lanes reliably receive work.
 fn slow_pool(config: PoolConfig) -> flap_serve::ParsePool<i64> {
