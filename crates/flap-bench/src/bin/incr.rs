@@ -11,21 +11,27 @@
 //!   the resulting document's *schema* (grammars, intervals, stat
 //!   rows — not the machine-dependent numbers) against the checked-in
 //!   snapshot (default `BENCH_incremental.json`), exiting non-zero on
-//!   drift. CI runs this so the snapshot cannot silently fall out of
-//!   sync with the harness.
+//!   drift. It also fails when the default-config validate row's
+//!   deterministic counts regress (see [`count_regressions`]); no
+//!   time is gated. CI runs this so the snapshot cannot silently fall
+//!   out of sync with the harness.
 //!
-//! Two workloads per grammar and checkpoint interval, both applying
-//! single-byte digit edits and re-parsing:
+//! Two workloads per grammar, both applying single-byte digit edits
+//! and re-parsing:
 //!
 //! * **validate** — `validate_incremental` after an edit at the
 //!   middle of the document: prefix reuse *plus* suffix convergence,
-//!   so the work is a couple of checkpoint intervals regardless of
-//!   document size. This is the headline row; the speedup column is
-//!   against a full `recognize` of the same document.
+//!   so the work is about one gap between validation checkpoints
+//!   regardless of document size. Validation checkpoints are spaced
+//!   by their own cost (a few KiB apart) and the interval only caps
+//!   the gap, so the rows are the default config (the headline) and
+//!   two intervals small enough to engage the cap. The speedup column
+//!   is against a full `recognize` of the same document.
 //! * **value** — `parse_incremental` after edits at the 10th, 50th
-//!   and 90th percentile offsets: prefix reuse only (semantic actions
-//!   must re-run downstream of the edit), so the saving tracks the
-//!   edit position. Speedups are against a full `parse`.
+//!   and 90th percentile offsets, at three checkpoint intervals:
+//!   prefix reuse only (semantic actions must re-run downstream of
+//!   the edit), so the saving tracks the edit position. Speedups are
+//!   against a full `parse`.
 //!
 //! Every timed re-parse is also checked against the from-scratch
 //! result, and the run aborts if reuse never happened — the bench
@@ -44,7 +50,18 @@ use flap::{IncrementalConfig, IncrementalSession, Parser};
 use flap_bench::json::{obj, Json};
 use flap_grammars::GrammarDef;
 
+/// Value-mode checkpoint intervals.
 const INTERVALS: [usize; 3] = [16 * 1024, 64 * 1024, 256 * 1024];
+/// Validation rows besides the default config: intervals below the
+/// cost-based spacing (a few KiB), where the interval caps the gap and
+/// trades retained state for re-scanned bytes.
+const VALIDATE_INTERVALS: [usize; 2] = [1024, 4 * 1024];
+/// Smoke gate: most bytes a default-config re-validation may feed
+/// through the automaton after a 1-byte edit.
+const MAX_DEFAULT_PARSED: usize = 16 * 1024;
+/// Smoke gate: retained validation state may be at most this share
+/// (`1 / n`) of the document.
+const RETAINED_SHARE: usize = 16;
 /// Value-mode edit positions, as fractions of the document.
 const EDIT_FRACTIONS: [f64; 3] = [0.1, 0.5, 0.9];
 
@@ -53,12 +70,7 @@ struct ValidateRow {
     reparse_us: f64,
     /// `full_recognize / reparse`.
     speedup: f64,
-    parsed: usize,
-    suffix_reused: usize,
-    checkpoints: usize,
-    retained_bytes: usize,
-    /// The final re-parse's full reuse accounting, shown (via its
-    /// `Display`) in the human table.
+    /// The final re-parse's reuse accounting.
     stats: flap::ReuseStats,
 }
 
@@ -75,6 +87,8 @@ struct GrammarResult {
     doc_bytes: usize,
     full_parse_us: f64,
     full_recognize_us: f64,
+    /// Validation at `IncrementalConfig::default()`.
+    default_validate: ValidateRow,
     validate: Vec<ValidateRow>,
     value: Vec<ValueRow>,
 }
@@ -104,6 +118,52 @@ fn timed_edit<V, R: PartialEq + std::fmt::Debug>(
     (t0.elapsed().as_secs_f64() * 1e6, r)
 }
 
+/// Validation after a 1-byte digit edit mid-document (suffix
+/// convergence), best of `iters`, at checkpoint config `config`.
+fn validate_row(
+    def: &GrammarDef<i64>,
+    parser: &Parser<i64>,
+    doc: &[u8],
+    config: IncrementalConfig,
+    iters: usize,
+    full_recognize_us: f64,
+) -> ValidateRow {
+    let interval = config.interval;
+    let mut inc = parser.incremental_with(config);
+    inc.splice(0..0, doc);
+    parser.validate_incremental(&mut inc).expect("validates");
+    let at = digit_at(doc, 0.5);
+    let mut flip = true;
+    let mut best = f64::INFINITY;
+    for _ in 0..iters {
+        let (us, r) = timed_edit(&mut inc, at, &mut flip, |i| parser.validate_incremental(i));
+        r.expect("edited document stays valid");
+        best = best.min(us);
+        let st = inc.stats();
+        assert!(
+            st.converged && st.suffix_reused > 0,
+            "{} validate at interval {interval}: no suffix reuse ({st:?})",
+            def.name
+        );
+        // the first checkpoint lands at most one interval in; only
+        // then can a mid-document edit skip any prefix
+        assert!(
+            st.prefix_reused > 0 || at < interval,
+            "{} validate at interval {interval}: no prefix reuse ({st:?})",
+            def.name
+        );
+    }
+    // the timed runs above only flip a digit; the final document
+    // must still agree with a from-scratch recognize
+    assert_eq!(parser.recognize(inc.doc()), Ok(()));
+    ValidateRow {
+        interval,
+        reparse_us: best,
+        speedup: full_recognize_us / best,
+        stats: inc.stats(),
+    }
+}
+
 fn bench_one(def: &GrammarDef<i64>, doc_bytes: usize, iters: usize) -> GrammarResult {
     let parser: Parser<i64> = def.flap_parser();
     let doc = (def.generate)(42, doc_bytes);
@@ -126,50 +186,24 @@ fn bench_one(def: &GrammarDef<i64>, doc_bytes: usize, iters: usize) -> GrammarRe
         full_recognize_us = full_recognize_us.min(t0.elapsed().as_secs_f64() * 1e6);
     }
 
-    let mut validate = Vec::new();
+    let default_validate = validate_row(
+        def,
+        &parser,
+        &doc,
+        IncrementalConfig::default(),
+        iters,
+        full_recognize_us,
+    );
+    let validate = VALIDATE_INTERVALS
+        .iter()
+        .map(|&interval| {
+            let config = IncrementalConfig { interval };
+            validate_row(def, &parser, &doc, config, iters, full_recognize_us)
+        })
+        .collect();
     let mut value = Vec::new();
     for interval in INTERVALS {
         let config = IncrementalConfig { interval };
-
-        // -- validate: 1-byte edit mid-document, suffix convergence --
-        let mut inc = parser.incremental_with(config);
-        inc.splice(0..0, &doc);
-        parser.validate_incremental(&mut inc).expect("validates");
-        let at = digit_at(&doc, 0.5);
-        let mut flip = true;
-        let mut best = f64::INFINITY;
-        for _ in 0..iters {
-            let (us, r) = timed_edit(&mut inc, at, &mut flip, |i| parser.validate_incremental(i));
-            r.expect("edited document stays valid");
-            best = best.min(us);
-            let st = inc.stats();
-            assert!(
-                st.converged && st.suffix_reused > 0,
-                "{} validate at interval {interval}: no suffix reuse ({st:?})",
-                def.name
-            );
-            // the first checkpoint lands one interval in; only then
-            // can a mid-document edit skip any prefix
-            assert!(
-                st.prefix_reused > 0 || at < interval,
-                "{} validate at interval {interval}: no prefix reuse ({st:?})",
-                def.name
-            );
-        }
-        // the timed runs above only flip a digit; the final document
-        // must still agree with a from-scratch recognize
-        assert_eq!(parser.recognize(inc.doc()), Ok(()));
-        let st = inc.stats();
-        validate.push(ValidateRow {
-            interval,
-            reparse_us: best,
-            speedup: full_recognize_us / best,
-            parsed: st.parsed,
-            suffix_reused: st.suffix_reused,
-            checkpoints: st.checkpoints,
-            retained_bytes: st.retained_bytes,
-            stats: st,
-        });
 
         // -- value: 1-byte edits at p10/p50/p90, prefix reuse only --
         let mut inc = parser.incremental_with(config);
@@ -214,19 +248,65 @@ fn bench_one(def: &GrammarDef<i64>, doc_bytes: usize, iters: usize) -> GrammarRe
         doc_bytes: doc.len(),
         full_parse_us,
         full_recognize_us,
+        default_validate,
         validate,
         value,
     }
 }
 
+/// The smoke gate's deterministic counts, from the default-config
+/// validate rows: each must re-scan at most [`MAX_DEFAULT_PARSED`]
+/// bytes, converge, and retain at most `doc_len / RETAINED_SHARE`.
+/// Returns one message per violation.
+fn count_regressions(results: &[GrammarResult]) -> Vec<String> {
+    let mut out = Vec::new();
+    for r in results {
+        let st = &r.default_validate.stats;
+        if st.parsed > MAX_DEFAULT_PARSED {
+            out.push(format!(
+                "{}: parsed {} B > {MAX_DEFAULT_PARSED} B",
+                r.name, st.parsed
+            ));
+        }
+        if !st.converged {
+            out.push(format!("{}: did not converge", r.name));
+        }
+        if st.retained_bytes > st.doc_len / RETAINED_SHARE {
+            out.push(format!(
+                "{}: retained {} B > doc_len / {RETAINED_SHARE} = {} B",
+                r.name,
+                st.retained_bytes,
+                st.doc_len / RETAINED_SHARE
+            ));
+        }
+    }
+    out
+}
+
+/// A number rounded to one decimal.
+fn round1(v: f64) -> Json {
+    Json::Num((v * 10.0).round() / 10.0)
+}
+
+fn validate_json(v: &ValidateRow) -> Json {
+    obj(vec![
+        ("interval", Json::Num(v.interval as f64)),
+        ("reparse_us", round1(v.reparse_us)),
+        ("speedup", round1(v.speedup)),
+        ("parsed", Json::Num(v.stats.parsed as f64)),
+        ("suffix_reused", Json::Num(v.stats.suffix_reused as f64)),
+        ("checkpoints", Json::Num(v.stats.checkpoints as f64)),
+        ("retained_bytes", Json::Num(v.stats.retained_bytes as f64)),
+        ("converged", Json::Bool(v.stats.converged)),
+    ])
+}
+
 fn report(results: &[GrammarResult], doc_mb: f64, iters: usize) -> Json {
-    let round1 = |v: f64| Json::Num((v * 10.0).round() / 10.0);
-    // headline: best validate speedup for the json grammar
+    // headline: the json grammar's default-config validate speedup
     let headline = results
         .iter()
         .find(|r| r.name == "json")
-        .map(|r| r.validate.iter().map(|v| v.speedup).fold(0.0f64, f64::max))
-        .unwrap_or(0.0);
+        .map_or(0.0, |r| r.default_validate.speedup);
     obj(vec![
         ("bench", Json::Str("incremental".to_string())),
         ("doc_mb", Json::Num(doc_mb)),
@@ -234,6 +314,15 @@ fn report(results: &[GrammarResult], doc_mb: f64, iters: usize) -> Json {
         (
             "intervals",
             Json::Arr(INTERVALS.iter().map(|&i| Json::Num(i as f64)).collect()),
+        ),
+        (
+            "validate_intervals",
+            Json::Arr(
+                VALIDATE_INTERVALS
+                    .iter()
+                    .map(|&i| Json::Num(i as f64))
+                    .collect(),
+            ),
         ),
         (
             "edit_fractions",
@@ -252,33 +341,10 @@ fn report(results: &[GrammarResult], doc_mb: f64, iters: usize) -> Json {
                                 ("doc_bytes", Json::Num(r.doc_bytes as f64)),
                                 ("full_parse_us", round1(r.full_parse_us)),
                                 ("full_recognize_us", round1(r.full_recognize_us)),
+                                ("default_validate", validate_json(&r.default_validate)),
                                 (
                                     "validate",
-                                    Json::Arr(
-                                        r.validate
-                                            .iter()
-                                            .map(|v| {
-                                                obj(vec![
-                                                    ("interval", Json::Num(v.interval as f64)),
-                                                    ("reparse_us", round1(v.reparse_us)),
-                                                    ("speedup", round1(v.speedup)),
-                                                    ("parsed", Json::Num(v.parsed as f64)),
-                                                    (
-                                                        "suffix_reused",
-                                                        Json::Num(v.suffix_reused as f64),
-                                                    ),
-                                                    (
-                                                        "checkpoints",
-                                                        Json::Num(v.checkpoints as f64),
-                                                    ),
-                                                    (
-                                                        "retained_bytes",
-                                                        Json::Num(v.retained_bytes as f64),
-                                                    ),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
+                                    Json::Arr(r.validate.iter().map(validate_json).collect()),
                                 ),
                                 (
                                     "value",
@@ -334,15 +400,20 @@ fn print_table(results: &[GrammarResult], doc_mb: f64, iters: usize) {
             "  {:<12}{:>14}{:>10}{:>12}{:>12}{:>12}",
             "validate", "reparse µs", "speedup", "parsed", "ckpts", "retained"
         );
-        for v in &r.validate {
+        let rows = std::iter::once(("default".to_string(), &r.default_validate)).chain(
+            r.validate
+                .iter()
+                .map(|v| (format!("{}K", v.interval / 1024), v)),
+        );
+        for (label, v) in rows {
             println!(
                 "  {:<12}{:>14.1}{:>9.1}x{:>12}{:>12}{:>12}",
-                format!("{}K", v.interval / 1024),
+                label,
                 v.reparse_us,
                 v.speedup,
-                v.parsed,
-                v.checkpoints,
-                v.retained_bytes
+                v.stats.parsed,
+                v.stats.checkpoints,
+                v.stats.retained_bytes
             );
             println!("               {}", v.stats);
         }
@@ -442,7 +513,19 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        println!("incremental --smoke: snapshot {snapshot} schema matches the harness");
+        let regressions = count_regressions(&results);
+        if !regressions.is_empty() {
+            eprintln!(
+                "incremental --smoke: default-config validation counts regressed:\n  {}",
+                regressions.join("\n  ")
+            );
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "incremental --smoke: snapshot {snapshot} schema matches the harness; default-config \
+             validation re-scans <= {MAX_DEFAULT_PARSED} B, converges and retains <= 1/{RETAINED_SHARE} \
+             of the document"
+        );
     } else if opts.json {
         println!("{doc}");
     } else {

@@ -23,8 +23,10 @@
 //! flow through opaque user actions, so a value built from edited
 //! bytes — and every value downstream of it — must be rebuilt. The
 //! staged layer adds suffix convergence for validation, where no
-//! actions run and a 1-byte edit in a multi-MB document re-parses in
-//! a fraction of an interval's worth of work.
+//! actions run: a 1-byte edit in a multi-MB document re-scans about
+//! one gap between validation checkpoints, which are spaced by their
+//! own cost (a few KiB apart for the bundled grammars; see
+//! [`IncrementalConfig::interval`]).
 //!
 //! This module also holds the engine-agnostic bookkeeping both layers
 //! share: the edit log ([`EditLog`], hidden) that applies
@@ -46,15 +48,27 @@ use crate::stream::{Step, StreamSnapshot};
 /// Tuning for an incremental session's checkpoint density.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IncrementalConfig {
-    /// Target distance in bytes between checkpoints (default 64 KiB).
+    /// Distance in bytes between value-parse checkpoints, and the
+    /// largest distance between validation checkpoints (default 64
+    /// KiB).
     ///
-    /// Smaller intervals mean less re-parsing per edit (expected
-    /// re-parse work is about half an interval before reuse can kick
-    /// in) but more retained state: each checkpoint clones the
-    /// stepper's stacks, and about `doc_len / interval` checkpoints
-    /// are retained. Validation checkpoints are cheap (control stack
-    /// depth tracks grammar nesting only); value-parse checkpoints
-    /// also clone every pending semantic value.
+    /// A value re-parse restarts at the last checkpoint before the
+    /// edit, so it repeats up to one interval of work before it
+    /// reaches the edit; about `doc_len / interval` checkpoints are
+    /// retained, each cloning the stepper's stacks and every pending
+    /// semantic value.
+    ///
+    /// Validation checkpoints hold only a control stack, whose depth
+    /// tracks grammar nesting, so the staged engine spaces them by
+    /// their own cost: one that retains `b` bytes is recorded only
+    /// once `min(interval, 16 * b)` bytes separate it from the
+    /// previous one. While no checkpoint retains more than
+    /// `interval / 16` bytes, all of them together retain at most
+    /// `doc_len / 16`. A re-validation re-scans a whole gap (it
+    /// restarts at the checkpoint before the edit and converges at
+    /// the one after), which is a few KiB for the bundled grammars.
+    /// Intervals below that spacing cap it, trading retained state
+    /// for fewer re-scanned bytes.
     pub interval: usize,
 }
 
@@ -267,10 +281,17 @@ impl<S> EditLog<S> {
     /// * checkpoints with `scan_pos <= range.start` stay confirmed
     ///   (their prefix is untouched);
     /// * with `keep_stale`, checkpoints whose retained tail starts at
-    ///   or after `range.end` move to the stale set, offsets and
-    ///   line/column accounting shifted into post-edit coordinates;
-    /// * everything else — checkpoints overlapping the edit — is
-    ///   dropped, as is a recorded outcome located inside it.
+    ///   or after the end of the post-edit dirty window become (or
+    ///   stay) stale, offsets and line/column accounting shifted into
+    ///   post-edit coordinates — a checkpoint before any pending edit
+    ///   must never be a convergence target, or validation would
+    ///   return the outcome from before that edit;
+    /// * everything else — checkpoints overlapping an edit or lying
+    ///   between two — is dropped, as is a recorded outcome located
+    ///   inside the edit.
+    ///
+    /// Both logs are partitioned in place: each outcome above is a
+    /// contiguous run of the sorted logs.
     ///
     /// # Panics
     ///
@@ -298,29 +319,10 @@ impl<S> EditLog<S> {
                 new_end
             }
         };
-        self.dirty = Some(match self.dirty.take() {
+        let dirty = match self.dirty.take() {
             None => range.start..new_end,
             Some(d) => shift_pt(d.start).min(range.start)..shift_pt(d.end).max(new_end),
-        });
-
-        // partition the checkpoint logs (both are sorted and
-        // confirmed precedes stale, so chaining preserves order)
-        let old: Vec<Ckpt<S>> = self
-            .confirmed
-            .drain(..)
-            .chain(self.stale.drain(..))
-            .collect();
-        for mut c in old {
-            if c.scan_pos() <= range.start {
-                self.confirmed.push(c);
-            } else if keep_stale && c.snap.offset >= range.end {
-                c.snap.col_base =
-                    shift_col_base(c.snap.col_base, &range, replacement, &self.doc, delta);
-                c.snap.offset = (c.snap.offset as isize + delta) as usize;
-                c.snap.lines_consumed = (c.snap.lines_consumed as isize + dl) as usize;
-                self.stale.push(c);
-            }
-        }
+        };
 
         // shift (or drop) the recorded outcome the same way
         self.outcome = match self.outcome.take() {
@@ -330,12 +332,37 @@ impl<S> EditLog<S> {
             }
             _ => None,
         };
-        if self.outcome.is_none() {
-            // convergence without an outcome to return would be
-            // meaningless — and an error inside the edit means no
-            // checkpoint beyond it was ever taken anyway
+
+        // Partition the checkpoint logs. Both are sorted by scan
+        // position and by tail offset (a stream only consumes from its
+        // front), and confirmed precedes stale, so the stale survivors
+        // are a suffix of the two logs chained: those with a tail
+        // offset at or past the dirty window's end, which is
+        // `dirty.end - delta` in pre-edit coordinates. Without an
+        // outcome to return, convergence would be meaningless (and an
+        // error inside the edit means no checkpoint beyond it was ever
+        // taken anyway).
+        let keep = self
+            .confirmed
+            .partition_point(|c| c.scan_pos() <= range.start);
+        if keep_stale && self.outcome.is_some() {
+            let from = (dirty.end as isize - delta) as usize;
+            let first = self.stale.partition_point(|c| c.snap.offset < from);
+            let tail = keep + self.confirmed[keep..].partition_point(|c| c.snap.offset < from);
+            debug_assert!(tail == self.confirmed.len() || first == 0);
+            self.stale.drain(..first);
+            let _ = self.stale.splice(0..0, self.confirmed.drain(tail..));
+            for c in &mut self.stale {
+                c.snap.col_base =
+                    shift_col_base(c.snap.col_base, &range, replacement, &self.doc, delta);
+                c.snap.offset = (c.snap.offset as isize + delta) as usize;
+                c.snap.lines_consumed = (c.snap.lines_consumed as isize + dl) as usize;
+            }
+        } else {
             self.stale.clear();
         }
+        self.confirmed.truncate(keep);
+        self.dirty = Some(dirty);
     }
 
     /// Records the verdict of a completed re-parse: the document is

@@ -14,7 +14,9 @@
 //! determinism guarantees every remaining byte behaves identically —
 //! the previous outcome is returned with shifted positions and the
 //! parse stops there. A 1-byte edit in a multi-MB document then costs
-//! on the order of one checkpoint interval, not the document.
+//! about one gap between validation checkpoints, not the document;
+//! those checkpoints are spaced by their own cost (a few KiB apart,
+//! see [`IncrementalConfig::interval`]).
 //!
 //! Value parses ([`CompiledParser::parse_incremental`]) cannot reuse
 //! suffixes: semantic actions are opaque folds, so a value built from
@@ -121,8 +123,8 @@ impl<V> IncrementalSession<V> {
 
     /// Replaces `doc[range]` with `replacement`. Load the initial
     /// document with `splice(0..0, text)`; multiple splices between
-    /// re-parses accumulate (checkpoints between two edits survive
-    /// only while no edit precedes them).
+    /// re-parses accumulate (checkpoints between two pending edits
+    /// are dropped).
     ///
     /// # Panics
     ///
@@ -218,11 +220,22 @@ fn feed_step<const A: bool, V, O: Observer>(
     }
 }
 
-fn ckpt_bytes<V>(c: &Ckpt<VmState<V>>) -> usize {
-    size_of::<Ckpt<VmState<V>>>()
-        + c.state.control.len() * size_of::<Ctl>()
-        + c.state.values.len() * size_of::<V>()
+/// What a checkpoint of a state with these stack depths retains.
+fn state_bytes<V>(control: usize, values: usize) -> usize {
+    size_of::<Ckpt<VmState<V>>>() + control * size_of::<Ctl>() + values * size_of::<V>()
 }
+
+fn ckpt_bytes<V>(c: &Ckpt<VmState<V>>) -> usize {
+    state_bytes::<V>(c.state.control.len(), c.state.values.len())
+}
+
+/// Validation checkpoints are spaced by their own cost: one that
+/// retains `b` bytes is recorded only once `min(interval, COVER * b)`
+/// document bytes separate it from the previous one. Each retained
+/// checkpoint is then paid for by the bytes before it, so while none
+/// retains more than `interval / COVER` bytes, all of them together
+/// retain at most `doc_len / COVER`.
+const COVER: usize = 16;
 
 impl<V> CompiledParser<V> {
     /// Re-parses an [`IncrementalSession`]'s document after edits,
@@ -285,8 +298,9 @@ impl<V> CompiledParser<V> {
     /// positions shifted into post-edit coordinates.
     ///
     /// This is the editor/LSP diagnostics workload: for a small edit
-    /// in a large document the cost is a couple of checkpoint
-    /// intervals, independent of document size
+    /// in a large document the cost is about one gap between
+    /// validation checkpoints (a few KiB; see
+    /// [`IncrementalConfig::interval`]), independent of document size
     /// ([`ReuseStats::converged`] reports whether the short-circuit
     /// happened).
     ///
@@ -367,8 +381,21 @@ impl<V> CompiledParser<V> {
             ..ReuseStats::default()
         };
 
+        // Value checkpoints clone value stacks and keep the interval;
+        // validation checkpoints are spaced by their cost (see
+        // `COVER`). `last_ck` is the previous retained checkpoint's
+        // position: the restart point, or 0.
+        let interval = inc.interval;
+        let gap = |s: &ParseSession<V>| {
+            if A {
+                interval
+            } else {
+                interval.min(COVER * state_bytes::<V>(s.control.len(), 0))
+            }
+        };
         let mut si = 0usize; // next stale checkpoint to compare against
-        let mut next_ck = pos + inc.interval;
+        let mut last_ck = pos;
+        let mut next_ck = pos + gap(&inc.scratch);
         let outcome = loop {
             if pos >= doc_len {
                 break feed_step::<A, V, O>(self, &mut inc.scratch, &[], true, obs).map(|end| {
@@ -424,8 +451,11 @@ impl<V> CompiledParser<V> {
                         // checkpoints and return the recorded outcome.
                         inc.stats.converged = true;
                         inc.stats.suffix_reused = doc_len - pos;
-                        let mut promoted = inc.log.stale.split_off(si);
-                        inc.log.confirmed.append(&mut promoted);
+                        // the checkpoint converged on keeps its place
+                        // only if the bytes since `last_ck` pay for it;
+                        // the ones after it kept their spacing
+                        let from = si + usize::from(pos - last_ck < gap(&inc.scratch));
+                        inc.log.confirmed.extend(inc.log.stale.drain(from..));
                         let out = inc
                             .log
                             .outcome
@@ -442,23 +472,29 @@ impl<V> CompiledParser<V> {
             }
             if pos >= next_ck {
                 let s = &inc.scratch;
-                debug_assert_eq!(
-                    s.stream.offset() + s.stream.buf().len(),
-                    pos,
-                    "suspension must have scanned every fed byte"
-                );
-                let mut values = Vec::new();
-                fill_values(&s.values, &mut values);
-                inc.log.confirmed.push(Ckpt {
-                    snap: s.stream.snapshot(),
-                    scanned: s.stream.buf().len(),
-                    state: VmState {
-                        control: s.control.clone(),
-                        values,
-                        resume: s.resume,
-                    },
-                });
-                next_ck = pos + inc.interval;
+                let g = gap(s);
+                // (a state that got costlier since the target was set
+                // waits for the bytes that pay for it)
+                if pos - last_ck >= g {
+                    debug_assert_eq!(
+                        s.stream.offset() + s.stream.buf().len(),
+                        pos,
+                        "suspension must have scanned every fed byte"
+                    );
+                    let mut values = Vec::new();
+                    fill_values(&s.values, &mut values);
+                    inc.log.confirmed.push(Ckpt {
+                        snap: s.stream.snapshot(),
+                        scanned: s.stream.buf().len(),
+                        state: VmState {
+                            control: s.control.clone(),
+                            values,
+                            resume: s.resume,
+                        },
+                    });
+                    last_ck = pos;
+                }
+                next_ck = last_ck + g;
             }
         };
 

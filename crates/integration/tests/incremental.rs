@@ -8,7 +8,10 @@
 //! The sweep runs all six benchmark grammars through both staged
 //! entry points (`parse_incremental`, `validate_incremental`) and the
 //! unstaged interpreter (`parse_incremental_fused`); targeted tests
-//! pin down suffix convergence and shifted-error reuse.
+//! pin down suffix convergence and shifted-error reuse. A second
+//! sweep runs the default config on 128–256 KiB json and sexp
+//! documents, where validation checkpoints are spaced by their cost,
+//! with batches of splices in arbitrary order.
 
 // Errors inline their expected-token set (allocation-free); the
 // larger Err variant is deliberate.
@@ -188,6 +191,215 @@ fn batched_splices_between_reparses_agree() {
         }
         compare(&def, &parser, &mut val, &mut chk);
     }
+}
+
+/// Two splices between validations, the later one in the document
+/// first: the checkpoints between the two edits lie before a pending
+/// edit, so converging on one of them would return the verdict from
+/// before the `#` was inserted.
+#[test]
+fn late_then_early_splices_do_not_hide_the_late_edit() {
+    let def = flap_grammars::json::def();
+    let parser = def.flap_parser();
+    for seed in 1..=20 {
+        let doc = (def.generate)(seed, 8 * 1024);
+        let mut inc = parser.incremental_with(config());
+        inc.splice(0..0, &doc);
+        assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+
+        // `#` inside a number at ~7/8, then a digit swap at ~1/4
+        let late = inner_digit(&doc, doc.len() * 7 / 8);
+        inc.splice(late..late, b"#");
+        let early = inner_digit(&doc, doc.len() / 4);
+        let swap = if doc[early] == b'5' { b"6" } else { b"5" };
+        inc.splice(early..early + 1, swap);
+
+        let want = parser.recognize(inc.doc());
+        assert!(
+            want.is_err(),
+            "seed {seed}: the `#` must break the document"
+        );
+        assert_eq!(parser.validate_incremental(&mut inc), want, "seed {seed}");
+    }
+}
+
+/// The first digit at or after `from` that follows another digit:
+/// editing it keeps the number well-formed.
+fn inner_digit(doc: &[u8], from: usize) -> usize {
+    site(doc, from, |i| {
+        doc[i].is_ascii_digit() && doc[i - 1].is_ascii_digit()
+    })
+}
+
+/// Edits a default-config sweep can make without breaking its
+/// document: `inner` picks the bytes of a token class that may be
+/// swapped, inserted before or deleted when they follow another byte
+/// of the class, `same` draws a replacement of the same class, and
+/// `ws` picks whitespace that may flip between ' ' and '\n'.
+struct Script {
+    inner: fn(u8) -> bool,
+    same: fn(&mut StdRng, u8) -> u8,
+    ws: fn(&[u8], usize) -> bool,
+}
+
+fn json_script() -> Script {
+    Script {
+        inner: |b| b.is_ascii_digit(),
+        same: |rng, _| rng.random_range(b'0'..=b'9'),
+        // the generator separates elements with ", "; other spaces
+        // may sit inside strings
+        ws: |doc, i| matches!(doc[i], b' ' | b'\n') && doc[i - 1] == b',',
+    }
+}
+
+fn sexp_script() -> Script {
+    Script {
+        inner: |b| b.is_ascii_lowercase() || b.is_ascii_digit(),
+        same: |rng, b| {
+            if b.is_ascii_digit() {
+                rng.random_range(b'0'..=b'9')
+            } else {
+                rng.random_range(b'a'..=b'z')
+            }
+        },
+        ws: |doc, i| matches!(doc[i], b' ' | b'\n'),
+    }
+}
+
+/// The first position at or after `from` (wrapping around) that
+/// satisfies `ok`.
+fn site(doc: &[u8], from: usize, ok: impl Fn(usize) -> bool) -> usize {
+    (from.max(1)..doc.len())
+        .chain(1..from.max(1))
+        .find(|&i| ok(i))
+        .expect("the document has an edit site")
+}
+
+/// Default-config differential sweep on a document large enough for
+/// dozens of cost-spaced validation checkpoints. Batches of one to
+/// four splices land in arbitrary order; most keep the document valid
+/// (same-class edits inside tokens, whitespace flips that move line
+/// numbers), some insert a `#` inside a token that a later batch
+/// deletes again. Every verdict must equal a from-scratch `recognize`,
+/// position, line and column included, and the retained validation
+/// state must stay within `doc_len / 16`.
+fn default_sweep<V: 'static>(def: &GrammarDef<V>, script: &Script, seed: u64, size: usize) {
+    let batches = 60;
+    let parser = def.flap_parser();
+    let doc0 = (def.generate)(seed, size);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xdefa);
+    let mut inc = parser.incremental();
+    inc.splice(0..0, &doc0);
+    assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+    let initial = inc.stats().checkpoints;
+    assert!(initial >= 24, "{}: only {initial} checkpoints", def.name);
+
+    // pending breaks: the `#` offset and the batches left before repair
+    let mut breaks: Vec<(usize, u32)> = Vec::new();
+    let (mut converged, mut failed) = (0, 0);
+    for batch in 0..batches {
+        for _ in 0..rng.random_range(1..=4u32) {
+            let doc = inc.doc();
+            let from = rng.random_range(1..doc.len());
+            let inner = |i: usize| (script.inner)(doc[i]) && (script.inner)(doc[i - 1]);
+            let mut broken = None;
+            let (range, repl) = match rng.random_range(0..12u32) {
+                0 if breaks.len() < 2 => {
+                    let at = site(doc, from, inner);
+                    broken = Some(at);
+                    (at..at, vec![b'#'])
+                }
+                0..=3 => {
+                    let at = site(doc, from, inner);
+                    (at..at + 1, vec![(script.same)(&mut rng, doc[at])])
+                }
+                4..=6 => {
+                    let at = site(doc, from, inner);
+                    (at..at, vec![(script.same)(&mut rng, doc[at])])
+                }
+                7..=9 => {
+                    let at = site(doc, from, inner);
+                    (at..at + 1, Vec::new())
+                }
+                _ => {
+                    let at = site(doc, from, |i| (script.ws)(doc, i));
+                    let flip = if doc[at] == b' ' { b'\n' } else { b' ' };
+                    (at..at + 1, vec![flip])
+                }
+            };
+            // no edit site touches a `#`, so pending ones only shift
+            let delta = repl.len() as isize - range.len() as isize;
+            for (at, _) in &mut breaks {
+                if *at >= range.end {
+                    *at = at.wrapping_add_signed(delta);
+                }
+            }
+            breaks.extend(broken.map(|at| (at, rng.random_range(1..=3))));
+            inc.splice(range, &repl);
+        }
+        // repairs due this batch, latest offset first
+        breaks.sort_unstable();
+        for i in (0..breaks.len()).rev() {
+            breaks[i].1 -= 1;
+            if breaks[i].1 == 0 {
+                let (at, _) = breaks.remove(i);
+                assert_eq!(inc.doc()[at], b'#');
+                inc.splice(at..at + 1, b"");
+                for (later, _) in &mut breaks[i..] {
+                    *later -= 1;
+                }
+            }
+        }
+
+        let got = parser.validate_incremental(&mut inc);
+        let want = parser.recognize(inc.doc());
+        assert_eq!(got, want, "{} batch {batch}", def.name);
+        let st = inc.stats();
+        converged += usize::from(st.converged);
+        failed += usize::from(want.is_err());
+        assert!(
+            st.retained_bytes <= st.doc_len / 16,
+            "{} batch {batch}: {st}",
+            def.name
+        );
+    }
+    assert!(
+        converged > batches / 4 && failed > 0 && failed < batches,
+        "{}: of {batches} batches {converged} converged and {failed} failed",
+        def.name
+    );
+}
+
+#[test]
+fn json_default_config_sweep_agrees_with_recognize() {
+    default_sweep(&flap_grammars::json::def(), &json_script(), 41, 128 * 1024);
+}
+
+#[test]
+fn sexp_default_config_sweep_agrees_with_recognize() {
+    default_sweep(&flap_grammars::sexp::def(), &sexp_script(), 42, 256 * 1024);
+}
+
+/// The spacing bounds at the default config on a 2 MB document: a
+/// 1-byte edit re-scans a few KiB, not a 64 KiB interval, and the
+/// retained validation state stays within `doc_len / 16`.
+#[test]
+fn default_config_rescans_little_and_retains_a_sixteenth() {
+    let def = flap_grammars::json::def();
+    let parser = def.flap_parser();
+    let doc = (def.generate)(25, 2 << 20);
+    let mut inc = parser.incremental();
+    inc.splice(0..0, &doc);
+    assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+
+    let at = inner_digit(&doc, doc.len() / 2);
+    let swap = if doc[at] == b'5' { b"6" } else { b"5" };
+    inc.splice(at..at + 1, swap);
+    assert_eq!(parser.validate_incremental(&mut inc), Ok(()));
+    let st = inc.stats();
+    assert!(st.converged, "{st}");
+    assert!(st.parsed <= 16 * 1024, "{st}");
+    assert!(st.retained_bytes <= st.doc_len / 16, "{st}");
 }
 
 /// A tiny edit deep inside a large document: validation must restart
