@@ -7,17 +7,21 @@
 //! cargo run -p flap --example quickstart
 //! ```
 
-use flap::{Cfe, LexerBuilder, Parser};
+use flap::{Cfe, LexBuildError, Lexer, LexerBuilder, Parser, Token};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Fig 3b: the lexer — defined separately from the parser, with a
-    // conventional interface (regex => Return token | Skip).
+/// Fig 3b: the lexer — defined separately from the parser, with a
+/// conventional interface (regex => Return token | Skip).
+fn sexp_lexer() -> Result<(Lexer, [Token; 3]), LexBuildError> {
     let mut lx = LexerBuilder::new();
     let atom = lx.token("atom", "[a-z]+")?;
     lx.skip("[ \n]")?;
     let lpar = lx.token("lpar", r"\(")?;
     let rpar = lx.token("rpar", r"\)")?;
-    let lexer = lx.build()?;
+    Ok((lx.build()?, [atom, lpar, rpar]))
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let (lexer, [atom, lpar, rpar]) = sexp_lexer()?;
 
     // Fig 3c: the grammar —
     // μ sexp. (lpar · (μ sexps. ε ∨ sexp·sexps) · rpar) ∨ atom
@@ -36,15 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("input:  {}", String::from_utf8_lossy(input));
     println!("atoms:  {}", parser.parse(input)?);
 
-    // the intermediate forms remain inspectable:
-    println!(
-        "\nDGNF grammar (Fig 3d):\n{}",
-        parser.dgnf().display(parser.lexer())
-    );
-    println!(
-        "fused grammar (Fig 3e):\n{}",
-        parser.fused().display(parser.lexer().arena())
-    );
+    // the parser keeps only its tables; the intermediate forms are
+    // one call away
+    let dgnf = flap::flap_dgnf::normalize(&grammar)?;
+    println!("\nDGNF grammar (Fig 3d):\n{}", dgnf.display(parser.lexer()));
+    let (mut lexer, _) = sexp_lexer()?;
+    let fused = flap::flap_fuse::fuse(&mut lexer, &dgnf)?;
+    println!("fused grammar (Fig 3e):\n{}", fused.display(lexer.arena()));
     println!(
         "sizes: {} lexer rules, {} CFE nodes, {} nonterminals, {} productions, \
          {} fused productions, {} generated states",

@@ -36,12 +36,12 @@
 //!
 //! # Key caveat
 //!
-//! [`grammar_key`] hashes the grammar's *shape* — lexer rules (regex
-//! syntax, token names, skip/return actions) and the combinator tree
-//! (with `Fix`/`Var` binding hashed by de Bruijn level, so keys are
-//! stable across processes). Semantic *actions* are opaque closures
-//! and are **not** hashed: two grammars that differ only in action
-//! code collide. When tenants supply actions independently of grammar
+//! [`grammar_key`] hashes the grammar's *shape* — lexer rules
+//! (canonical regex structure, token names, skip/return actions) and
+//! the combinator tree (with `Fix`/`Var` binding hashed by de Bruijn
+//! level, so keys are stable across processes). Semantic *actions*
+//! are opaque closures and are **not** hashed: two grammars that
+//! differ only in action code collide. When tenants supply actions independently of grammar
 //! shape, salt the key (e.g. `key ^ tenant_id`) or include an action
 //! version in it.
 //!
@@ -74,9 +74,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use flap_artifact::Fnv64;
-use flap_cfe::{Cfe, CfeNode, VarId};
-use flap_lex::{LexAction, Lexer};
+use flap_cfe::Cfe;
+use flap_lex::Lexer;
 use flap_staged::CompiledParser;
 
 use crate::serve::{ParsePool, PoolConfig};
@@ -328,71 +327,18 @@ impl<V: Send + 'static> ParserCache<V> {
 }
 
 /// A stable FNV-1a content hash of a grammar's *shape*: the lexer's
-/// rules (regex syntax, token index and name, skip/return action) and
-/// the combinator tree of `grammar`, with `Fix`/`Var` binding encoded
-/// by de Bruijn level so the key does not depend on the process-global
-/// [`VarId`] allocator. Semantic actions are **not** hashed — see the
+/// rules (canonical regex structure, token index and name, skip/return
+/// action) and the combinator tree of `grammar`, with `Fix`/`Var`
+/// binding encoded by de Bruijn level so the key does not depend on
+/// the process-global [`VarId`](flap_cfe::VarId) allocator. It hashes
+/// the structural encoding of [`flap_staged::origin`], the same bytes
+/// a compiled artifact stores, so a
+/// [`Parser::to_artifact`](crate::Parser::to_artifact)'s fingerprint
+/// ([`peek_fingerprint`](crate::artifact::peek_fingerprint)) is this
+/// key. Semantic actions are **not** hashed — see the
 /// [module docs](self#key-caveat).
 pub fn grammar_key<V>(lexer: &Lexer, grammar: &Cfe<V>) -> u64 {
-    let mut h = Fnv64::new();
-    h.update_str("flap-grammar-key-v1");
-    h.update_u32(lexer.rule_count() as u32);
-    for rule in lexer.rules() {
-        match rule.action {
-            LexAction::Skip => h.update_u32(0),
-            LexAction::Return(t) => {
-                h.update_u32(1);
-                h.update_u32(t.index() as u32);
-                h.update_str(lexer.token_name(t));
-            }
-        }
-        h.update_str(&lexer.arena().display(rule.regex).to_string());
-    }
-    let mut scope: Vec<VarId> = Vec::new();
-    hash_cfe(&mut h, grammar, &mut scope);
-    h.finish()
-}
-
-fn hash_cfe<V>(h: &mut Fnv64, g: &Cfe<V>, scope: &mut Vec<VarId>) {
-    match g.node() {
-        CfeNode::Bot => h.update_u32(0),
-        CfeNode::Eps(_) => h.update_u32(1),
-        CfeNode::Tok(t, _) => {
-            h.update_u32(2);
-            h.update_u32(t.index() as u32);
-        }
-        CfeNode::Seq(a, b, _) => {
-            h.update_u32(3);
-            hash_cfe(h, a, scope);
-            hash_cfe(h, b, scope);
-        }
-        CfeNode::Alt(a, b) => {
-            h.update_u32(4);
-            hash_cfe(h, a, scope);
-            hash_cfe(h, b, scope);
-        }
-        CfeNode::Map(a, _) => {
-            h.update_u32(5);
-            hash_cfe(h, a, scope);
-        }
-        CfeNode::Fix(v, a) => {
-            h.update_u32(6);
-            scope.push(*v);
-            hash_cfe(h, a, scope);
-            scope.pop();
-        }
-        CfeNode::Var(v) => {
-            h.update_u32(7);
-            // de Bruijn level: position of the binder from the
-            // outermost Fix. Unbound vars (impossible through the
-            // public Cfe::fix API) hash as u32::MAX.
-            let level = scope
-                .iter()
-                .position(|s| s == v)
-                .map_or(u32::MAX, |i| i as u32);
-            h.update_u32(level);
-        }
-    }
+    flap_staged::origin::grammar_key(lexer, grammar)
 }
 
 #[cfg(test)]

@@ -17,9 +17,12 @@
 //! 4. **stages** the result into a table-driven automaton whose
 //!    per-character work is one load and one branch.
 //!
-//! The result parses several times faster than the same grammar run
-//! over a materialized token stream (see `flap-bench` for the paper's
-//! evaluation, reproduced).
+//! On the six benchmark grammars, the `benchmark` package's per-layer
+//! ladder (`--trace 1`) measures the fused parser, actions included,
+//! at 1.09–1.50× the throughput of the same grammar run over a
+//! separately lexed token stream (its `fusion_gain`). The paper
+//! reports 1.7–7.4× for that comparison; `flap-bench` reproduces its
+//! figures and tables.
 //!
 //! # Example
 //!
@@ -168,16 +171,15 @@ pub mod typed;
 /// Compiled-parser artifacts: serialize a parser's tables with
 /// [`Parser::to_artifact`], persist or ship the bytes, and load them
 /// back with [`Parser::from_artifact`] (zero-copy from an aligned
-/// buffer) — skipping the staging phase of compilation. Re-exports
-/// the container primitives from `flap-artifact` and the
-/// attach/recognizer entry points from `flap-staged`.
+/// buffer) — running none of the compiler. Re-exports the container
+/// primitives from `flap-artifact` and the loaders from
+/// `flap-staged`.
 pub mod artifact {
     pub use flap_artifact::{
-        fnv1a, AlignedBuf, Artifact, ArtifactError, ArtifactWriter, Fnv64, ARTIFACT_VERSION,
+        fnv1a, AlignedBuf, Artifact, ArtifactError, ArtifactWriter, Fnv64, SectionBuf,
+        SectionReader, ARTIFACT_VERSION,
     };
-    pub use flap_staged::artifact::{
-        attach, fused_shape_fingerprint, load_recognizer, peek_fingerprint,
-    };
+    pub use flap_staged::artifact::{load_parser, load_recognizer, peek_fingerprint};
 }
 
 pub use flap_cfe::{node_count, type_check, Cfe, Ty, TypeError, VarId};
@@ -188,7 +190,7 @@ pub use flap_fuse::{
 };
 pub use flap_lex::{LexBuildError, Lexer, LexerBuilder, Token, TokenSet};
 pub use flap_staged::{CompileTimes, IncrementalSession, ParseSession, SizeReport, StreamParse};
-pub use parser::{ArtifactLoadError, CompileError, Parser};
+pub use parser::{CompileError, Parser};
 
 // The pipeline crates, for users who need the intermediate stages.
 pub use flap_cfe;

@@ -5,16 +5,16 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use flap_artifact::{AlignedBuf, ArtifactError};
 use flap_cfe::{Cfe, TypeError};
-use flap_dgnf::{DgnfError, Grammar, NormalizeError};
+use flap_dgnf::{DgnfError, NormalizeError};
 use flap_fuse::{
-    ByteSource, FuseError, FusedGrammar, FusedParseError, IncrementalConfig, ReadSource,
-    StreamError,
+    ByteSource, FuseError, FusedParseError, IncrementalConfig, ReadSource, StreamError,
 };
 use flap_lex::Lexer;
 use flap_staged::{
-    measure_pipeline, CompileTimes, CompiledParser, IncrementalSession, ParseSession, SizeReport,
-    StreamParse,
+    measure_pipeline, CompileTimes, CompiledParser, IncrementalSession, Origin, ParseSession,
+    SizeReport, StreamParse,
 };
 
 /// Everything that can go wrong between a grammar definition and a
@@ -52,51 +52,6 @@ impl From<TypeError> for CompileError {
     }
 }
 
-/// Why [`Parser::from_artifact`] failed: either the grammar front-end
-/// rejected the lexer/grammar pair, or the artifact bytes did not
-/// validate (corruption, version drift, shape mismatch, …).
-#[derive(Clone, Debug)]
-pub enum ArtifactLoadError {
-    /// The lexer/grammar pair failed type-checking, normalization or
-    /// fusion — the same errors [`Parser::compile`] reports.
-    Compile(CompileError),
-    /// The artifact bytes were rejected; see
-    /// [`ArtifactError`](flap_artifact::ArtifactError) for the exact
-    /// cause, including
-    /// [`ShapeMismatch`](flap_artifact::ArtifactError::ShapeMismatch)
-    /// when the bytes are valid but belong to a different grammar.
-    Artifact(flap_artifact::ArtifactError),
-}
-
-impl fmt::Display for ArtifactLoadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArtifactLoadError::Compile(e) => write!(f, "{e}"),
-            ArtifactLoadError::Artifact(e) => write!(f, "artifact error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ArtifactLoadError {}
-
-impl From<CompileError> for ArtifactLoadError {
-    fn from(e: CompileError) -> Self {
-        ArtifactLoadError::Compile(e)
-    }
-}
-
-impl From<TypeError> for ArtifactLoadError {
-    fn from(e: TypeError) -> Self {
-        ArtifactLoadError::Compile(CompileError::Type(e))
-    }
-}
-
-impl From<flap_artifact::ArtifactError> for ArtifactLoadError {
-    fn from(e: flap_artifact::ArtifactError) -> Self {
-        ArtifactLoadError::Artifact(e)
-    }
-}
-
 /// A compiled flap parser: the result of type-checking, normalizing
 /// (Fig 4), fusing (Fig 6) and staging (Fig 10) a combinator grammar
 /// against a lexer.
@@ -113,19 +68,22 @@ impl From<flap_artifact::ArtifactError> for ArtifactLoadError {
 /// complete example.
 pub struct Parser<V> {
     compiled: Arc<CompiledParser<V>>,
-    grammar: Grammar<V>,
-    fused: FusedGrammar<V>,
+    /// Which grammar node owns each action: what an artifact needs to
+    /// re-bind them.
+    origin: Origin,
     lexer: Lexer,
-    sizes: SizeReport,
     times: CompileTimes,
 }
 
 impl<V: 'static> Parser<V> {
     /// Runs the full flap pipeline (Fig 1):
-    /// type-check → normalize → check DGNF → fuse → stage.
+    /// type-check → normalize → check DGNF → fuse → stage, then
+    /// records which grammar node owns each action (see
+    /// [`Parser::to_artifact`]).
     ///
-    /// The returned parser owns the lexer and all intermediate forms,
-    /// which remain inspectable for diagnostics and metrics.
+    /// The returned parser owns the lexer and the compiled tables; the
+    /// intermediate grammars are dropped. To inspect them, run
+    /// [`flap_dgnf::normalize`] and [`flap_fuse::fuse`] directly.
     ///
     /// # Errors
     ///
@@ -134,27 +92,25 @@ impl<V: 'static> Parser<V> {
     /// (Theorems 3.3 and 3.7).
     pub fn compile(mut lexer: Lexer, grammar: &Cfe<V>) -> Result<Parser<V>, CompileError> {
         flap_cfe::type_check(grammar)?;
-        let (grammar, fused, compiled, sizes, times) = measure_pipeline(&mut lexer, grammar)
-            .map_err(|msg| {
-                // measure_pipeline stringifies; re-run the stages to
-                // recover the structured error for the caller.
-                match flap_dgnf::normalize(grammar) {
-                    Err(e) => CompileError::Normalize(e),
-                    Ok(g) => match g.check_dgnf() {
-                        Err(e) => CompileError::Dgnf(e),
-                        Ok(()) => match flap_fuse::fuse(&mut lexer, &g) {
-                            Err(e) => CompileError::Fuse(e),
-                            Ok(_) => unreachable!("pipeline failed without an error: {msg}"),
-                        },
+        let (compiled, sizes, times) = measure_pipeline(&mut lexer, grammar).map_err(|msg| {
+            // measure_pipeline stringifies; re-run the stages to
+            // recover the structured error for the caller.
+            match flap_dgnf::normalize(grammar) {
+                Err(e) => CompileError::Normalize(e),
+                Ok(g) => match g.check_dgnf() {
+                    Err(e) => CompileError::Dgnf(e),
+                    Ok(()) => match flap_fuse::fuse(&mut lexer, &g) {
+                        Err(e) => CompileError::Fuse(e),
+                        Ok(_) => unreachable!("pipeline failed without an error: {msg}"),
                     },
-                }
-            })?;
+                },
+            }
+        })?;
+        let origin = Origin::trace(&lexer, grammar, &compiled, sizes);
         Ok(Parser {
             compiled: Arc::new(compiled),
-            grammar,
-            fused,
+            origin,
             lexer,
-            sizes,
             times,
         })
     }
@@ -360,24 +316,17 @@ impl<V: 'static> Parser<V> {
         self.compiled.validate_incremental(inc)
     }
 
-    /// The Table 1 size columns for this grammar.
+    /// The Table 1 size columns for this grammar; a parser loaded by
+    /// [`Parser::from_artifact`] reads them from the artifact.
     pub fn sizes(&self) -> SizeReport {
-        self.sizes
+        self.origin.sizes()
     }
 
-    /// The Table 2 compilation-time breakdown for this grammar.
+    /// The Table 2 compilation-time breakdown for this grammar. For a
+    /// parser loaded by [`Parser::from_artifact`], the whole load
+    /// counts as `stage` and the front-end phases are zero.
     pub fn times(&self) -> CompileTimes {
         self.times
-    }
-
-    /// The normalized DGNF grammar (Fig 3d for the running example).
-    pub fn dgnf(&self) -> &Grammar<V> {
-        &self.grammar
-    }
-
-    /// The fused grammar (Fig 3e for the running example).
-    pub fn fused(&self) -> &FusedGrammar<V> {
-        &self.fused
     }
 
     /// The compiled automaton.
@@ -407,30 +356,33 @@ impl<V: 'static> Parser<V> {
     /// Serializes the compiled tables into the versioned, checksummed
     /// `flap-artifact` container: everything the automaton needs to
     /// run — transition block, class map, stop actions, skip DFA,
-    /// production labels — but **not** the semantic actions, which are
-    /// Rust closures and cannot be serialized. Load the bytes back
-    /// with [`Parser::from_artifact`] (full parser, actions re-attached
-    /// from the grammar) or
+    /// continuation pool, production labels — plus, for each action,
+    /// the pre-order index of the grammar node that owns its closure
+    /// and the structural encoding of the lexer and grammar. The
+    /// closures themselves are Rust code and cannot be serialized.
+    /// Load the bytes back with [`Parser::from_artifact`] (full
+    /// parser, actions re-bound from the grammar) or
     /// [`flap_staged::artifact::load_recognizer`] (recognizer only, no
     /// grammar needed).
     pub fn to_artifact(&self) -> Vec<u8> {
-        self.compiled.to_artifact()
+        self.compiled.to_artifact_with(&self.origin)
     }
 
     /// Rebuilds a full parser from artifact bytes plus the grammar
-    /// definition, skipping the staging phase — the expensive part of
-    /// compilation (see `flap-bench --bin boot` for the measured
-    /// gap). The front-end still runs (type-check → normalize → fuse)
-    /// to recover the semantic actions; the artifact's tables are then
-    /// attached *if and only if* their shape fingerprint matches the
-    /// fused grammar's, so stale bytes for a different grammar are
-    /// rejected rather than mis-parsed.
+    /// definition, running none of the compiler: no type-check,
+    /// normalization, fusion or staging. It encodes `lexer` and
+    /// `grammar` structurally (token names, canonical regexes,
+    /// combinator tree) and compares the bytes with the encoding
+    /// stored in the artifact, so tables compiled for another lexer or
+    /// grammar are rejected rather than mis-parsed. It then takes each
+    /// action from the grammar node the artifact names for it, in one
+    /// walk of `grammar`.
     ///
     /// The bytes are copied once into a 64-byte-aligned buffer; the
     /// transition tables are then *borrowed* from that buffer
     /// (zero-copy — no per-table allocation). Callers that already
     /// hold an aligned buffer can use
-    /// [`flap_staged::artifact::attach`] directly.
+    /// [`flap_staged::artifact::load_parser`] directly.
     ///
     /// ```
     /// # use flap::{Cfe, LexerBuilder, Parser};
@@ -448,58 +400,34 @@ impl<V: 'static> Parser<V> {
     /// // …persist `bytes`, ship them to a server, then:
     /// let loaded = Parser::from_artifact(&bytes, lexer(), &grammar)?;
     /// assert_eq!(loaded.parse(b"a b c")?, compiled.parse(b"a b c")?);
+    /// assert_eq!(loaded.to_artifact(), bytes);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     ///
     /// # Errors
     ///
-    /// [`ArtifactLoadError::Compile`] if the lexer/grammar pair does
-    /// not compile; [`ArtifactLoadError::Artifact`] if the bytes fail
-    /// validation or describe a different grammar shape.
+    /// [`ArtifactError::ShapeMismatch`] if `lexer` and `grammar` are
+    /// not the pair the artifact was compiled from;
+    /// [`ArtifactError::MissingSection`] for an artifact written
+    /// without provenance (by [`CompiledParser::to_artifact`]); any
+    /// other [`ArtifactError`] if the bytes fail validation. Never
+    /// panics.
     pub fn from_artifact(
         bytes: &[u8],
-        mut lexer: Lexer,
+        lexer: Lexer,
         grammar: &Cfe<V>,
-    ) -> Result<Parser<V>, ArtifactLoadError> {
-        use std::time::Instant;
-
-        let t0 = Instant::now();
-        flap_cfe::type_check(grammar)?;
-        let t1 = Instant::now();
-        let dgnf = flap_dgnf::normalize(grammar)
-            .map_err(|e| ArtifactLoadError::Compile(CompileError::Normalize(e)))?;
-        dgnf.check_dgnf()
-            .map_err(|e| ArtifactLoadError::Compile(CompileError::Dgnf(e)))?;
-        let t2 = Instant::now();
-        let fused = flap_fuse::fuse(&mut lexer, &dgnf)
-            .map_err(|e| ArtifactLoadError::Compile(CompileError::Fuse(e)))?;
-        let t3 = Instant::now();
-        let buf = Arc::new(flap_artifact::AlignedBuf::from_bytes(bytes));
-        let compiled = flap_staged::artifact::attach(&buf, &fused)?;
-        let t4 = Instant::now();
-
-        let sizes = SizeReport {
-            lex_rules: lexer.rule_count(),
-            cfes: flap_cfe::node_count(grammar),
-            nts: dgnf.nt_count(),
-            prods: dgnf.prod_count(),
-            fused_prods: fused.prod_count(),
-            functions: compiled.state_count(),
-        };
+    ) -> Result<Parser<V>, ArtifactError> {
+        let t0 = std::time::Instant::now();
+        let buf = Arc::new(AlignedBuf::from_bytes(bytes));
+        let (compiled, origin) = flap_staged::artifact::load_parser(&buf, &lexer, grammar)?;
         let times = CompileTimes {
-            type_check: t1 - t0,
-            normalize: t2 - t1,
-            fuse: t3 - t2,
-            // the artifact path's analogue of staging: validate the
-            // container and attach the borrowed tables
-            stage: t4 - t3,
+            stage: t0.elapsed(),
+            ..CompileTimes::default()
         };
         Ok(Parser {
             compiled: Arc::new(compiled),
-            grammar: dgnf,
-            fused,
+            origin,
             lexer,
-            sizes,
             times,
         })
     }
@@ -608,6 +536,11 @@ mod tests {
     use flap_lex::LexerBuilder;
 
     fn sexp() -> Parser<i64> {
+        let (lexer, g) = sexp_parts();
+        Parser::compile(lexer, &g).unwrap()
+    }
+
+    fn sexp_parts() -> (Lexer, Cfe<i64>) {
         let mut b = LexerBuilder::new();
         let atom = b.token("atom", "[a-z]+").unwrap();
         b.skip("[ \n]").unwrap();
@@ -621,7 +554,7 @@ mod tests {
                 .then(Cfe::tok_val(rpar, 0), |n, _| n)
                 .or(Cfe::tok_val(atom, 1))
         });
-        Parser::compile(lexer, &g).unwrap()
+        (lexer, g)
     }
 
     #[test]
@@ -742,10 +675,12 @@ mod tests {
 
     #[test]
     fn intermediate_forms_are_inspectable() {
-        let p = sexp();
-        let bnf = format!("{}", p.dgnf().display(p.lexer()));
+        let (mut lexer, g) = sexp_parts();
+        let dgnf = flap_dgnf::normalize(&g).unwrap();
+        let bnf = format!("{}", dgnf.display(&lexer));
         assert!(bnf.contains("atom"), "{bnf}");
-        let fused = format!("{}", p.fused().display(p.lexer().arena()));
+        let fused = flap_fuse::fuse(&mut lexer, &dgnf).unwrap();
+        let fused = format!("{}", fused.display(lexer.arena()));
         assert!(fused.contains("?"), "lookahead rule should render: {fused}");
     }
 }

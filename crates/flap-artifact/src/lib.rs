@@ -68,7 +68,7 @@ use std::fmt;
 /// Current artifact format version. Bump whenever the header, the
 /// section-table entry layout, or any writer's section encoding
 /// changes shape — readers reject artifacts from other versions.
-pub const ARTIFACT_VERSION: u32 = 1;
+pub const ARTIFACT_VERSION: u32 = 2;
 
 /// The artifact magic bytes.
 pub const MAGIC: [u8; 8] = *b"FLAPART\0";
@@ -134,10 +134,9 @@ pub enum ArtifactError {
     /// A structural invariant of the container or of a section
     /// payload is violated (bad offsets, impossible counts, …).
     Malformed(&'static str),
-    /// Action re-attachment was attempted against a grammar whose
-    /// shape (production count, owners, tails, reduce arities,
-    /// ε-rules) differs from the grammar this artifact was compiled
-    /// from.
+    /// Action re-attachment was attempted with a lexer or grammar
+    /// whose structure (token names, canonical regexes, combinator
+    /// tree) differs from the pair this artifact was compiled from.
     ShapeMismatch(String),
 }
 

@@ -107,6 +107,12 @@ impl ByteSet {
         self.words == [u64::MAX; 4]
     }
 
+    /// The membership bitmap: bit `b % 64` of word `b / 64` is set
+    /// iff byte `b` is in the set.
+    pub fn words(&self) -> [u64; 4] {
+        self.words
+    }
+
     /// Set union.
     pub fn union(&self, other: &ByteSet) -> ByteSet {
         let mut w = self.words;

@@ -28,13 +28,14 @@
 //! `--metrics-jsonl` appends a periodic JSON-lines feed of metrics
 //! snapshots while the run is in flight.
 //!
-//! Artifacts: `--save-artifact` writes the compiled parser's tables
-//! to a `flap-artifact` container after compiling; `--artifact` loads
-//! the tables from such a file instead of staging them from scratch
-//! (the front-end still runs to re-attach semantic actions, and the
-//! file's shape fingerprint must match the named grammar). Together
-//! they form the round-trip CI smoke:
-//! `run … --save-artifact p` then `run … --artifact p --check`.
+//! Artifacts: `--save-artifact` writes the parser (tables plus the
+//! provenance of its actions) to a `flap-artifact` container;
+//! `--artifact` boots from such a file instead of compiling: the named
+//! grammar must encode to the bytes the file stores, and its actions
+//! are re-bound without type-checking, normalizing, fusing or staging.
+//! Together they form the round-trip CI smoke: `run … --save-artifact
+//! p`, then `run … --artifact p --save-artifact q --check`, and `p`
+//! and `q` are byte-identical.
 
 use std::collections::VecDeque;
 use std::fs::File;

@@ -3,54 +3,62 @@
 //!
 //! [`CompiledParser::to_artifact`] writes every grammar-derived table
 //! the parser owns — the alphabet-compressed transition block, the
-//! class map, per-nonterminal starts and ε flags, the flat production
-//! table, per-state expected-token sets, and the skip DFA — into a
-//! [`flap_artifact`] container. Semantic actions are deliberately
-//! *not* serialized (they are arbitrary closures); instead:
+//! class map, per-nonterminal starts, the flat production table, the
+//! lowered continuation pool, per-state expected-token sets, and the
+//! skip DFA — into a [`flap_artifact`] container. Semantic actions
+//! are closures and cannot be serialized; [`to_artifact_with`] also
+//! stores the parser's [`Origin`]: which grammar node owns each action
+//! slot's closure, and the grammar's structural encoding. Two loaders
+//! read the result:
 //!
-//! * [`load_recognizer`] rebuilds a `CompiledParser<()>` directly
-//!   from the artifact: a full recognizer/validator with no grammar
-//!   in sight, its transition blocks borrowing from the caller's
-//!   `Arc<AlignedBuf>` (zero table copies; cloning shares);
-//! * [`attach`] re-attaches the actions of a [`FusedGrammar`] whose
-//!   *shape* — production count, kinds, owners, tails, reduce
-//!   arities, ε-rules — matches the grammar the artifact was
-//!   compiled from, yielding a full `CompiledParser<V>` without
-//!   recompiling. A mismatch is [`ArtifactError::ShapeMismatch`].
+//! * [`load_recognizer`] rebuilds a `CompiledParser<()>` with unit
+//!   actions: a full recognizer/validator with no grammar in sight;
+//! * [`load_parser`] checks that a supplied lexer and grammar encode
+//!   to the stored bytes, then binds each action slot to the closure
+//!   of the grammar node the provenance names — a full
+//!   `CompiledParser<V>` with no type-check, normalization, fusion or
+//!   staging.
 //!
-//! Both loaders revalidate every structural invariant of the tables
-//! (stop tags, premultiplied targets, class-map range, …), so a
+//! Both borrow the transition blocks from the caller's
+//! `Arc<AlignedBuf>` (zero table copies; cloning shares), and both
+//! revalidate every structural invariant of the tables and of the
+//! continuation words (stop tags, premultiplied targets, class-map
+//! range, payload ranges, spans, value-stack effects, …), so a
 //! corrupted-but-checksummed or crafted artifact yields a typed
-//! error, never an out-of-bounds parser.
+//! error, never an out-of-bounds or panicking parser.
 //!
 //! The staged per-state structure ([`State`](crate::State)) is not
-//! serialized: it exists for code generation and Table 1 metrics,
-//! both of which operate on freshly compiled parsers.
+//! serialized: it exists for code generation, which operates on
+//! freshly compiled parsers.
+//!
+//! [`to_artifact_with`]: CompiledParser::to_artifact_with
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use flap_artifact::{
-    AlignedBuf, Artifact, ArtifactError, ArtifactWriter, Fnv64, SectionBuf, SectionReader,
+    AlignedBuf, Artifact, ArtifactError, ArtifactWriter, SectionBuf, SectionReader,
 };
-use flap_cfe::{EpsAction, SeqAction, TokAction};
-use flap_dgnf::ContOp;
-use flap_fuse::{Expected, FusedGrammar};
+use flap_cfe::{Cfe, EpsAction, MapAction, SeqAction, TokAction};
+use flap_fuse::Expected;
+use flap_lex::Lexer;
 use flap_regex::{AlignedU32s, FlatDfa};
 
 use crate::compile::{decode_stop, CompiledParser, StopAction, STOP};
-use crate::cont::Conts;
+use crate::cont::{Actions, Conts, Ctl, Layout, Span};
+use crate::origin::Origin;
 
-/// Scalar header fields: stride, state count, counts, fingerprint.
+/// Scalar header fields: stride, state count, counts, grammar key.
 pub const SEC_META: u32 = 1;
 /// 256 × `u16` byte → 1-based class id.
 pub const SEC_CLASS_MAP: u32 = 2;
 /// The flat transition block, native-endian `u32` words (zero-copy
 /// viewed in place on load).
 pub const SEC_TRANS: u32 = 3;
-/// Per-nonterminal start state and ε flag.
+/// Per-nonterminal start state and ε-program span.
 pub const SEC_NT: u32 = 4;
-/// Flat production records: kind, owner, name, arity, tail.
+/// Flat production records: kind, owner, name, continuation and
+/// tail spans.
 pub const SEC_PRODS: u32 = 5;
 /// Per-state expected-token sets (string-table ids).
 pub const SEC_EXPECTED: u32 = 6;
@@ -61,6 +69,16 @@ pub const SEC_SKIP_META: u32 = 7;
 pub const SEC_SKIP_TRANS: u32 = 8;
 /// Deduplicated token-name strings.
 pub const SEC_STRINGS: u32 = 9;
+/// The continuation pool: action-table lengths, then its words.
+pub const SEC_CONTS: u32 = 10;
+/// Per action slot, the pre-order index of the grammar node owning
+/// its closure, then the Table 1 counts; present iff written with an
+/// [`Origin`].
+pub const SEC_PROVENANCE: u32 = 11;
+/// The structural encoding of the lexer and grammar (see
+/// [`origin`](crate::origin)); present iff written with an
+/// [`Origin`].
+pub const SEC_GRAMMAR: u32 = 12;
 
 /// Sentinel name id for productions without a token name (F2 skip
 /// self-loops).
@@ -70,32 +88,43 @@ const NO_NAME: u32 = u32::MAX;
 // Encoding
 
 impl<V> CompiledParser<V> {
-    /// Serializes the parser's tables as one artifact file.
-    ///
-    /// The bytes are deterministic for a given compiled parser, and
-    /// reloadable by [`load_recognizer`] (actions dropped) or
-    /// [`attach`] (actions re-bound from an equal-shape grammar).
+    /// Serializes the parser's tables as one artifact file, without
+    /// provenance: [`load_recognizer`] reads it, [`load_parser`]
+    /// rejects it. Its fingerprint is 0.
     pub fn to_artifact(&self) -> Vec<u8> {
+        self.write_artifact(None)
+    }
+
+    /// Serializes the parser's tables together with its `origin`, so
+    /// [`load_parser`] can re-bind the actions. The fingerprint is
+    /// the grammar key ([`Origin::key`]).
+    pub fn to_artifact_with(&self, origin: &Origin) -> Vec<u8> {
+        self.write_artifact(Some(origin))
+    }
+
+    fn write_artifact(&self, origin: Option<&Origin>) -> Vec<u8> {
         let nstates = self.state_count();
         let mut strings = StringTable::default();
+        let span = |b: &mut SectionBuf, s: Span| {
+            b.put_u32(s.start);
+            b.put_u32(s.end);
+        };
 
         // PRODS first so the string table is populated in production
         // order (stable, independent of expected-set iteration).
         let mut prods = SectionBuf::new();
         prods.put_u32(self.prod_count() as u32);
-        for i in 0..self.prod_count() {
-            let (kind, arity, tail) = self.prod_shape(i);
-            prods.put_u8(kind);
+        for (i, head) in self.conts.heads.iter().enumerate() {
+            prods.put_u8(u8::from(head.tok_action.is_some()));
             prods.put_u32(self.prod_owner[i]);
             let name_id = match &self.prod_names[i] {
                 Some(n) => strings.intern(n),
                 None => NO_NAME,
             };
             prods.put_u32(name_id);
-            prods.put_u16(arity);
-            prods.put_u32(tail.len() as u32);
-            for t in tail {
-                prods.put_u32(t);
+            if head.tok_action.is_some() {
+                span(&mut prods, head.cont);
+                span(&mut prods, head.nts);
             }
         }
 
@@ -104,15 +133,27 @@ impl<V> CompiledParser<V> {
             expected.put_u8(e.len() as u8);
             expected.put_u8(u8::from(e.is_truncated()));
             for name in e.names() {
-                expected.put_u32(strings.intern_str(name));
+                expected.put_u32(strings.intern(name));
             }
         }
 
         let mut nt = SectionBuf::new();
         nt.put_u32(self.nt_start.len() as u32);
-        for (i, &start) in self.nt_start.iter().enumerate() {
+        for (&start, eps) in self.nt_start.iter().zip(&self.conts.eps) {
             nt.put_u32(start);
-            nt.put_u8(u8::from(self.conts.eps[i].is_some()));
+            nt.put_u8(u8::from(eps.is_some()));
+            if let Some(eps) = eps {
+                span(&mut nt, *eps);
+            }
+        }
+
+        let mut conts = SectionBuf::new();
+        for len in self.conts.table_lens() {
+            conts.put_u32(len as u32);
+        }
+        conts.put_u32(self.conts.pool.len() as u32);
+        for w in &self.conts.pool {
+            conts.put_u32(w.word());
         }
 
         let mut class_map = SectionBuf::new();
@@ -127,7 +168,7 @@ impl<V> CompiledParser<V> {
         meta.put_u32(self.nt_start.len() as u32);
         meta.put_u32(self.prod_count() as u32);
         meta.put_u8(u8::from(self.skip.is_some()));
-        meta.put_u64(self.shape_fingerprint());
+        meta.put_u64(origin.map_or(0, Origin::key));
 
         let mut w = ArtifactWriter::new();
         w.add_section(SEC_META, meta.into_vec());
@@ -141,37 +182,12 @@ impl<V> CompiledParser<V> {
             w.add_section(SEC_SKIP_TRANS, words_to_bytes(skip.trans_words()));
         }
         w.add_section(SEC_STRINGS, strings.encode());
+        w.add_section(SEC_CONTS, conts.into_vec());
+        if let Some(origin) = origin {
+            w.add_section(SEC_PROVENANCE, origin.provenance());
+            w.add_section(SEC_GRAMMAR, origin.encoding().to_vec());
+        }
         w.finish()
-    }
-
-    /// FNV-1a fingerprint of the grammar *shape* this parser was
-    /// compiled from: nonterminal/production counts, production
-    /// kinds, owners, tails, reduce arities and ε flags — everything
-    /// [`attach`] checks, nothing about actions or tables.
-    pub fn shape_fingerprint(&self) -> u64 {
-        let mut h = shape_hasher(
-            self.nt_start.len(),
-            self.prod_count(),
-            self.start_nt,
-            self.conts.eps.iter().map(Option::is_some),
-        );
-        for i in 0..self.prod_count() {
-            let (kind, arity, tail) = self.prod_shape(i);
-            hash_prod(&mut h, kind, self.prod_owner[i], arity, &tail);
-        }
-        h.finish()
-    }
-
-    /// Kind (0 skip, 1 token), reduce arity and tail of flat
-    /// production `p`, read back from the continuation pool. A token
-    /// production's reduce consumes its lead value and one value per
-    /// tail nonterminal (lowering checks exactly that).
-    fn prod_shape(&self, p: usize) -> (u8, u16, Vec<u32>) {
-        if self.conts.is_skip(p) {
-            return (0, 0, Vec::new());
-        }
-        let tail = self.conts.tail(p);
-        (1, tail.len() as u16 + 1, tail)
     }
 
     /// Whether every transition block borrows from a shared artifact
@@ -179,60 +195,6 @@ impl<V> CompiledParser<V> {
     /// allocation audits).
     pub fn tables_shared(&self) -> bool {
         self.trans.is_shared() && self.skip.as_ref().is_none_or(FlatDfa::is_shared)
-    }
-}
-
-/// The shape fingerprint of a fused grammar — what
-/// [`CompiledParser::shape_fingerprint`] computes for its compiled
-/// form, computable without compiling (the [`attach`] fast check).
-pub fn fused_shape_fingerprint<V>(fused: &FusedGrammar<V>) -> u64 {
-    let mut h = shape_hasher(
-        fused.nt_count(),
-        // flat production count: ε-rules live in their own table,
-        // matching CompiledParser::prods (not fused.prod_count(),
-        // which also counts ε-productions for Table 1)
-        fused.nts().map(|nt| fused.entry(nt).prods.len()).sum(),
-        fused.start().index() as u32,
-        fused.nts().map(|nt| fused.entry(nt).eps.is_some()),
-    );
-    for nt in fused.nts() {
-        for p in &fused.entry(nt).prods {
-            match &p.token {
-                None => hash_prod(&mut h, 0, nt.index() as u32, 0, &[]),
-                Some(t) => {
-                    let tail: Vec<u32> = t.tail.iter().map(|m| m.index() as u32).collect();
-                    hash_prod(&mut h, 1, nt.index() as u32, t.reduce.arity(), &tail);
-                }
-            }
-        }
-    }
-    h.finish()
-}
-
-fn shape_hasher(
-    nt_count: usize,
-    prod_count: usize,
-    start_nt: u32,
-    eps_flags: impl Iterator<Item = bool>,
-) -> Fnv64 {
-    let mut h = Fnv64::new();
-    h.update_str("flap-shape-v1");
-    h.update_u32(nt_count as u32);
-    h.update_u32(prod_count as u32);
-    h.update_u32(start_nt);
-    for eps in eps_flags {
-        h.update_u32(u32::from(eps));
-    }
-    h
-}
-
-fn hash_prod(h: &mut Fnv64, kind: u8, owner: u32, arity: u16, tail: &[u32]) {
-    h.update_u32(u32::from(kind));
-    h.update_u32(owner);
-    h.update_u32(u32::from(arity));
-    h.update_u32(tail.len() as u32);
-    for &t in tail {
-        h.update_u32(t);
     }
 }
 
@@ -250,11 +212,7 @@ struct StringTable {
 }
 
 impl StringTable {
-    fn intern(&mut self, s: &Arc<str>) -> u32 {
-        self.intern_str(s)
-    }
-
-    fn intern_str(&mut self, s: &str) -> u32 {
+    fn intern(&mut self, s: &str) -> u32 {
         if let Some(&id) = self.ids.get(s) {
             return id;
         }
@@ -278,32 +236,33 @@ impl StringTable {
 // Decoding
 
 /// Everything action-independent, decoded and validated once; the
-/// two loaders differ only in how they manufacture actions.
+/// two loaders differ only in where the actions come from.
 struct DecodedTables {
     class_map: Box<[u16; 256]>,
     stride: u32,
     trans: AlignedU32s,
     nt_start: Vec<u32>,
     nt_start_row: Vec<u32>,
-    eps_flags: Vec<bool>,
-    prods: Vec<ProdRecord>,
+    layout: Layout,
     skip: Option<FlatDfa>,
     start_nt: u32,
     state_expected: Vec<Expected>,
     prod_names: Vec<Option<Arc<str>>>,
+    prod_owner: Vec<u32>,
     fingerprint: u64,
 }
 
-struct ProdRecord {
-    kind: u8,
-    owner: u32,
-    arity: u16,
-    tail: Vec<u32>,
+fn read_span(r: &mut SectionReader<'_>) -> Result<Span, ArtifactError> {
+    Ok(Span {
+        start: r.u32()?,
+        end: r.u32()?,
+    })
 }
 
-fn decode_tables(buf: &Arc<AlignedBuf>) -> Result<DecodedTables, ArtifactError> {
-    let art = Artifact::load(buf.as_slice())?;
-
+fn decode_tables(
+    art: &Artifact<'_>,
+    buf: &Arc<AlignedBuf>,
+) -> Result<DecodedTables, ArtifactError> {
     let mut meta = SectionReader::new(art.section(SEC_META)?);
     let stride = meta.u32()?;
     let nstates = meta.u32()? as usize;
@@ -350,19 +309,22 @@ fn decode_tables(buf: &Arc<AlignedBuf>) -> Result<DecodedTables, ArtifactError> 
     if nt.u32()? as usize != nt_count {
         return Err(ArtifactError::Malformed("nonterminal count mismatch"));
     }
-    let mut nt_start = Vec::with_capacity(nt_count);
-    let mut eps_flags = Vec::with_capacity(nt_count);
+    // Counts are stored words too: a capacity never exceeds what the
+    // section could hold, so a huge count is a short read, not an
+    // allocation failure.
+    let mut nt_start = Vec::with_capacity(nt_count.min(nt.remaining()));
+    let mut eps = Vec::with_capacity(nt_count.min(nt.remaining()));
     for _ in 0..nt_count {
         let start = nt.u32()?;
         if start as usize >= nstates {
             return Err(ArtifactError::Malformed("nonterminal start out of range"));
         }
         nt_start.push(start);
-        match nt.u8()? {
-            0 => eps_flags.push(false),
-            1 => eps_flags.push(true),
+        eps.push(match nt.u8()? {
+            0 => None,
+            1 => Some(read_span(&mut nt)?),
             _ => return Err(ArtifactError::Malformed("bad eps flag")),
-        }
+        });
     }
     nt.finish()?;
 
@@ -370,13 +332,11 @@ fn decode_tables(buf: &Arc<AlignedBuf>) -> Result<DecodedTables, ArtifactError> 
     if pr.u32()? as usize != prod_count {
         return Err(ArtifactError::Malformed("production count mismatch"));
     }
-    let mut prods = Vec::with_capacity(prod_count);
-    let mut prod_names = Vec::with_capacity(prod_count);
+    let mut heads = Vec::with_capacity(prod_count.min(pr.remaining()));
+    let mut prod_owner = Vec::with_capacity(prod_count.min(pr.remaining()));
+    let mut prod_names = Vec::with_capacity(prod_count.min(pr.remaining()));
     for _ in 0..prod_count {
         let kind = pr.u8()?;
-        if kind > 1 {
-            return Err(ArtifactError::Malformed("bad production kind"));
-        }
         let owner = pr.u32()?;
         if owner as usize >= nt_count {
             return Err(ArtifactError::Malformed("production owner out of range"));
@@ -389,36 +349,42 @@ fn decode_tables(buf: &Arc<AlignedBuf>) -> Result<DecodedTables, ArtifactError> 
                 ArtifactError::Malformed("production name out of range"),
             )?))
         };
-        let arity = pr.u16()?;
-        let tail_len = pr.u32()? as usize;
-        let mut tail = Vec::with_capacity(tail_len.min(prod_count));
-        for _ in 0..tail_len {
-            let t = pr.u32()?;
-            if t as usize >= nt_count {
-                return Err(ArtifactError::Malformed("tail nonterminal out of range"));
-            }
-            tail.push(t);
-        }
-        if kind == 0 && (!tail.is_empty() || arity != 0 || name.is_some()) {
-            return Err(ArtifactError::Malformed("skip production with token data"));
-        }
-        if kind == 1 && arity as usize != tail.len() + 1 {
-            return Err(ArtifactError::Malformed(
-                "production arity disagrees with its tail",
-            ));
-        }
-        prods.push(ProdRecord {
-            kind,
-            owner,
-            arity,
-            tail,
+        heads.push(match kind {
+            0 if name.is_none() => None,
+            0 => return Err(ArtifactError::Malformed("skip production with a name")),
+            1 => Some((read_span(&mut pr)?, read_span(&mut pr)?)),
+            _ => return Err(ArtifactError::Malformed("bad production kind")),
         });
+        prod_owner.push(owner);
         prod_names.push(name);
     }
     pr.finish()?;
 
+    let mut cr = SectionReader::new(art.section(SEC_CONTS)?);
+    let tables = [cr.u32()? as usize, cr.u32()? as usize, cr.u32()? as usize];
+    let pool_len = cr.u32()? as usize;
+    if pool_len > cr.remaining() / 4 {
+        return Err(ArtifactError::Malformed(
+            "continuation pool longer than its section",
+        ));
+    }
+    let mut pool = Vec::with_capacity(pool_len);
+    for _ in 0..pool_len {
+        pool.push(Ctl::from_word(cr.u32()?));
+    }
+    cr.finish()?;
+    let layout = Layout {
+        pool,
+        heads,
+        eps,
+        tables,
+    };
+    layout
+        .validate(nt_count)
+        .map_err(ArtifactError::Malformed)?;
+
     let mut ex = SectionReader::new(art.section(SEC_EXPECTED)?);
-    let mut state_expected = Vec::with_capacity(nstates);
+    let mut state_expected = Vec::with_capacity(nstates.min(ex.remaining()));
     for _ in 0..nstates {
         let len = ex.u8()? as usize;
         if len > Expected::CAPACITY {
@@ -467,7 +433,7 @@ fn decode_tables(buf: &Arc<AlignedBuf>) -> Result<DecodedTables, ArtifactError> 
         match decode_stop(row[0]) {
             StopAction::Fail => {}
             StopAction::Eps(n) => {
-                if n as usize >= nt_count || !eps_flags[n as usize] {
+                if layout.eps.get(n as usize).is_none_or(Option::is_none) {
                     return Err(ArtifactError::Malformed("stop eps out of range"));
                 }
             }
@@ -490,6 +456,7 @@ fn decode_tables(buf: &Arc<AlignedBuf>) -> Result<DecodedTables, ArtifactError> 
             }
         }
     }
+    reject_empty_matches(trans.as_slice(), stride as usize, &nt_start)?;
 
     let skip = match (has_skip, art.section_opt(SEC_SKIP_META)) {
         (0, None) => None,
@@ -517,24 +484,64 @@ fn decode_tables(buf: &Arc<AlignedBuf>) -> Result<DecodedTables, ArtifactError> 
         trans,
         nt_start,
         nt_start_row,
-        eps_flags,
-        prods,
+        layout,
         skip,
         start_nt,
         state_expected,
         prod_names,
+        prod_owner,
         fingerprint,
     })
 }
 
+/// A scan starts at a nonterminal's start row with its match mark at
+/// the scan's start, and commits a production only at a `Match` stop.
+/// Compiled tables reach `Match` stops only through a marked
+/// transition, since no lexer rule matches the empty string. A table
+/// that reaches one through unmarked transitions alone would commit
+/// an empty token: forever, for a skip production. This rejects such
+/// tables with one walk of the unmarked transitions from every start
+/// row.
+fn reject_empty_matches(
+    trans: &[u32],
+    stride: usize,
+    nt_start: &[u32],
+) -> Result<(), ArtifactError> {
+    let mut seen = vec![false; trans.len() / stride];
+    let mut stack = Vec::new();
+    let mut visit = |s: usize, stack: &mut Vec<usize>| {
+        if !std::mem::replace(&mut seen[s], true) {
+            stack.push(s);
+        }
+    };
+    for &s in nt_start {
+        visit(s as usize, &mut stack);
+    }
+    while let Some(s) = stack.pop() {
+        let row = &trans[s * stride..(s + 1) * stride];
+        if matches!(decode_stop(row[0]), StopAction::Match(_)) {
+            return Err(ArtifactError::Malformed(
+                "a scan can match the empty string",
+            ));
+        }
+        for &e in &row[1..] {
+            if e != STOP && e & 1 == 0 {
+                visit((e >> 2) as usize / stride, &mut stack);
+            }
+        }
+    }
+    Ok(())
+}
+
 impl DecodedTables {
-    /// Assembles the parser around caller-provided actions.
-    fn into_parser<V>(
-        self,
-        conts: Conts<V>,
-        prod_names: Vec<Option<Arc<str>>>,
-    ) -> CompiledParser<V> {
-        CompiledParser {
+    /// Assembles the parser around `actions`, one per slot.
+    fn into_parser<V>(self, actions: Actions<V>) -> Result<CompiledParser<V>, ArtifactError> {
+        if actions.counts() != self.layout.counts() {
+            return Err(ArtifactError::Malformed(
+                "provenance disagrees with the action tables",
+            ));
+        }
+        Ok(CompiledParser {
             // The staged state list exists for code generation and
             // does not travel in artifacts; state_count() and the VM
             // run from the flat table alone.
@@ -544,25 +551,24 @@ impl DecodedTables {
             trans: self.trans,
             nt_start: self.nt_start,
             nt_start_row: self.nt_start_row,
-            conts,
+            conts: Conts::assemble(self.layout, actions),
             skip: self.skip,
             start_nt: self.start_nt,
             // Fresh identity: suspended streaming sessions must not
             // resume against a different load of the same tables.
             stream_id: flap_fuse::stream::next_owner_id(),
             state_expected: self.state_expected,
-            prod_names,
-            prod_owner: self.prods.iter().map(|p| p.owner).collect(),
-        }
+            prod_names: self.prod_names,
+            prod_owner: self.prod_owner,
+        })
     }
 }
 
 /// Loads an artifact as a *recognizer*: a `CompiledParser<()>` whose
 /// actions are no-ops. Validation, streaming, error positions and
 /// expected-token diagnostics all behave exactly as the originating
-/// parser; only semantic values are gone. Each token production folds
-/// its tail's unit values left to right, so a parse still yields
-/// exactly one `()`.
+/// parser; only semantic values are gone. The stored continuations
+/// run with unit actions, so a parse still yields exactly one `()`.
 ///
 /// The transition blocks borrow from `buf` — no table bytes are
 /// copied or allocated, and cloning the result shares them.
@@ -572,151 +578,58 @@ impl DecodedTables {
 /// Any container or table defect, as a typed [`ArtifactError`];
 /// never panics.
 pub fn load_recognizer(buf: &Arc<AlignedBuf>) -> Result<CompiledParser<()>, ArtifactError> {
-    let t = decode_tables(buf)?;
-    let noop: TokAction<()> = Arc::new(|_| ());
-    let unit: SeqAction<()> = Arc::new(|(), ()| ());
-    let unit_eps: EpsAction<()> = Arc::new(|| ());
-    let mut conts = Conts::new();
-    for p in &t.prods {
-        if p.kind == 0 {
-            conts.push_skip();
-        } else {
-            // the lowered unit left fold: each tail value is folded in
-            // as soon as its nonterminal completes
-            let fold = (0..p.tail.len() as u16)
-                .flat_map(|i| [ContOp::Tail(i), ContOp::User(Arc::clone(&unit))])
-                .collect();
-            conts.push_token(Arc::clone(&noop), &p.tail, fold);
-        }
-    }
-    for &flag in &t.eps_flags {
-        conts.push_eps(flag.then(|| vec![ContOp::Eps(Arc::clone(&unit_eps))]));
-    }
-    let prod_names = t.prod_names.clone();
-    Ok(t.into_parser(conts, prod_names))
+    let art = Artifact::load(buf.as_slice())?;
+    let t = decode_tables(&art, buf)?;
+    let [tok, user, map, eps] = t.layout.counts();
+    let actions = Actions {
+        tok: vec![Arc::new(|_: &[u8]| ()) as TokAction<()>; tok],
+        user: vec![Arc::new(|(), ()| ()) as SeqAction<()>; user],
+        map: vec![Arc::new(|()| ()) as MapAction<()>; map],
+        eps: vec![Arc::new(|| ()) as EpsAction<()>; eps],
+    };
+    t.into_parser(actions)
 }
 
-/// Loads an artifact and re-attaches the semantic actions of
-/// `fused`, yielding a full `CompiledParser<V>` without recompiling.
+/// Loads an artifact written by [`CompiledParser::to_artifact_with`]
+/// and binds its actions to `grammar`'s closures, yielding a full
+/// `CompiledParser<V>` and its [`Origin`] without type-checking,
+/// normalizing, fusing or staging anything.
 ///
-/// The grammar must have the same *shape* as the one the artifact
-/// was compiled from: nonterminal and production counts, production
-/// kinds and owners, tail lists, reduce arities, ε-rules and the
-/// start symbol must all agree (flattened in the same order as
-/// [`CompiledParser::compile`]). Anything else is
-/// [`ArtifactError::ShapeMismatch`] — tables compiled for one
-/// grammar never run another grammar's actions.
-///
-/// Action *bodies* are not (and cannot be) checked: attaching a
-/// same-shape grammar with different closures silently yields those
-/// closures' semantics, which is the point of re-attachment.
+/// `lexer` and `grammar` must encode to the stored bytes
+/// (see [`origin`](crate::origin)): the same token
+/// names, canonical regexes and combinator tree as the pair the
+/// artifact was compiled from. Each action slot then takes the
+/// closure of the grammar node its provenance names. Action *bodies*
+/// are not (and cannot be) checked: a grammar of the same shape with
+/// other closures yields those closures' semantics.
 ///
 /// # Errors
 ///
-/// [`ArtifactError::ShapeMismatch`] on shape disagreement, or any
-/// container/table defect; never panics.
-pub fn attach<V>(
+/// [`ArtifactError::ShapeMismatch`] when the encodings differ,
+/// [`ArtifactError::MissingSection`] for an artifact written without
+/// provenance, or any container, table or provenance defect; never
+/// panics.
+pub fn load_parser<V>(
     buf: &Arc<AlignedBuf>,
-    fused: &FusedGrammar<V>,
-) -> Result<CompiledParser<V>, ArtifactError> {
-    let t = decode_tables(buf)?;
-    let mismatch = |why: String| ArtifactError::ShapeMismatch(why);
-    if fused.nt_count() != t.eps_flags.len() {
-        return Err(mismatch(format!(
-            "grammar has {} nonterminals, artifact has {}",
-            fused.nt_count(),
-            t.eps_flags.len()
-        )));
+    lexer: &Lexer,
+    grammar: &Cfe<V>,
+) -> Result<(CompiledParser<V>, Origin), ArtifactError> {
+    let art = Artifact::load(buf.as_slice())?;
+    let provenance = art.section(SEC_PROVENANCE)?;
+    let stored = art.section(SEC_GRAMMAR)?;
+    let (origin, actions) = Origin::bind(lexer, grammar, stored, provenance)?;
+    let t = decode_tables(&art, buf)?;
+    if t.fingerprint != origin.key() {
+        return Err(ArtifactError::Malformed(
+            "fingerprint disagrees with the grammar encoding",
+        ));
     }
-    let flat_prods: usize = fused.nts().map(|nt| fused.entry(nt).prods.len()).sum();
-    if flat_prods != t.prods.len() {
-        return Err(mismatch(format!(
-            "grammar has {flat_prods} flat productions, artifact has {}",
-            t.prods.len()
-        )));
-    }
-    if fused.start().index() as u32 != t.start_nt {
-        return Err(mismatch(format!(
-            "grammar starts at nonterminal {}, artifact at {}",
-            fused.start().index(),
-            t.start_nt
-        )));
-    }
-
-    let mut conts = Conts::new();
-    let mut prod_names: Vec<Option<Arc<str>>> = Vec::with_capacity(t.prods.len());
-    let mut flat = 0usize;
-    for nt in fused.nts() {
-        let entry = fused.entry(nt);
-        if entry.eps.is_some() != t.eps_flags[nt.index()] {
-            return Err(mismatch(format!(
-                "nonterminal {} {} an ε-production in the grammar but {} in the artifact",
-                nt.index(),
-                if entry.eps.is_some() { "has" } else { "lacks" },
-                if t.eps_flags[nt.index()] {
-                    "has one"
-                } else {
-                    "lacks one"
-                },
-            )));
-        }
-        conts.push_fused_eps(entry);
-        for p in &entry.prods {
-            let rec = &t.prods[flat];
-            if rec.owner != nt.index() as u32 {
-                return Err(mismatch(format!(
-                    "production {flat} belongs to nonterminal {} in the grammar, {} in the artifact",
-                    nt.index(),
-                    rec.owner
-                )));
-            }
-            match &p.token {
-                None => {
-                    if rec.kind != 0 {
-                        return Err(mismatch(format!(
-                            "production {flat} is a skip rule in the grammar, a token in the artifact"
-                        )));
-                    }
-                    prod_names.push(None);
-                }
-                Some(tok) => {
-                    if rec.kind != 1 {
-                        return Err(mismatch(format!(
-                            "production {flat} is a token in the grammar, a skip rule in the artifact"
-                        )));
-                    }
-                    if tok.reduce.arity() != rec.arity {
-                        return Err(mismatch(format!(
-                            "production {flat} has reduce arity {} in the grammar, {} in the artifact",
-                            tok.reduce.arity(),
-                            rec.arity
-                        )));
-                    }
-                    let tail: Vec<u32> = tok.tail.iter().map(|m| m.index() as u32).collect();
-                    if tail != rec.tail {
-                        return Err(mismatch(format!(
-                            "production {flat} has a different tail in the grammar"
-                        )));
-                    }
-                    prod_names.push(Some(Arc::clone(fused.token_name_arc(tok.token))));
-                }
-            }
-            conts.push_fused(p);
-            flat += 1;
-        }
-    }
-    debug_assert_eq!(flat, t.prods.len());
-    // Belt and braces: the detailed checks above imply fingerprint
-    // equality; disagreement means the artifact lied about its own
-    // fingerprint.
-    if fused_shape_fingerprint(fused) != t.fingerprint {
-        return Err(ArtifactError::Malformed("fingerprint disagrees with shape"));
-    }
-    Ok(t.into_parser(conts, prod_names))
+    Ok((t.into_parser(actions)?, origin))
 }
 
-/// The shape fingerprint stored in an artifact, without decoding the
-/// tables — what a cache keyed on grammar shape reads first.
+/// The fingerprint stored in an artifact, without decoding the
+/// tables: the grammar key ([`Origin::key`]) for an artifact written
+/// with provenance, 0 otherwise.
 ///
 /// # Errors
 ///
@@ -736,99 +649,123 @@ pub fn peek_fingerprint(data: &[u8]) -> Result<u64, ArtifactError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flap_cfe::Cfe;
-    use flap_dgnf::normalize;
-    use flap_fuse::fuse;
-    use flap_lex::LexerBuilder;
+    use crate::{measure_pipeline, ParseProfiler, ParseSession};
+    use flap_lex::{LexerBuilder, Token};
 
-    fn arith() -> (flap_lex::Lexer, FusedGrammar<i64>) {
+    fn lexer() -> Lexer {
         let mut b = LexerBuilder::new();
-        let num = b.token("num", "[0-9]+").unwrap();
+        b.token("num", "[0-9]+").unwrap();
         b.skip("[ \t\n]").unwrap();
-        let plus = b.token("plus", r"\+").unwrap();
-        let lexer = b.build().unwrap();
-        let sum: Cfe<i64> = Cfe::sep_by1(
-            Cfe::tok_with(num, |lx| std::str::from_utf8(lx).unwrap().parse().unwrap()),
-            Cfe::tok_val(plus, 0),
-            || 0,
-            |a, b| a + b,
-        );
-        let grammar = normalize(&sum).unwrap();
-        let mut lexer = lexer;
-        let fused = fuse(&mut lexer, &grammar).unwrap();
-        (lexer, fused)
+        b.token("plus", r"\+").unwrap();
+        b.token("neg", "-").unwrap();
+        b.build().unwrap()
     }
 
-    fn compiled() -> (CompiledParser<i64>, FusedGrammar<i64>) {
-        let (mut lexer, fused) = arith();
-        let p = CompiledParser::compile(&mut lexer, &fused);
-        (p, fused)
+    /// Sums of numbers and negated, scaled numbers: every closure
+    /// kind (token, seq, map, ε) owns at least one action slot.
+    fn grammar() -> Cfe<i64> {
+        let [num, plus, neg] = [0, 1, 2].map(Token::from_index);
+        let int = |lx: &[u8]| std::str::from_utf8(lx).unwrap().parse::<i64>().unwrap();
+        let atom = Cfe::tok_with(num, int).or(Cfe::tok_val(neg, 0)
+            .then(Cfe::tok_with(num, int), |_, n| -n)
+            .map(|v| v * 10));
+        Cfe::sep_by1(atom, Cfe::tok_val(plus, 0), || 0, |a, b| a + b)
+    }
+
+    fn compiled() -> (CompiledParser<i64>, Origin) {
+        let (mut lexer, g) = (lexer(), grammar());
+        let (p, sizes, _) = measure_pipeline(&mut lexer, &g).unwrap();
+        let origin = Origin::trace(&lexer, &g, &p, sizes);
+        (p, origin)
+    }
+
+    fn load(bytes: &[u8]) -> Result<(CompiledParser<i64>, Origin), ArtifactError> {
+        load_parser(
+            &Arc::new(AlignedBuf::from_bytes(bytes)),
+            &lexer(),
+            &grammar(),
+        )
     }
 
     #[test]
     fn recognizer_round_trips() {
-        let (p, _) = compiled();
-        let bytes = p.to_artifact();
-        let buf = Arc::new(AlignedBuf::from_bytes(&bytes));
-        let r = load_recognizer(&buf).unwrap();
-        assert!(r.tables_shared(), "load must borrow the tables");
-        assert_eq!(r.state_count(), p.state_count());
-        assert!(r.recognize(b"1 + 2 + 39").is_ok());
-        assert!(r.recognize(b"1 +").is_err());
-        // diagnostics survive: same expected set, same position
-        let e1 = p.parse(b"1 + + 2").unwrap_err();
-        let e2 = r.parse(b"1 + + 2").unwrap_err();
-        assert_eq!(format!("{e1}"), format!("{e2}"));
-    }
-
-    #[test]
-    fn attach_restores_semantics() {
-        let (p, fused) = compiled();
-        let bytes = p.to_artifact();
-        let buf = Arc::new(AlignedBuf::from_bytes(&bytes));
-        let full = attach(&buf, &fused).unwrap();
-        assert!(full.tables_shared());
-        assert_eq!(full.parse(b"1 + 2 + 39").unwrap(), 42);
-        assert_eq!(
-            format!("{}", full.parse(b"x").unwrap_err()),
-            format!("{}", p.parse(b"x").unwrap_err()),
-        );
-    }
-
-    #[test]
-    fn attach_rejects_different_shape() {
-        let (p, _) = compiled();
-        let bytes = p.to_artifact();
-        let buf = Arc::new(AlignedBuf::from_bytes(&bytes));
-        // A different grammar: one token, no skip tail shape.
-        let mut b = LexerBuilder::new();
-        let word = b.token("word", "[a-z]+").unwrap();
-        let mut lexer = b.build().unwrap();
-        let g: Cfe<i64> = Cfe::tok_with(word, |lx| lx.len() as i64);
-        let fused = fuse(&mut lexer, &normalize(&g).unwrap()).unwrap();
-        match attach(&buf, &fused) {
-            Err(ArtifactError::ShapeMismatch(_)) => {}
-            Err(other) => panic!("expected ShapeMismatch, got {other:?}"),
-            Ok(_) => panic!("expected ShapeMismatch, got a parser"),
+        let (p, origin) = compiled();
+        for bytes in [p.to_artifact(), p.to_artifact_with(&origin)] {
+            let buf = Arc::new(AlignedBuf::from_bytes(&bytes));
+            let r = load_recognizer(&buf).unwrap();
+            assert!(r.tables_shared(), "load must borrow the tables");
+            assert_eq!(r.state_count(), p.state_count());
+            assert!(r.recognize(b"1 + -2 + 39").is_ok());
+            assert_eq!(r.parse(b"1 + -2 + 39"), Ok(()));
+            assert!(r.recognize(b"1 +").is_err());
+            // diagnostics survive: same expected set, same position
+            let e1 = p.parse(b"1 + + 2").unwrap_err();
+            let e2 = r.parse(b"1 + + 2").unwrap_err();
+            assert_eq!(format!("{e1}"), format!("{e2}"));
         }
     }
 
     #[test]
-    fn fingerprints_agree_between_compiled_and_fused() {
-        let (p, fused) = compiled();
-        assert_eq!(p.shape_fingerprint(), fused_shape_fingerprint(&fused));
-        let bytes = p.to_artifact();
-        let buf = AlignedBuf::from_bytes(&bytes);
+    fn attach_restores_semantics() {
+        let (p, origin) = compiled();
+        let bytes = p.to_artifact_with(&origin);
+        let (full, loaded_origin) = load(&bytes).unwrap();
+        assert!(full.tables_shared());
+        assert_eq!(full.parse(b"1 + -2 + 39").unwrap(), 20);
+        assert_eq!(p.parse(b"1 + -2 + 39").unwrap(), 20);
         assert_eq!(
-            peek_fingerprint(buf.as_slice()).unwrap(),
-            p.shape_fingerprint()
+            format!("{}", full.parse(b"x").unwrap_err()),
+            format!("{}", p.parse(b"x").unwrap_err()),
         );
+        assert_eq!(loaded_origin, origin);
+        assert_eq!(full.to_artifact_with(&loaded_origin), bytes);
+
+        // Reductions are reported under the same productions: the
+        // loader re-derives which action completes each one.
+        let profile = |q: &CompiledParser<i64>| {
+            let mut prof = ParseProfiler::new();
+            q.parse_with_obs(&mut ParseSession::new(), b"1 + -2 + -3 + 4", &mut prof)
+                .unwrap();
+            prof.reductions
+        };
+        assert_eq!(profile(&full), profile(&p));
+    }
+
+    #[test]
+    fn attach_rejects_different_shape() {
+        let (p, origin) = compiled();
+        let buf = Arc::new(AlignedBuf::from_bytes(&p.to_artifact_with(&origin)));
+        let mut b = LexerBuilder::new();
+        let word = b.token("word", "[a-z]+").unwrap();
+        let other: Cfe<i64> = Cfe::tok_with(word, |lx| lx.len() as i64);
+        // Same grammar over a lexer whose `num` rule differs; then
+        // another grammar over the right lexer.
+        let mut b2 = LexerBuilder::new();
+        b2.token("num", "[0-7]+").unwrap();
+        b2.skip("[ \t\n]").unwrap();
+        b2.token("plus", r"\+").unwrap();
+        b2.token("neg", "-").unwrap();
+        for result in [
+            load_parser(&buf, &b2.build().unwrap(), &grammar()),
+            load_parser(&buf, &lexer(), &other),
+            load_parser(&buf, &b.build().unwrap(), &other),
+        ] {
+            match result {
+                Err(ArtifactError::ShapeMismatch(_)) => {}
+                Err(e) => panic!("expected ShapeMismatch, got {e:?}"),
+                Ok(_) => panic!("expected ShapeMismatch, got a parser"),
+            }
+        }
     }
 
     #[test]
     fn artifact_bytes_are_deterministic() {
-        let (p, _) = compiled();
+        let (p, origin) = compiled();
         assert_eq!(p.to_artifact(), p.to_artifact());
+        assert_eq!(
+            p.to_artifact_with(&origin),
+            compiled().0.to_artifact_with(&origin)
+        );
     }
 
     /// Layout guard: the section schema and container constants are
@@ -837,46 +774,49 @@ mod tests {
     /// out of scope — readers reject other versions wholesale).
     #[test]
     fn format_version_guards_section_layout() {
-        assert_eq!(flap_artifact::ARTIFACT_VERSION, 1);
+        assert_eq!(flap_artifact::ARTIFACT_VERSION, 2);
         assert_eq!(flap_artifact::HEADER_LEN, 64);
         assert_eq!(flap_artifact::SECTION_ENTRY_LEN, 32);
-        assert_eq!(
-            [
-                SEC_META,
-                SEC_CLASS_MAP,
-                SEC_TRANS,
-                SEC_NT,
-                SEC_PRODS,
-                SEC_EXPECTED,
-                SEC_SKIP_META,
-                SEC_SKIP_TRANS,
-                SEC_STRINGS
-            ],
-            [1, 2, 3, 4, 5, 6, 7, 8, 9]
-        );
+        let all = [
+            SEC_META,
+            SEC_CLASS_MAP,
+            SEC_TRANS,
+            SEC_NT,
+            SEC_PRODS,
+            SEC_EXPECTED,
+            SEC_SKIP_META,
+            SEC_SKIP_TRANS,
+            SEC_STRINGS,
+            SEC_CONTS,
+            SEC_PROVENANCE,
+            SEC_GRAMMAR,
+        ];
+        assert_eq!(all, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
+        let (p, origin) = compiled();
+        for (bytes, sections) in [(p.to_artifact(), 10), (p.to_artifact_with(&origin), 12)] {
+            let buf = AlignedBuf::from_bytes(&bytes);
+            let art = Artifact::load(buf.as_slice()).unwrap();
+            // a skip-bearing grammar emits exactly this section sequence
+            assert_eq!(art.section_ids().collect::<Vec<_>>(), all[..sections]);
+            // META is seven fixed fields: 5×u32 + u8 + u64 = 29 bytes
+            assert_eq!(art.section(SEC_META).unwrap().len(), 29);
+            // CLASS_MAP is always 256 u16 slots
+            assert_eq!(art.section(SEC_CLASS_MAP).unwrap().len(), 512);
+        }
+    }
+
+    #[test]
+    fn artifacts_without_provenance_load_only_as_recognizers() {
         let (p, _) = compiled();
         let bytes = p.to_artifact();
-        let buf = AlignedBuf::from_bytes(&bytes);
-        let art = Artifact::load(buf.as_slice()).unwrap();
-        // a skip-bearing grammar emits exactly this section sequence
-        assert_eq!(
-            art.section_ids().collect::<Vec<_>>(),
-            vec![
-                SEC_META,
-                SEC_CLASS_MAP,
-                SEC_TRANS,
-                SEC_NT,
-                SEC_PRODS,
-                SEC_EXPECTED,
-                SEC_SKIP_META,
-                SEC_SKIP_TRANS,
-                SEC_STRINGS
-            ]
-        );
-        // META is seven fixed fields: 5×u32 + u8 + u64 = 29 bytes
-        assert_eq!(art.section(SEC_META).unwrap().len(), 29);
-        // CLASS_MAP is always 256 u16 slots
-        assert_eq!(art.section(SEC_CLASS_MAP).unwrap().len(), 512);
+        let aligned = AlignedBuf::from_bytes(&bytes);
+        assert_eq!(peek_fingerprint(aligned.as_slice()), Ok(0));
+        assert!(matches!(
+            load(&bytes),
+            Err(ArtifactError::MissingSection { id: SEC_PROVENANCE })
+        ));
+        let buf = Arc::new(AlignedBuf::from_bytes(&bytes));
+        assert!(load_recognizer(&buf).is_ok());
     }
 
     #[test]
@@ -889,5 +829,205 @@ mod tests {
             crate::codegen::emit_rust(&r, "m")
         }));
         assert!(err.is_err(), "codegen must refuse artifact-loaded parsers");
+    }
+
+    // -----------------------------------------------------------------
+    // Hostile artifacts: well-framed, checksummed, and wrong inside.
+
+    /// `bytes` re-framed with section `id`'s payload replaced by
+    /// `edit` of it, or dropped when `edit` returns `None`; every
+    /// checksum stays valid.
+    fn rewrite(bytes: &[u8], id: u32, edit: impl FnOnce(&[u8]) -> Option<Vec<u8>>) -> Vec<u8> {
+        let buf = AlignedBuf::from_bytes(bytes);
+        let art = Artifact::load(buf.as_slice()).unwrap();
+        let mut edit = Some(edit);
+        let mut w = ArtifactWriter::new();
+        for sid in art.section_ids() {
+            let payload = art.section(sid).unwrap();
+            if sid != id {
+                w.add_section(sid, payload.to_vec());
+            } else if let Some(p) = (edit.take().unwrap())(payload) {
+                w.add_section(sid, p);
+            }
+        }
+        w.finish()
+    }
+
+    fn words(payload: &[u8]) -> Vec<u32> {
+        payload
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect()
+    }
+
+    /// Section `id` of `bytes`, read as little-endian `u32`s.
+    fn section_words(bytes: &[u8], id: u32) -> Vec<u32> {
+        let buf = AlignedBuf::from_bytes(bytes);
+        words(Artifact::load(buf.as_slice()).unwrap().section(id).unwrap())
+    }
+
+    /// As [`rewrite`], for a section made of little-endian `u32`s.
+    fn rewrite_words(bytes: &[u8], id: u32, edit: impl FnOnce(&mut Vec<u32>)) -> Vec<u8> {
+        rewrite(bytes, id, |payload| {
+            let mut w = words(payload);
+            edit(&mut w);
+            Some(w.iter().flat_map(|w| w.to_le_bytes()).collect())
+        })
+    }
+
+    /// The provenance lists `[tok, user, map, eps]`, each as the word
+    /// range of its entries.
+    fn provenance_lists(words: &[u32]) -> [std::ops::Range<usize>; 4] {
+        let mut at = 0;
+        [(); 4].map(|()| {
+            let n = words[at] as usize;
+            at += 1 + n;
+            at - n..at
+        })
+    }
+
+    /// Token productions' `(cont, nts)` spans as stored in PRODS, with
+    /// the byte offset of each span's first word.
+    fn token_spans(bytes: &[u8]) -> Vec<(usize, [u32; 4])> {
+        let buf = AlignedBuf::from_bytes(bytes);
+        let art = Artifact::load(buf.as_slice()).unwrap();
+        let payload = art.section(SEC_PRODS).unwrap();
+        let mut r = SectionReader::new(payload);
+        let mut out = Vec::new();
+        for _ in 0..r.u32().unwrap() {
+            let kind = r.u8().unwrap();
+            r.u32().unwrap();
+            r.u32().unwrap();
+            if kind == 1 {
+                let at = payload.len() - r.remaining();
+                out.push((at, [(); 4].map(|()| r.u32().unwrap())));
+            }
+        }
+        out
+    }
+
+    fn expect_malformed(bytes: &[u8], what: &str) {
+        match load(bytes) {
+            Err(ArtifactError::Malformed(why)) => assert!(
+                why.contains(what),
+                "expected a defect naming {what:?}, got {why:?}"
+            ),
+            Err(e) => panic!("expected Malformed({what:?}), got {e:?}"),
+            Ok(_) => panic!("expected Malformed({what:?}), got a parser"),
+        }
+    }
+
+    #[test]
+    fn hostile_provenance_is_a_typed_error() {
+        let (p, origin) = compiled();
+        let bytes = p.to_artifact_with(&origin);
+        let cfe_nodes = origin.sizes().cfes as u32;
+
+        let out_of_range = rewrite_words(&bytes, SEC_PROVENANCE, |w| {
+            let [tok, ..] = provenance_lists(w);
+            w[tok.start] = cfe_nodes;
+        });
+        expect_malformed(&out_of_range, "out of range");
+
+        let map_at_seq = rewrite_words(&bytes, SEC_PROVENANCE, |w| {
+            let [_, user, map, _] = provenance_lists(w);
+            assert!(!map.is_empty(), "the test grammar has a map slot");
+            w[map.start] = w[user.start];
+        });
+        expect_malformed(&map_at_seq, "wrong kind");
+
+        let missing = rewrite(&bytes, SEC_PROVENANCE, |_| None);
+        assert!(matches!(
+            load(&missing),
+            Err(ArtifactError::MissingSection { id: SEC_PROVENANCE })
+        ));
+
+        // Swapping two slots of one kind passes every check and runs
+        // other closures: the differential tests exist for that.
+        let swapped = rewrite_words(&bytes, SEC_PROVENANCE, |w| {
+            let [_, user, ..] = provenance_lists(w);
+            w.swap(user.start, user.end - 1);
+        });
+        assert!(load(&swapped).is_ok());
+    }
+
+    #[test]
+    fn hostile_counts_are_a_typed_error() {
+        let (p, origin) = compiled();
+        let bytes = p.to_artifact_with(&origin);
+        // META: stride, states, start, nonterminals, productions, …;
+        // NT and PRODS each open with their own count
+        for (field, section) in [(3, SEC_NT), (4, SEC_PRODS)] {
+            let huge = rewrite(&bytes, SEC_META, |meta| {
+                let mut b = meta.to_vec();
+                b[field * 4..field * 4 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                Some(b)
+            });
+            let huge = rewrite(&huge, section, |payload| {
+                let mut b = payload.to_vec();
+                b[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+                Some(b)
+            });
+            assert!(load(&huge).is_err());
+            let buf = Arc::new(AlignedBuf::from_bytes(&huge));
+            assert!(load_recognizer(&buf).is_err());
+        }
+    }
+
+    #[test]
+    fn hostile_continuations_are_a_typed_error() {
+        let (p, origin) = compiled();
+        let bytes = p.to_artifact_with(&origin);
+        let nt_count = p.nt_start.len() as u32;
+        // CONTS: user, map and ε table lengths, pool length, words
+        const POOL: usize = 4;
+
+        let nt_past_count = rewrite_words(&bytes, SEC_CONTS, |w| {
+            let at = POOL + w[POOL..].iter().position(|&x| x & 3 == 0).unwrap();
+            w[at] = nt_count << 2;
+        });
+        expect_malformed(&nt_past_count, "word out of range");
+
+        let conts = section_words(&bytes, SEC_CONTS);
+        let pool_len = conts[POOL - 1];
+        let (at, [_, cont_end, ..]) = token_spans(&bytes)[0];
+        let past_pool = rewrite(&bytes, SEC_PRODS, |payload| {
+            let mut b = payload.to_vec();
+            b[at..at + 8]
+                .copy_from_slice(&[cont_end.to_le_bytes(), (pool_len + 1).to_le_bytes()].concat());
+            Some(b)
+        });
+        expect_malformed(&past_pool, "outside the pool");
+
+        // Point a token production's continuation at a lone binary
+        // action: run after the lead value, it pops two.
+        let user_word = conts[POOL..].iter().position(|&x| x & 3 == 1).unwrap() as u32;
+        let underflow = rewrite(&bytes, SEC_PRODS, |payload| {
+            let mut b = payload.to_vec();
+            let spans = [user_word, user_word + 1, 0, 0];
+            b[at..at + 16].copy_from_slice(&spans.map(u32::to_le_bytes).concat());
+            Some(b)
+        });
+        expect_malformed(&underflow, "did not push");
+
+        // A start row that stops on a match would commit empty
+        // tokens without end.
+        let start = p.nt_start[p.start_nt as usize] as usize * p.stride as usize;
+        let empty_match = rewrite(&bytes, SEC_TRANS, |payload| {
+            let mut b = payload.to_vec();
+            let stop = crate::compile::encode_stop(StopAction::Match(0));
+            b[start * 4..start * 4 + 4].copy_from_slice(&stop.to_ne_bytes());
+            Some(b)
+        });
+        expect_malformed(&empty_match, "empty string");
+
+        // Each defect also stops the recognizer loader.
+        for bad in [&nt_past_count, &past_pool, &underflow, &empty_match] {
+            let buf = Arc::new(AlignedBuf::from_bytes(bad));
+            assert!(matches!(
+                load_recognizer(&buf),
+                Err(ArtifactError::Malformed(_))
+            ));
+        }
     }
 }

@@ -14,6 +14,10 @@
 //! validation push. ε programs (an ε value followed by maps) lower
 //! the same way but are stored in execution order: they run inline
 //! at the ε stop and never touch the control stack.
+//!
+//! An artifact stores the pool's words and spans as a [`Layout`];
+//! [`Conts::assemble`] binds a validated layout to one closure per
+//! action slot, so a loader never lowers a program.
 
 use std::sync::Arc;
 
@@ -45,6 +49,21 @@ impl Ctl {
         Ctl::new(Ctl::NT, nt as usize)
     }
 
+    /// A stored word, unchecked: [`Layout::validate`] range-checks
+    /// it before any engine runs it.
+    pub(crate) fn from_word(w: u32) -> Ctl {
+        Ctl(w)
+    }
+
+    /// The word as stored.
+    pub(crate) fn word(self) -> u32 {
+        self.0
+    }
+
+    fn tag(self) -> u32 {
+        self.0 & 3
+    }
+
     /// Whether this word names a nonterminal rather than an action.
     #[inline(always)]
     pub(crate) fn is_nt(self) -> bool {
@@ -61,8 +80,8 @@ impl Ctl {
 /// A `start..end` range of the pool.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct Span {
-    start: u32,
-    end: u32,
+    pub(crate) start: u32,
+    pub(crate) end: u32,
 }
 
 /// Action-table marker: this step completes no production.
@@ -86,7 +105,7 @@ pub(crate) struct Conts<V> {
     /// ε program per nonterminal in execution order (`StopAction::Eps`
     /// indexes it); `None` without an ε rule.
     pub(crate) eps: Vec<Option<Span>>,
-    pool: Vec<Ctl>,
+    pub(crate) pool: Vec<Ctl>,
     /// Binary actions, each with the flat production whose
     /// continuation it completes (or `NO_PROD`), for
     /// [`Observer::reduce`].
@@ -106,6 +125,77 @@ impl<V> Conts<V> {
             map: Vec::new(),
             eps_actions: Vec::new(),
         }
+    }
+
+    /// Rebuilds a pool from its stored `layout`, already checked by
+    /// [`Layout::validate`], binding `actions`, whose
+    /// [`Actions::counts`] must equal the layout's.
+    pub(crate) fn assemble(layout: Layout, actions: Actions<V>) -> Conts<V> {
+        let mut tok = actions.tok.into_iter();
+        let heads: Vec<Head<V>> = layout
+            .heads
+            .iter()
+            .map(|head| match *head {
+                None => Head {
+                    tok_action: None,
+                    cont: Span::default(),
+                    nts: Span::default(),
+                },
+                Some((cont, nts)) => Head {
+                    tok_action: tok.next(),
+                    cont,
+                    nts,
+                },
+            })
+            .collect();
+        let mut user: Vec<_> = actions.user.into_iter().map(|f| (f, NO_PROD)).collect();
+        let mut map: Vec<_> = actions.map.into_iter().map(|f| (f, NO_PROD)).collect();
+        // A continuation's first stored word runs last: when it is an
+        // action, it completes the production (as `push_token` marks).
+        for (p, head) in heads.iter().enumerate() {
+            if head.cont.start == head.cont.end {
+                continue;
+            }
+            let Some(&w) = layout.pool.get(head.cont.start as usize) else {
+                continue;
+            };
+            let done = match w.tag() {
+                Ctl::USER => user.get_mut(w.payload() as usize).map(|(_, d)| d),
+                Ctl::MAP => map.get_mut(w.payload() as usize).map(|(_, d)| d),
+                _ => None,
+            };
+            if let Some(done) = done {
+                *done = p as u32;
+            }
+        }
+        Conts {
+            heads,
+            eps: layout.eps,
+            pool: layout.pool,
+            user,
+            map,
+            eps_actions: actions.eps,
+        }
+    }
+
+    /// Lengths of the binary, map and ε action tables.
+    pub(crate) fn table_lens(&self) -> [usize; 3] {
+        [self.user.len(), self.map.len(), self.eps_actions.len()]
+    }
+
+    /// The address of every action's closure, in [`Actions`] order:
+    /// token productions' lead actions, then the binary, map and ε
+    /// tables.
+    pub(crate) fn closure_addrs(&self) -> [Vec<usize>; 4] {
+        [
+            self.heads
+                .iter()
+                .filter_map(|h| h.tok_action.as_ref().map(closure_addr))
+                .collect(),
+            self.user.iter().map(|(f, _)| closure_addr(f)).collect(),
+            self.map.iter().map(|(f, _)| closure_addr(f)).collect(),
+            self.eps_actions.iter().map(closure_addr).collect(),
+        ]
     }
 
     /// The words of `span`.
@@ -263,4 +353,120 @@ impl<V> Conts<V> {
             _ => unreachable!("nonterminal words are dispatched by the engine"),
         }
     }
+}
+
+/// The address of the closure behind an action: its identity.
+pub(crate) fn closure_addr<T: ?Sized>(f: &Arc<T>) -> usize {
+    Arc::as_ptr(f) as *const () as usize
+}
+
+/// One closure per action slot of a pool.
+pub(crate) struct Actions<V> {
+    /// The lead action of each token production, in production order.
+    pub(crate) tok: Vec<TokAction<V>>,
+    pub(crate) user: Vec<SeqAction<V>>,
+    pub(crate) map: Vec<MapAction<V>>,
+    pub(crate) eps: Vec<EpsAction<V>>,
+}
+
+impl<V> Actions<V> {
+    /// Token productions, then binary, map and ε slots.
+    pub(crate) fn counts(&self) -> [usize; 4] {
+        [
+            self.tok.len(),
+            self.user.len(),
+            self.map.len(),
+            self.eps.len(),
+        ]
+    }
+}
+
+/// A pool as an artifact stores it: its words and spans, without
+/// actions.
+pub(crate) struct Layout {
+    pub(crate) pool: Vec<Ctl>,
+    /// Per flat production: `None` for a skip production, else its
+    /// continuation and tail spans.
+    pub(crate) heads: Vec<Option<(Span, Span)>>,
+    /// Per nonterminal: its ε program, if any.
+    pub(crate) eps: Vec<Option<Span>>,
+    /// Lengths of the binary, map and ε action tables.
+    pub(crate) tables: [usize; 3],
+}
+
+impl Layout {
+    /// As [`Actions::counts`]: the slots an [`Actions`] must fill.
+    pub(crate) fn counts(&self) -> [usize; 4] {
+        let [user, map, eps] = self.tables;
+        [self.heads.iter().flatten().count(), user, map, eps]
+    }
+
+    /// Checks every stored word and span against what the engines
+    /// assume, so a crafted layout cannot make them index out of
+    /// bounds, pop a missing value or meet a word they cannot run:
+    ///
+    /// * payloads are below the nonterminal count or their action
+    ///   table's length, and spans lie inside the pool;
+    /// * a token production's continuation, run after its lead value
+    ///   is pushed, never pops a value the production did not push
+    ///   and leaves exactly one; its tail span holds exactly the
+    ///   continuation's nonterminals, in order;
+    /// * an ε program parses no nonterminal and leaves exactly one
+    ///   value.
+    pub(crate) fn validate(&self, nt_count: usize) -> Result<(), &'static str> {
+        let [user, map, eps] = self.tables;
+        for w in &self.pool {
+            let bound = match w.tag() {
+                Ctl::NT => nt_count,
+                Ctl::USER => user,
+                Ctl::MAP => map,
+                _ => eps,
+            };
+            if w.payload() as usize >= bound {
+                return Err("continuation word out of range");
+            }
+        }
+        let words = |s: Span| {
+            self.pool
+                .get(s.start as usize..s.end as usize)
+                .ok_or("continuation span outside the pool")
+        };
+        for &(cont, nts) in self.heads.iter().flatten() {
+            let (cont, nts) = (words(cont)?, words(nts)?);
+            if stack_effect(cont.iter().rev(), 1)? != 1 {
+                return Err("a token production does not leave exactly one value");
+            }
+            if !cont.iter().filter(|w| w.is_nt()).eq(nts) {
+                return Err("tail span disagrees with its continuation");
+            }
+        }
+        for &span in self.eps.iter().flatten() {
+            let program = words(span)?;
+            if program.iter().any(|w| w.is_nt()) {
+                return Err("an ε program parses a nonterminal");
+            }
+            if stack_effect(program.iter(), 0)? != 1 {
+                return Err("an ε program does not leave exactly one value");
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The value-stack depth after running `words` (in execution order)
+/// from `depth` values, every nonterminal pushing one.
+fn stack_effect<'a>(
+    words: impl Iterator<Item = &'a Ctl>,
+    mut depth: usize,
+) -> Result<usize, &'static str> {
+    const UNDERFLOW: &str = "a continuation pops a value its production did not push";
+    for w in words {
+        depth = match w.tag() {
+            Ctl::USER => depth.checked_sub(2).ok_or(UNDERFLOW)? + 1,
+            Ctl::MAP if depth == 0 => return Err(UNDERFLOW),
+            Ctl::MAP => depth,
+            _ => depth + 1,
+        };
+    }
+    Ok(depth)
 }

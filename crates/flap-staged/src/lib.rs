@@ -23,7 +23,10 @@
 //! * [`codegen::emit_rust`] prints the states as compilable Rust
 //!   source, reproducing the generated-code excerpt of §5.5;
 //! * [`measure_pipeline`] collects the Table 1 size columns and the
-//!   Table 2 compilation-time breakdown.
+//!   Table 2 compilation-time breakdown;
+//! * [`artifact`] serializes compiled tables, and [`Origin`] records
+//!   which grammar node owns each action, so a loader re-binds the
+//!   actions without re-running the front end.
 //!
 //! # Quickstart
 //!
@@ -102,11 +105,13 @@ mod compile;
 mod cont;
 mod incremental;
 mod metrics;
+pub mod origin;
 mod vm;
 
 pub use compile::{CompiledParser, State, StopAction};
 pub use incremental::IncrementalSession;
 pub use metrics::{measure_pipeline, CompileTimes, SizeReport, TableFootprint};
+pub use origin::Origin;
 pub use vm::{ParseSession, StreamParse};
 
 // The streaming, incremental and observability vocabulary shared

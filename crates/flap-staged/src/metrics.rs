@@ -5,8 +5,8 @@
 use std::time::{Duration, Instant};
 
 use flap_cfe::Cfe;
-use flap_dgnf::{normalize, Grammar};
-use flap_fuse::{fuse, FusedGrammar};
+use flap_dgnf::normalize;
+use flap_fuse::fuse;
 use flap_lex::Lexer;
 
 use crate::compile::CompiledParser;
@@ -92,19 +92,9 @@ impl<V> CompiledParser<V> {
     }
 }
 
-/// Everything [`measure_pipeline`] produces: the normalized grammar,
-/// the fused grammar, the compiled parser, and the Table 1 / Table 2
-/// measurements.
-pub type PipelineArtifacts<V> = (
-    Grammar<V>,
-    FusedGrammar<V>,
-    CompiledParser<V>,
-    SizeReport,
-    CompileTimes,
-);
-
-/// Runs the full pipeline on one grammar, returning every
-/// intermediate stage together with sizes and timings.
+/// Runs the full pipeline on one grammar, returning the compiled
+/// parser with the Table 1 sizes and Table 2 timings; the intermediate
+/// grammars are dropped.
 ///
 /// # Errors
 ///
@@ -113,7 +103,7 @@ pub type PipelineArtifacts<V> = (
 pub fn measure_pipeline<V: 'static>(
     lexer: &mut Lexer,
     cfe: &Cfe<V>,
-) -> Result<PipelineArtifacts<V>, String> {
+) -> Result<(CompiledParser<V>, SizeReport, CompileTimes), String> {
     let mut times = CompileTimes::default();
 
     let t0 = Instant::now();
@@ -141,7 +131,7 @@ pub fn measure_pipeline<V: 'static>(
         fused_prods: fused.prod_count(),
         functions: compiled.state_count(),
     };
-    Ok((grammar, fused, compiled, sizes, times))
+    Ok((compiled, sizes, times))
 }
 
 #[cfg(test)]
@@ -165,7 +155,7 @@ mod tests {
                 .then(Cfe::tok_val(rpar, 0), |n, _| n)
                 .or(Cfe::tok_val(atom, 1))
         });
-        let (_, _, compiled, sizes, times) = measure_pipeline(&mut lexer, &sexp).unwrap();
+        let (compiled, sizes, times) = measure_pipeline(&mut lexer, &sexp).unwrap();
         // Paper's Table 1 row for sexp: 4 lex rules, 11 CFEs, 3 NTs,
         // 6 prods, 9 fused prods, 11 functions. Our CFE count is 13
         // because we also count the two μ binder nodes; the other

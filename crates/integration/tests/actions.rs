@@ -11,7 +11,10 @@
 //! The staged one-shot parse, chunked streams and incremental
 //! re-parses after random edits must then all agree with the Fig 9
 //! interpreter (`flap_fuse::parse_fused`), which still runs the
-//! unlowered `Reduce` programs: values and errors alike.
+//! unlowered `Reduce` programs: values and errors alike. So must the
+//! same parser saved as an artifact and loaded back over a freshly
+//! built grammar, whose actions are re-bound by provenance: one wrong
+//! closure shows up in the formatted value.
 
 // Errors inline their expected-token set (allocation-free); the
 // larger Err variant is deliberate.
@@ -284,12 +287,27 @@ fn sentence(g: &Cfe<String>, toks: &Toks, rng: &mut StdRng) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 // The differential
 
-/// The staged parser of `list(item)`, plus the Fig 9 interpreter over
-/// its own lexer and fused grammar.
+/// The staged parser of `list(item)`, the same parser loaded back from
+/// its artifact, and the Fig 9 interpreter over its own lexer and
+/// fused grammar.
 struct Engines {
     staged: Parser<String>,
+    loaded: Parser<String>,
+    dgnf: Grammar<String>,
+    oracle: Oracle,
+}
+
+/// The Fig 9 interpreter.
+struct Oracle {
     lexer: Lexer,
     fused: flap::flap_fuse::FusedGrammar<String>,
+}
+
+impl Oracle {
+    fn parse(&mut self, doc: &[u8]) -> Result<String, ParseError> {
+        let skip = self.lexer.skip_regex();
+        flap::flap_fuse::parse_fused(&self.fused, self.lexer.arena_mut(), skip, doc)
+    }
 }
 
 impl Engines {
@@ -300,40 +318,40 @@ impl Engines {
         let item = build(&toks);
         let cfe = list(item.clone());
         let staged = Parser::compile(lexer, &cfe).expect("test grammar compiles");
+        // a restarted process: a fresh lexer and grammar, new closures
+        let (fresh_lexer, fresh_toks) = self::lexer();
+        let bytes = staged.to_artifact();
+        let loaded = Parser::from_artifact(&bytes, fresh_lexer, &list(build(&fresh_toks)))
+            .expect("the artifact loads over a fresh grammar");
+        assert_eq!(loaded.to_artifact(), bytes, "reloads re-serialize exactly");
         let (mut lexer, _) = self::lexer();
-        let grammar = flap::flap_dgnf::normalize(&cfe).expect("normalizes");
-        let fused = flap::flap_fuse::fuse(&mut lexer, &grammar).expect("fuses");
-        (
-            Engines {
-                staged,
-                lexer,
-                fused,
-            },
-            item,
-            toks,
-        )
+        let dgnf = flap::flap_dgnf::normalize(&cfe).expect("normalizes");
+        let fused = flap::flap_fuse::fuse(&mut lexer, &dgnf).expect("fuses");
+        let oracle = Oracle { lexer, fused };
+        let engines = Engines {
+            staged,
+            loaded,
+            dgnf,
+            oracle,
+        };
+        (engines, item, toks)
     }
+}
 
-    fn oracle(&mut self, doc: &[u8]) -> Result<String, ParseError> {
-        let skip = self.lexer.skip_regex();
-        flap::flap_fuse::parse_fused(&self.fused, self.lexer.arena_mut(), skip, doc)
+fn chunked(parser: &Parser<String>, doc: &[u8], chunk: usize) -> Result<String, ParseError> {
+    let mut session = parser.session();
+    let mut s = parser.stream(&mut session);
+    for piece in doc.chunks(chunk) {
+        match s.feed(piece) {
+            Step::NeedMore => {}
+            Step::Err(e) => return Err(e),
+            Step::Done(_) => unreachable!("feed never completes a parse"),
+        }
     }
-
-    fn chunked(&self, doc: &[u8], chunk: usize) -> Result<String, ParseError> {
-        let mut session = self.staged.session();
-        let mut s = self.staged.stream(&mut session);
-        for piece in doc.chunks(chunk) {
-            match s.feed(piece) {
-                Step::NeedMore => {}
-                Step::Err(e) => return Err(e),
-                Step::Done(_) => unreachable!("feed never completes a parse"),
-            }
-        }
-        match s.finish() {
-            Step::Done(v) => Ok(v),
-            Step::Err(e) => Err(e),
-            Step::NeedMore => unreachable!("finish never suspends"),
-        }
+    match s.finish() {
+        Step::Done(v) => Ok(v),
+        Step::Err(e) => Err(e),
+        Step::NeedMore => unreachable!("finish never suspends"),
     }
 }
 
@@ -354,72 +372,97 @@ fn items(item: &Cfe<String>, toks: &Toks, rng: &mut StdRng, n: usize) -> Vec<Vec
 }
 
 fn agrees_with_oracle(name: &str, build: fn(&Toks) -> Cfe<String>, seed: u64) {
-    let (mut engines, item, toks) = Engines::new(build);
+    let (engines, item, toks) = Engines::new(build);
+    let Engines {
+        staged,
+        loaded,
+        mut oracle,
+        ..
+    } = engines;
+    let parsers = [("compiled", &staged), ("loaded", &loaded)];
     let mut rng = StdRng::seed_from_u64(seed);
 
     for _ in 0..40 {
         let len = rng.random_range(1..=12);
         let doc = items(&item, &toks, &mut rng, len).concat();
-        let want = engines.oracle(&doc);
+        let want = oracle.parse(&doc);
         assert!(
             want.is_ok(),
             "{name}: generated sentence rejected: {}",
             String::from_utf8_lossy(&doc)
         );
-        assert_eq!(engines.staged.parse(&doc), want, "{name}: one-shot parse");
-        for chunk in [1, 3, 16] {
-            assert_eq!(
-                engines.chunked(&doc, chunk),
-                want,
-                "{name}: chunks of {chunk}"
-            );
+        for (how, parser) in parsers {
+            assert_eq!(parser.parse(&doc), want, "{name}: {how} one-shot parse");
+            for chunk in [1, 3, 16] {
+                assert_eq!(
+                    chunked(parser, &doc, chunk),
+                    want,
+                    "{name}: {how}, chunks of {chunk}"
+                );
+            }
         }
     }
 
-    // Incremental value re-parses after edits, with dense checkpoints
-    // so edits land before, inside and after many of them. Each round
-    // swaps one item for a fresh one (the document stays valid), then
-    // makes a random edit (usually breaking it) and reverts it.
+    // Incremental re-parses and re-validations after edits, with
+    // dense checkpoints so edits land before, inside and after many of
+    // them. Each round swaps one item for a fresh one (the document
+    // stays valid), then makes a random edit (usually breaking it) and
+    // reverts it.
     let mut doc_items = items(&item, &toks, &mut rng, 80);
     let donor = items(&item, &toks, &mut rng, 4).concat();
-    let mut inc = engines
-        .staged
-        .incremental_with(IncrementalConfig { interval: 32 });
-    inc.splice(0..0, &doc_items.concat());
-    let mut check = |inc: &mut IncrementalSession<String>, what: &str| {
-        let now = inc.doc().to_vec();
-        assert_eq!(
-            engines.staged.parse_incremental(inc),
-            engines.oracle(&now),
-            "{name}: incremental re-parse after {what}"
-        );
+    let config = IncrementalConfig { interval: 32 };
+    // per parser: one session re-parsing values, one validating
+    let mut sessions: Vec<(&str, &Parser<String>, bool, IncrementalSession<String>)> = parsers
+        .into_iter()
+        .flat_map(|(how, p)| {
+            [true, false].map(|values| (how, p, values, p.incremental_with(config)))
+        })
+        .collect();
+    let mut edit = |range: Range<usize>, text: &[u8], what: &str| -> Vec<u8> {
+        for (how, parser, values, inc) in &mut sessions {
+            inc.splice(range.clone(), text);
+            let want = oracle.parse(inc.doc());
+            if *values {
+                assert_eq!(
+                    parser.parse_incremental(inc),
+                    want,
+                    "{name}: {how} incremental re-parse after {what}"
+                );
+            } else {
+                assert_eq!(
+                    parser.validate_incremental(inc),
+                    want.map(drop),
+                    "{name}: {how} incremental validation after {what}"
+                );
+            }
+        }
+        sessions[0].3.doc().to_vec()
     };
+    edit(0..0, &doc_items.concat(), "load");
     for round in 0..30 {
         let j = rng.random_range(0..doc_items.len());
         let at: usize = doc_items[..j].iter().map(Vec::len).sum();
         let fresh = sentence(&item, &toks, &mut rng);
-        inc.splice(at..at + doc_items[j].len(), &fresh);
-        doc_items[j] = fresh;
-        check(&mut inc, &format!("item swap {round}"));
-
-        let (range, repl) = random_edit(&mut rng, inc.doc(), &donor);
-        let old = inc.doc()[range.clone()].to_vec();
-        inc.splice(range.clone(), &repl);
-        check(&mut inc, &format!("random edit {round}"));
-        inc.splice(range.start..range.start + repl.len(), &old);
-        check(&mut inc, &format!("revert {round}"));
-        assert_eq!(
-            inc.doc(),
-            doc_items.concat(),
-            "revert restores the document"
+        let doc = edit(
+            at..at + doc_items[j].len(),
+            &fresh,
+            &format!("item swap {round}"),
         );
+        doc_items[j] = fresh;
+
+        let (range, repl) = random_edit(&mut rng, &doc, &donor);
+        let old = doc[range.clone()].to_vec();
+        edit(range.clone(), &repl, &format!("random edit {round}"));
+        let reverted = range.start..range.start + repl.len();
+        let doc = edit(reverted, &old, &format!("revert {round}"));
+        assert_eq!(doc, doc_items.concat(), "revert restores the document");
     }
 }
 
 #[test]
 fn seq_chains_rotate_over_three_to_six_slots_and_agree() {
     let (engines, _, _) = Engines::new(seq_chains);
-    let (prods, _) = programs(engines.staged.dgnf());
+    let (prods, _) = programs(&engines.dgnf);
     for span in 3..=6 {
         assert!(
             prods
@@ -435,7 +478,7 @@ fn seq_chains_rotate_over_three_to_six_slots_and_agree() {
 #[test]
 fn maps_inside_seqs_agree() {
     let (engines, _, _) = Engines::new(maps_in_seq);
-    let (prods, _) = programs(engines.staged.dgnf());
+    let (prods, _) = programs(&engines.dgnf);
     assert!(
         prods.iter().any(|ops| ops
             .windows(3)
@@ -448,7 +491,7 @@ fn maps_inside_seqs_agree() {
 #[test]
 fn fix_substitution_under_an_outer_tail_agrees() {
     let (engines, _, _) = Engines::new(fix_subst);
-    let (prods, _) = programs(engines.staged.dgnf());
+    let (prods, _) = programs(&engines.dgnf);
     assert!(
         prods
             .iter()
@@ -462,7 +505,7 @@ fn fix_substitution_under_an_outer_tail_agrees() {
 #[test]
 fn nested_fixes_agree() {
     let (engines, _, _) = Engines::new(nested_fixes);
-    let (prods, _) = programs(engines.staged.dgnf());
+    let (prods, _) = programs(&engines.dgnf);
     assert!(
         prods
             .iter()
@@ -476,7 +519,7 @@ fn nested_fixes_agree() {
 #[test]
 fn eps_programs_with_maps_agree() {
     let (engines, _, _) = Engines::new(eps_maps);
-    let (_, eps) = programs(engines.staged.dgnf());
+    let (_, eps) = programs(&engines.dgnf);
     for maps in [1, 2] {
         assert!(
             eps.iter()

@@ -2,9 +2,10 @@
 //! grammar, a parser rebuilt from its serialized tables must be
 //! observationally identical to the freshly compiled one — same
 //! values, same errors (position, line/column), across the one-shot,
-//! streaming and validate entry points — and a corrupted or truncated
-//! artifact must fail loading with a typed error, never panic or
-//! parse wrongly.
+//! streaming, validate and incremental entry points — and must
+//! re-serialize to the same bytes. A corrupted or truncated artifact,
+//! or one paired with a lexer or grammar it was not compiled from,
+//! must fail loading with a typed error, never panic or parse wrongly.
 //!
 //! The file also hosts the zero-copy audit: loading from an aligned
 //! buffer must *borrow* the transition tables. That is proven two
@@ -17,8 +18,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use flap::artifact::{load_recognizer, AlignedBuf, ArtifactError};
-use flap::{ParseSession, Parser, SliceChunks, Step};
+use flap::artifact::{load_recognizer, peek_fingerprint, AlignedBuf, ArtifactError};
+use flap::cache::grammar_key;
+use flap::{IncrementalConfig, Lexer, LexerBuilder, ParseSession, Parser, SliceChunks, Step};
 use flap_grammars::GrammarDef;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,11 +91,23 @@ fn probes(def_generate: fn(u64, usize) -> Vec<u8>) -> Vec<Vec<u8>> {
     probes
 }
 
-fn assert_round_trip<V: 'static>(def: GrammarDef<V>) {
+fn assert_round_trip<V: Clone + 'static>(def: GrammarDef<V>) {
     let compiled = def.flap_parser();
     let bytes = compiled.to_artifact();
     let loaded = Parser::from_artifact(&bytes, (def.lexer)(), &(def.cfe)())
         .unwrap_or_else(|e| panic!("{}: artifact failed to load: {e}", def.name));
+    assert_eq!(
+        loaded.to_artifact(),
+        bytes,
+        "{}: a loaded parser must re-serialize byte for byte",
+        def.name
+    );
+    assert_eq!(
+        loaded.sizes(),
+        compiled.sizes(),
+        "{}: Table 1 counts travel in the artifact",
+        def.name
+    );
 
     for (i, doc) in probes(def.generate).iter().enumerate() {
         // one-shot: same value (compared through `finish`) or the
@@ -110,17 +124,64 @@ fn assert_round_trip<V: 'static>(def: GrammarDef<V>) {
             def.name
         );
 
-        // streaming path, with a chunk size that splits lexemes;
-        // errors compared via Display (StreamError is not PartialEq)
-        let stream = |p: &Parser<V>| -> Result<i64, String> {
-            p.parse_source(&mut SliceChunks::new(doc, 7))
-                .map(def.finish)
-                .map_err(|e| e.to_string())
-        };
+        // streaming path, with chunk sizes that split lexemes; errors
+        // compared via Display (StreamError is not PartialEq)
+        for chunk in [1, 3, 16] {
+            let stream = |p: &Parser<V>| -> Result<i64, String> {
+                p.parse_source(&mut SliceChunks::new(doc, chunk))
+                    .map(def.finish)
+                    .map_err(|e| e.to_string())
+            };
+            assert_eq!(
+                stream(&compiled),
+                stream(&loaded),
+                "{} probe {i}: streaming parse in {chunk}-byte chunks differs",
+                def.name
+            );
+        }
+    }
+
+    // incremental paths: value re-parses and validations after a run
+    // of random edits, most of which break the document
+    let doc = (def.generate)(7, 4 * 1024);
+    let mut rng = StdRng::seed_from_u64(0x1DE5);
+    let config = IncrementalConfig { interval: 256 };
+    let mut sessions = [&compiled, &loaded].map(|p| {
+        let mut values = p.incremental_with(config);
+        let mut validation = p.incremental_with(config);
+        values.splice(0..0, &doc);
+        validation.splice(0..0, &doc);
+        (p, values, validation)
+    });
+    for round in 0..24 {
+        let now = sessions[0].1.doc().to_vec();
+        let at = rng.random_range(0..=now.len());
+        let del = rng.random_range(0..=8usize).min(now.len() - at);
+        let from = rng.random_range(0..doc.len() - 8);
+        let text = &doc[from..from + rng.random_range(0..=8usize)];
+        let mut outcomes = Vec::new();
+        for (p, values, validation) in &mut sessions {
+            values.splice(at..at + del, text);
+            validation.splice(at..at + del, text);
+            let value = p.parse_incremental(values).map(def.finish);
+            outcomes.push((value, p.validate_incremental(validation)));
+        }
+        let now = sessions[0].1.doc().to_vec();
+        let want = compiled.parse(&now).map(def.finish);
         assert_eq!(
-            stream(&compiled),
-            stream(&loaded),
-            "{} probe {i}: streaming parse differs",
+            outcomes[0].0, want,
+            "{} edit {round}: incremental",
+            def.name
+        );
+        assert_eq!(
+            outcomes[0].1,
+            want.clone().map(drop),
+            "{} edit {round}: incremental validation",
+            def.name
+        );
+        assert_eq!(
+            outcomes[0], outcomes[1],
+            "{} edit {round}: loaded incremental paths differ",
             def.name
         );
     }
@@ -180,7 +241,7 @@ fn artifacts_do_not_cross_attach_between_grammars() {
     let json_bytes = flap_grammars::json::def().flap_parser().to_artifact();
     let sexp = flap_grammars::sexp::def();
     match Parser::from_artifact(&json_bytes, (sexp.lexer)(), &(sexp.cfe)()) {
-        Err(flap::ArtifactLoadError::Artifact(ArtifactError::ShapeMismatch(why))) => {
+        Err(ArtifactError::ShapeMismatch(why)) => {
             assert!(!why.is_empty(), "mismatch reason should be diagnostic")
         }
         Err(other) => panic!("expected a shape mismatch, got {other}"),
@@ -188,57 +249,250 @@ fn artifacts_do_not_cross_attach_between_grammars() {
     }
 }
 
+#[test]
+fn fingerprints_are_grammar_keys_for_every_grammar() {
+    fn check<V: 'static>(def: GrammarDef<V>) {
+        let bytes = AlignedBuf::from_bytes(&def.flap_parser().to_artifact());
+        assert_eq!(
+            peek_fingerprint(bytes.as_slice()),
+            Ok(grammar_key(&(def.lexer)(), &(def.cfe)())),
+            "{}",
+            def.name
+        );
+        // an artifact of the bare compiled tables has no key
+        let bare = AlignedBuf::from_bytes(&def.flap_parser().compiled().to_artifact());
+        assert_eq!(peek_fingerprint(bare.as_slice()), Ok(0), "{}", def.name);
+    }
+    check(flap_grammars::pgn::def());
+    check(flap_grammars::ppm::def());
+    check(flap_grammars::sexp::def());
+    check(flap_grammars::csv::def());
+    check(flap_grammars::json::def());
+    check(flap_grammars::arith::def());
+}
+
+// ---------------------------------------------------------------------------
+// Lexer mismatch
+
+/// One lexer rule, as `flap-grammars` declares it.
+#[derive(Clone, Copy)]
+enum Rule {
+    Literal(&'static str, &'static str),
+    Regex(&'static str, &'static str),
+    Skip(&'static str),
+}
+
+fn build(rules: &[Rule]) -> Lexer {
+    let mut b = LexerBuilder::new();
+    for rule in rules {
+        match *rule {
+            Rule::Literal(name, lit) => drop(b.token_literal(name, lit).expect("valid")),
+            Rule::Regex(name, re) => drop(b.token(name, re).expect("valid")),
+            Rule::Skip(re) => b.skip(re).expect("valid"),
+        }
+    }
+    b.build().expect("canonicalizes")
+}
+
+/// Loads `def`'s artifact over its lexer rebuilt from `rules` (which
+/// must succeed: the rules are the grammar's own), then over the same
+/// rules with the regex of token `name` replaced by `altered`, which
+/// must be refused. Returns the altered lexer.
+fn refuses_altered_lexer<V: 'static>(
+    def: &GrammarDef<V>,
+    rules: &[Rule],
+    name: &str,
+    altered: &'static str,
+) -> Lexer {
+    let bytes = def.flap_parser().to_artifact();
+    assert!(
+        Parser::from_artifact(&bytes, build(rules), &(def.cfe)()).is_ok(),
+        "{}: the rule table must reproduce the grammar's lexer",
+        def.name
+    );
+    let mut changed = rules.to_vec();
+    let at = changed
+        .iter()
+        .position(|r| matches!(r, Rule::Literal(n, _) | Rule::Regex(n, _) if *n == name))
+        .expect("the altered token exists");
+    let token = match changed[at] {
+        Rule::Literal(n, _) | Rule::Regex(n, _) => n,
+        Rule::Skip(_) => unreachable!(),
+    };
+    changed[at] = Rule::Regex(token, altered);
+    match Parser::from_artifact(&bytes, build(&changed), &(def.cfe)()) {
+        Err(ArtifactError::ShapeMismatch(_)) => {}
+        Err(e) => panic!("{}: expected a shape mismatch, got {e}", def.name),
+        Ok(_) => panic!(
+            "{}: tables attached to a lexer with another `{name}`",
+            def.name
+        ),
+    }
+    build(&changed)
+}
+
+#[test]
+fn loading_over_a_lexer_with_an_altered_token_regex_is_a_shape_mismatch() {
+    use Rule::{Literal as L, Regex as R, Skip as S};
+    let json = flap_grammars::json::def();
+    let json_rules = [
+        L("lbrace", "{"),
+        L("rbrace", "}"),
+        L("lbracket", "["),
+        L("rbracket", "]"),
+        L("colon", ":"),
+        L("comma", ","),
+        R("string", r#""([^"\\]|\\.)*""#),
+        R(
+            "number",
+            r"-?(0|[1-9][0-9]*)(\.[0-9]+)?((e|E)(\+|-)?[0-9]+)?",
+        ),
+        L("true", "true"),
+        L("false", "false"),
+        L("null", "null"),
+        S("[ \t\n\r]"),
+    ];
+    // Same token names and count, but `number` is `[a-f]+`: attaching
+    // json's tables would accept `[1,2]`, which this pair rejects at
+    // byte 1.
+    let hex = refuses_altered_lexer(&json, &json_rules, "number", "[a-f]+");
+    let err = Parser::compile(hex, &(json.cfe)()).unwrap().parse(b"[1,2]");
+    assert_eq!(err.map_err(|e| e.pos()), Err(1));
+
+    refuses_altered_lexer(
+        &flap_grammars::sexp::def(),
+        &[
+            R("atom", "[a-z][a-z0-9]*"),
+            R("lpar", r"\("),
+            R("rpar", r"\)"),
+            S("[ \n]"),
+        ],
+        "atom",
+        "[a-z]+",
+    );
+    refuses_altered_lexer(
+        &flap_grammars::csv::def(),
+        &[
+            R("text", "[^,\"\r\n]+"),
+            R("quoted", "\"([^\"]|\"\")*\""),
+            R("comma", ","),
+            R("crlf", "\r\n"),
+        ],
+        "text",
+        "[a-z]+",
+    );
+    refuses_altered_lexer(
+        &flap_grammars::pgn::def(),
+        &[
+            L("lbracket", "["),
+            L("rbracket", "]"),
+            R("string", r#""([^"\\]|\\.)*""#),
+            L("res_white", "1-0"),
+            L("res_black", "0-1"),
+            L("res_draw", "1/2-1/2"),
+            L("res_star", "*"),
+            R("movenum", r"[0-9]+\.(\.\.)?"),
+            R("nag", r"\$[0-9]+"),
+            R("word", "[a-zA-Z][a-zA-Z0-9+#=:_-]*"),
+            S("[ \t\n\r]"),
+            S(r"\{[^}]*\}"),
+            S(";[^\n]*\n"),
+        ],
+        "nag",
+        r"\$[0-9]",
+    );
+    refuses_altered_lexer(
+        &flap_grammars::ppm::def(),
+        &[
+            L("magic", "P3"),
+            R("int", "[0-9]+"),
+            S("[ \t\n\r]"),
+            S("#[^\n]*\n"),
+        ],
+        "int",
+        "[0-9]",
+    );
+    refuses_altered_lexer(
+        &flap_grammars::arith::def(),
+        &[
+            L("let", "let"),
+            L("in", "in"),
+            L("if", "if"),
+            L("then", "then"),
+            L("else", "else"),
+            R("ident", "[a-z][a-z0-9]*"),
+            R("num", "[0-9]+"),
+            L("plus", "+"),
+            L("minus", "-"),
+            L("star", "*"),
+            L("slash", "/"),
+            L("lt", "<"),
+            L("eq", "="),
+            L("gt", ">"),
+            L("lparen", "("),
+            L("rparen", ")"),
+            S("[ \t\n]"),
+        ],
+        "num",
+        "[0-9]",
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Corruption sweep
 
+/// Every random single-bit flip, truncation and padding of `def`'s
+/// artifact fails to load with a typed error.
+fn corruption_is_detected<V: 'static>(def: GrammarDef<V>, rng: &mut StdRng) {
+    let bytes = def.flap_parser().to_artifact();
+    let cfe = (def.cfe)();
+    let load = |b: &[u8]| Parser::from_artifact(b, (def.lexer)(), &cfe);
+
+    // random single-byte flips: every one must be caught by the
+    // structural checks or a checksum — a load that "succeeds" on
+    // flipped bytes could silently mis-parse forever after
+    for _ in 0..200 {
+        let mut evil = bytes.clone();
+        let at = rng.random_range(0..evil.len());
+        let bit = 1u8 << rng.random_range(0..8);
+        evil[at] ^= bit;
+        assert!(
+            load(&evil).is_err(),
+            "{}: flip at {at} (bit {bit:#x}) was not detected",
+            def.name
+        );
+    }
+
+    // random truncations (and the empty file)
+    for _ in 0..50 {
+        let cut = rng.random_range(0..bytes.len());
+        assert!(
+            load(&bytes[..cut]).is_err(),
+            "{}: truncation to {cut} bytes was not detected",
+            def.name
+        );
+    }
+
+    // random appended garbage must also fail: total_len pins the
+    // exact size, so trailing bytes are as corrupt as missing ones
+    let mut padded = bytes.clone();
+    padded.extend_from_slice(&[0xAB; 17]);
+    assert!(
+        load(&padded).is_err(),
+        "{}: padding was not detected",
+        def.name
+    );
+}
+
 #[test]
 fn corrupted_artifacts_error_out_and_never_panic_or_misparse() {
-    let defs = [flap_grammars::json::def(), flap_grammars::sexp::def()];
     let mut rng = StdRng::seed_from_u64(0xFA57_F00D);
-    for def in defs {
-        let bytes = def.flap_parser().to_artifact();
-
-        // random single-byte flips: every one must be caught by the
-        // structural checks or a checksum — a load that "succeeds" on
-        // flipped bytes could silently mis-parse forever after
-        for _ in 0..200 {
-            let mut evil = bytes.clone();
-            let at = rng.random_range(0..evil.len());
-            let bit = 1u8 << rng.random_range(0..8);
-            evil[at] ^= bit;
-            match Parser::from_artifact(&evil, (def.lexer)(), &(def.cfe)()) {
-                Err(flap::ArtifactLoadError::Artifact(_)) => {}
-                Err(other) => panic!(
-                    "{}: flip at {at} produced a non-artifact error: {other}",
-                    def.name
-                ),
-                Ok(_) => panic!("{}: flip at {at} (bit {bit:#x}) was not detected", def.name),
-            }
-        }
-
-        // random truncations (and the empty file)
-        for _ in 0..50 {
-            let cut = rng.random_range(0..bytes.len());
-            let truncated = &bytes[..cut];
-            assert!(
-                matches!(
-                    Parser::from_artifact(truncated, (def.lexer)(), &(def.cfe)()),
-                    Err(flap::ArtifactLoadError::Artifact(_))
-                ),
-                "{}: truncation to {cut} bytes was not detected",
-                def.name
-            );
-        }
-
-        // random appended garbage must also fail: total_len pins the
-        // exact size, so trailing bytes are as corrupt as missing ones
-        let mut padded = bytes.clone();
-        padded.extend_from_slice(&[0xAB; 17]);
-        assert!(matches!(
-            Parser::from_artifact(&padded, (def.lexer)(), &(def.cfe)()),
-            Err(flap::ArtifactLoadError::Artifact(_))
-        ));
-    }
+    corruption_is_detected(flap_grammars::json::def(), &mut rng);
+    corruption_is_detected(flap_grammars::sexp::def(), &mut rng);
+    corruption_is_detected(flap_grammars::arith::def(), &mut rng);
+    corruption_is_detected(flap_grammars::pgn::def(), &mut rng);
+    corruption_is_detected(flap_grammars::ppm::def(), &mut rng);
+    corruption_is_detected(flap_grammars::csv::def(), &mut rng);
 }
 
 // ---------------------------------------------------------------------------

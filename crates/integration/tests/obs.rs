@@ -112,8 +112,10 @@ fn profiler_accounts_for_every_input_byte() {
 
 /// Per flat production: whether completing it runs a reduce action
 /// (a non-identity program), i.e. must fire `Observer::reduce`.
-fn reducing_productions<V: 'static>(parser: &Parser<V>) -> Vec<bool> {
-    let fused = parser.fused();
+fn reducing_productions<V: 'static>(def: &GrammarDef<V>) -> Vec<bool> {
+    let mut lexer = (def.lexer)();
+    let dgnf = flap::flap_dgnf::normalize(&(def.cfe)()).expect("normalizes");
+    let fused = flap::flap_fuse::fuse(&mut lexer, &dgnf).expect("fuses");
     fused
         .nts()
         .flat_map(|nt| {
@@ -132,7 +134,7 @@ fn reducing_productions<V: 'static>(parser: &Parser<V>) -> Vec<bool> {
 /// every committed production completes.
 fn reductions_match_committed_productions<V: 'static>(def: &GrammarDef<V>) {
     let parser = def.flap_parser();
-    let reducing = reducing_productions(&parser);
+    let reducing = reducing_productions(def);
     assert_eq!(reducing.len(), parser.compiled().prod_count());
     let input = (def.generate)(42, 8 * 1024);
     let check = |prof: &ParseProfiler, how: &str| {
