@@ -153,8 +153,8 @@
 //! | `flap-lex` | Fig 7 | lexer specs, canonicalization, DFA lexer |
 //! | `flap-cfe` | Fig 2 | typed context-free expressions |
 //! | `flap-dgnf` | §3 | normalization, DGNF checks, Fig 8 parser |
-//! | `flap-fuse` | §4 | fusion, Fig 9 parser |
-//! | `flap-staged` | §5 | staged compilation, VM, Rust codegen |
+//! | `flap-fuse` | §4 | fusion; the Fig 9 parser, kept as a one-shot differential oracle |
+//! | `flap-staged` | §5 | staged compilation, the VM (streaming, incremental re-parsing, observer hooks), Rust codegen |
 
 #![warn(missing_docs)]
 // Parse errors inline their expected-token set so error construction
@@ -183,14 +183,13 @@ pub mod artifact {
 }
 
 pub use flap_cfe::{node_count, type_check, Cfe, Ty, TypeError, VarId};
-pub use flap_fuse::FusedParseError as ParseError;
-pub use flap_fuse::{
-    ByteSource, Expected, IncrementalConfig, IterSource, ReadSource, ReuseStats, SliceChunks, Step,
-    StreamError,
-};
+pub use flap_fuse::{Expected, FusedParseError as ParseError};
 pub use flap_lex::{LexBuildError, Lexer, LexerBuilder, Token, TokenSet};
-pub use flap_staged::{CompileTimes, IncrementalSession, ParseSession, SizeReport, StreamParse};
-pub use parser::{CompileError, Parser};
+pub use flap_staged::{
+    ByteSource, CompileError, CompileTimes, IncrementalConfig, IncrementalSession, IterSource,
+    ParseSession, ReadSource, ReuseStats, SizeReport, SliceChunks, Step, StreamError, StreamParse,
+};
+pub use parser::Parser;
 
 // The pipeline crates, for users who need the intermediate stages.
 pub use flap_cfe;

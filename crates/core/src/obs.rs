@@ -4,15 +4,17 @@
 //! Three layers, all dependency-free:
 //!
 //! * **Hooks.** The [`Observer`] trait (re-exported from
-//!   `flap-fuse`) is the event vocabulary both execution engines
-//!   emit: committed tokens and skip runs, reductions, nonterminal
+//!   `flap-staged`) is the event vocabulary the staged engine emits:
+//!   committed tokens and skip runs, reductions, nonterminal
 //!   dispatches, stream feed boundaries, incremental reuse. Every
-//!   hook has an empty `#[inline(always)]` default and the engines
-//!   are monomorphized over the observer type, so the unobserved
-//!   entry points ([`NoopObserver`]) compile to exactly the code
-//!   that existed before the hooks — the *zero-overhead invariant*,
-//!   guarded by the steady-state allocation audit and the `fig11`
-//!   benchmark snapshot.
+//!   hook has an empty `#[inline(always)]` default and the engine is
+//!   monomorphized over the observer type, so the unobserved entry
+//!   points ([`NoopObserver`]) compile to exactly the code that
+//!   existed before the hooks — the *zero-overhead invariant*. The
+//!   allocation audit (`crates/integration/tests/alloc.rs`) checks
+//!   that the disabled path allocates nothing, and the traced ==
+//!   untraced differential (`crates/integration/tests/obs.rs`) that
+//!   observing changes no value or error.
 //! * **Profiling.** [`ParseProfiler`] accumulates a per-grammar
 //!   profile — bytes skipped vs lexed, a token-class histogram,
 //!   reductions by rule, automaton-row heat — with bounded
@@ -35,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use crate::serve::Metrics;
 
-pub use flap_fuse::{NoopObserver, Observer, ParseProfiler};
+pub use flap_staged::{NoopObserver, Observer, ParseProfiler};
 
 /// One completed span: a named interval on a worker lane.
 #[derive(Clone, Debug)]

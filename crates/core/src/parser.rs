@@ -1,56 +1,17 @@
 //! The end-user entry point: compile a lexer + combinator grammar
 //! into a fused, staged parser.
 
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use flap_artifact::{AlignedBuf, ArtifactError};
-use flap_cfe::{Cfe, TypeError};
-use flap_dgnf::{DgnfError, NormalizeError};
-use flap_fuse::{
-    ByteSource, FuseError, FusedParseError, IncrementalConfig, ReadSource, StreamError,
-};
+use flap_cfe::Cfe;
+use flap_fuse::FusedParseError;
 use flap_lex::Lexer;
 use flap_staged::{
-    measure_pipeline, CompileTimes, CompiledParser, IncrementalSession, Origin, ParseSession,
-    SizeReport, StreamParse,
+    measure_pipeline, ByteSource, CompileError, CompileTimes, CompiledParser, IncrementalConfig,
+    IncrementalSession, Origin, ParseSession, ReadSource, SizeReport, StreamError, StreamParse,
 };
-
-/// Everything that can go wrong between a grammar definition and a
-/// runnable parser.
-#[derive(Clone, Debug)]
-pub enum CompileError {
-    /// The grammar violates the Fig 2 side conditions (ambiguity,
-    /// left recursion, …).
-    Type(TypeError),
-    /// Normalization failed (only reachable for expressions that the
-    /// type checker would reject).
-    Normalize(NormalizeError),
-    /// The normalized grammar is not DGNF (ditto).
-    Dgnf(DgnfError),
-    /// Fusion failed (lexer/grammar mismatch).
-    Fuse(FuseError),
-}
-
-impl fmt::Display for CompileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompileError::Type(e) => write!(f, "type error: {e}"),
-            CompileError::Normalize(e) => write!(f, "normalization error: {e}"),
-            CompileError::Dgnf(e) => write!(f, "normal form error: {e}"),
-            CompileError::Fuse(e) => write!(f, "fusion error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
-
-impl From<TypeError> for CompileError {
-    fn from(e: TypeError) -> Self {
-        CompileError::Type(e)
-    }
-}
 
 /// A compiled flap parser: the result of type-checking, normalizing
 /// (Fig 4), fusing (Fig 6) and staging (Fig 10) a combinator grammar
@@ -87,25 +48,12 @@ impl<V: 'static> Parser<V> {
     ///
     /// # Errors
     ///
-    /// [`CompileError`] — in practice always a [`TypeError`], since
-    /// the later stages are total on well-typed grammars
-    /// (Theorems 3.3 and 3.7).
+    /// [`CompileError`] — a [`TypeError`](flap_cfe::TypeError) for an
+    /// ill-typed grammar, or a [`FuseError`](flap_fuse::FuseError)
+    /// when the grammar names a token its lexer lacks; normalization
+    /// is total on well-typed grammars (Theorems 3.3 and 3.7).
     pub fn compile(mut lexer: Lexer, grammar: &Cfe<V>) -> Result<Parser<V>, CompileError> {
-        flap_cfe::type_check(grammar)?;
-        let (compiled, sizes, times) = measure_pipeline(&mut lexer, grammar).map_err(|msg| {
-            // measure_pipeline stringifies; re-run the stages to
-            // recover the structured error for the caller.
-            match flap_dgnf::normalize(grammar) {
-                Err(e) => CompileError::Normalize(e),
-                Ok(g) => match g.check_dgnf() {
-                    Err(e) => CompileError::Dgnf(e),
-                    Ok(()) => match flap_fuse::fuse(&mut lexer, &g) {
-                        Err(e) => CompileError::Fuse(e),
-                        Ok(_) => unreachable!("pipeline failed without an error: {msg}"),
-                    },
-                },
-            }
-        })?;
+        let (compiled, sizes, times) = measure_pipeline(&mut lexer, grammar)?;
         let origin = Origin::trace(&lexer, grammar, &compiled, sizes);
         Ok(Parser {
             compiled: Arc::new(compiled),
@@ -639,13 +587,13 @@ mod tests {
         let mut session = p.session();
         for chunk in [1usize, 3, 64] {
             let v = p
-                .parse_source_with(&mut session, &mut flap_fuse::SliceChunks::new(input, chunk))
+                .parse_source_with(&mut session, &mut crate::SliceChunks::new(input, chunk))
                 .unwrap();
             assert_eq!(v, 4, "chunk={chunk}");
         }
         assert_eq!(p.parse_reader(std::io::Cursor::new(&input[..])).unwrap(), 4);
-        match p.parse_source(&mut flap_fuse::SliceChunks::new(b"(a !", 2)) {
-            Err(flap_fuse::StreamError::Parse(e)) => {
+        match p.parse_source(&mut crate::SliceChunks::new(b"(a !", 2)) {
+            Err(crate::StreamError::Parse(e)) => {
                 assert_eq!(Err(e), p.parse(b"(a !"), "errors must match one-shot")
             }
             other => panic!("expected a parse error, got {:?}", other.map(|_| ())),

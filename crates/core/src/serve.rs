@@ -87,8 +87,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use flap_fuse::{FusedParseError, Step};
-use flap_staged::{CompiledParser, ParseSession};
+use flap_fuse::FusedParseError;
+use flap_staged::{CompiledParser, ParseSession, Step};
 
 use crate::cache::CacheCounters;
 use crate::obs::TraceRecorder;

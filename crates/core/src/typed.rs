@@ -57,10 +57,11 @@ use std::marker::PhantomData;
 use std::rc::Rc;
 
 use flap_cfe::Cfe;
-use flap_fuse::{ByteSource, FusedParseError, ReadSource, StreamError};
+use flap_fuse::FusedParseError;
 use flap_lex::{Lexer, Token};
+use flap_staged::{ByteSource, CompileError, ReadSource, StreamError};
 
-use crate::parser::{CompileError, Parser};
+use crate::parser::Parser;
 
 /// The erased value representation used underneath the facade.
 type Dyn = Rc<dyn Any>;

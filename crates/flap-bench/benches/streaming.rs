@@ -11,7 +11,7 @@
 //! Run with `cargo bench -p flap-bench --bench streaming`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use flap_fuse::SliceChunks;
+use flap::SliceChunks;
 use std::hint::black_box;
 
 const CHUNKS: [usize; 4] = [64, 1024, 4096, 64 * 1024];

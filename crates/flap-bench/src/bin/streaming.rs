@@ -17,8 +17,8 @@
 
 use std::time::Instant;
 
+use flap::SliceChunks;
 use flap_bench::json::{obj, Json};
-use flap_fuse::SliceChunks;
 use flap_grammars::GrammarDef;
 
 const CHUNKS: [usize; 4] = [64, 1024, 4096, 64 * 1024];

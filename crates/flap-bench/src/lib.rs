@@ -72,8 +72,7 @@ pub fn case<V: 'static>(def: GrammarDef<V>) -> BenchCase {
             name: "flap-unstaged",
             run: Box::new(move |input| {
                 let mut lexer = cell.borrow_mut();
-                let skip = lexer.skip_regex();
-                flap::flap_fuse::parse_fused(&fused, lexer.arena_mut(), skip, input)
+                flap::flap_fuse::parse_fused(&fused, lexer.arena_mut(), input)
                     .map(finish)
                     .map_err(|e| e.to_string())
             }),

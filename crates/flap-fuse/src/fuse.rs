@@ -19,7 +19,7 @@ use std::sync::Arc;
 use flap_cfe::TokAction;
 use flap_dgnf::{Grammar, Lead, NtId, Reduce};
 use flap_lex::{Lexer, Token};
-use flap_regex::{FlatDfa, RegexArena, RegexId};
+use flap_regex::{RegexArena, RegexId};
 
 /// A fused production `n → r n̄` (token or skip).
 pub struct FusedProd<V> {
@@ -83,20 +83,13 @@ impl<V> Clone for FusedNt<V> {
 pub struct FusedGrammar<V> {
     start: NtId,
     nts: Vec<FusedNt<V>>,
-    /// Streaming-owner id (see `stream::next_owner_id`): suspended
-    /// sessions record it so they cannot be resumed against a
-    /// different grammar's tables. Clones share the id — their
-    /// tables are identical, so cross-clone resumption is sound.
-    stream_id: u64,
+    /// The lexer's skip regex (the F2 self-loop), which the
+    /// interpreter also consumes after the start symbol completes.
+    pub(crate) skip: Option<RegexId>,
     /// Declared token names (indexed by `Token`), carried over from
     /// the lexer for diagnostics: expected-set reporting clones these
     /// `Arc`s into errors without allocating.
     tok_names: Vec<Arc<str>>,
-    /// Flattened skip DFA, keyed by the skip regex it was built
-    /// from: the interpreter's trailing-skip loop runs this instead
-    /// of stepping derivatives. Shared by clones (the table is
-    /// immutable).
-    skip_flat: Option<Arc<(RegexId, FlatDfa)>>,
 }
 
 impl<V> Clone for FusedGrammar<V> {
@@ -104,9 +97,8 @@ impl<V> Clone for FusedGrammar<V> {
         FusedGrammar {
             start: self.start,
             nts: self.nts.clone(),
-            stream_id: self.stream_id,
+            skip: self.skip,
             tok_names: self.tok_names.clone(),
-            skip_flat: self.skip_flat.clone(),
         }
     }
 }
@@ -145,22 +137,6 @@ impl<V> FusedGrammar<V> {
     /// The declared token names, indexed by token.
     pub fn token_names(&self) -> &[Arc<str>] {
         &self.tok_names
-    }
-
-    /// The grammar's streaming-owner id (suspension ownership checks).
-    pub fn stream_id(&self) -> u64 {
-        self.stream_id
-    }
-
-    /// The flattened DFA for skip regex `skip`, if this grammar was
-    /// fused with exactly that skip rule. The id check makes the
-    /// accessor safe under callers passing an arbitrary regex: a
-    /// mismatch just falls back to the derivative path.
-    pub fn skip_dfa(&self, skip: RegexId) -> Option<&FlatDfa> {
-        match &self.skip_flat {
-            Some(p) if p.0 == skip => Some(&p.1),
-            _ => None,
-        }
     }
 
     /// All nonterminals.
@@ -275,12 +251,11 @@ pub fn fuse<V>(lexer: &mut Lexer, grammar: &Grammar<V>) -> Result<FusedGrammar<V
     Ok(FusedGrammar {
         start: grammar.start(),
         nts,
-        stream_id: crate::stream::next_owner_id(),
+        skip,
         tok_names: lexer
             .tokens()
             .map(|t| Arc::from(lexer.token_name(t)))
             .collect(),
-        skip_flat: skip.map(|r| Arc::new((r, FlatDfa::build(lexer.arena_mut(), r)))),
     })
 }
 

@@ -8,13 +8,11 @@
 //! ε-productions become complement lookahead rules (F3).
 //!
 //! [`parse_fused`] runs the Fig 9 algorithm over the result with
-//! on-the-fly derivatives; `flap-staged` compiles the same grammar to
-//! a table-driven automaton ahead of time. Both engines are written
-//! as resumable steppers: [`stream_fused`] feeds input chunk by
-//! chunk through a suspendable [`FusedSession`], and the [`stream`]
-//! module provides the [`ByteSource`] input abstraction (slices,
-//! chunk iterators, [`std::io::Read`] adapters) shared by every
-//! streaming entry point.
+//! on-the-fly derivatives, once over a whole input. It is the
+//! reproduction's differential oracle: `flap-staged` compiles the same
+//! grammar to a table-driven automaton ahead of time, and that VM —
+//! the one production engine, with streaming, incremental re-parsing
+//! and observer hooks — is tested against this interpreter.
 //!
 //! # Quickstart
 //!
@@ -36,8 +34,7 @@
 //! let grammar = normalize(&g)?;
 //! let fused = fuse(&mut lexer, &grammar)?;
 //!
-//! let skip = lexer.skip_regex();
-//! let n = parse_fused(&fused, lexer.arena_mut(), skip, b"hello brave new world .")?;
+//! let n = parse_fused(&fused, lexer.arena_mut(), b"hello brave new world .")?;
 //! assert_eq!(n, 4);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -51,19 +48,7 @@
 #![allow(clippy::result_large_err)]
 
 mod fuse;
-pub mod incremental;
-pub mod obs;
 mod parse;
-pub mod stream;
 
 pub use fuse::{fuse, DisplayFused, FuseError, FusedGrammar, FusedNt, FusedProd, FusedToken};
-pub use incremental::{parse_incremental_fused, FusedIncremental, IncrementalConfig, ReuseStats};
-pub use obs::{NoopObserver, Observer, ParseProfiler};
-pub use parse::{
-    line_col, parse_fused, parse_fused_obs, parse_fused_with, stream_fused, FusedParseError,
-    FusedSession, FusedStream,
-};
-pub use stream::{
-    ByteSource, Expected, IterSource, ReadSource, SliceChunks, Step, StreamError, StreamSnapshot,
-    StreamState,
-};
+pub use parse::{line_col, parse_fused, parse_fused_with, Expected, FusedParseError, FusedSession};

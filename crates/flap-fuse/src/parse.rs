@@ -13,34 +13,20 @@
 //! Benchmarking the two against each other isolates the contribution
 //! of staging (§6).
 //!
-//! ### One resumable core
-//!
-//! The interpreter is written as a *stepper*: it runs over whatever
-//! contiguous bytes it is given and, when they run out before end of
-//! input, suspends into the session — automaton position, live
-//! derivative set, longest match so far — and reports how many bytes
-//! it fully consumed. One-shot [`parse_fused`]/[`parse_fused_with`]
-//! are thin wrappers that hand the stepper the whole input with the
-//! end-of-input flag set; [`stream_fused`] feeds it chunk by chunk.
-//! Because token actions need their lexeme as one contiguous slice,
-//! a suspended session retains the bytes of the in-progress token
-//! (the *token tail*) in its [`StreamState`] buffer and resumes the
-//! scan after them — see `flap_fuse::stream` for the invariant.
-//!
-//! Per-parse mutable state (control stack, value stack, live
-//! derivative set, suspension point) lives in a caller-owned
-//! [`FusedSession`], mirroring `flap-staged`'s `ParseSession`, so the
-//! staged/unstaged differential comparison exercises the same
-//! ownership discipline on both sides.
+//! The interpreter runs once over a whole input and is kept as the
+//! differential oracle for the staged VM, which alone suspends
+//! between chunks, re-parses incrementally and reports to observers.
+//! Its per-parse mutable state (control stack, value stack, live
+//! derivative set) lives in a caller-owned [`FusedSession`],
+//! mirroring `flap-staged`'s `ParseSession`.
 
 use std::fmt;
+use std::sync::Arc;
 
 use flap_dgnf::NtId;
 use flap_regex::{RegexArena, RegexId};
 
-use crate::fuse::{FusedGrammar, FusedProd};
-use crate::obs::{NoopObserver, Observer};
-use crate::stream::{ByteSource, Expected, Step, StreamError, StreamState};
+use crate::fuse::FusedGrammar;
 
 /// 1-based line and column of byte offset `pos` within `input`.
 ///
@@ -55,11 +41,92 @@ pub fn line_col(input: &[u8], pos: usize) -> (usize, usize) {
     (line, col)
 }
 
+/// The token names whose regexes were still live when a failing scan
+/// stopped — the "expected one of …" half of a parse error.
+///
+/// The set is stored inline (at most [`Expected::CAPACITY`] names,
+/// each a shared `Arc<str>`), so attaching it to an error allocates
+/// nothing: error construction stays on the allocation-free hot path.
+/// Sets wider than the capacity are truncated and flagged.
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
+pub struct Expected {
+    names: [Option<Arc<str>>; Expected::CAPACITY],
+    len: u8,
+    truncated: bool,
+}
+
+impl Expected {
+    /// Maximum number of names reported before truncation.
+    pub const CAPACITY: usize = 8;
+
+    /// An empty set (used by error variants with no token context).
+    pub fn none() -> Self {
+        Expected::default()
+    }
+
+    /// Adds a token name, deduplicating; past capacity the set is
+    /// marked truncated instead of growing.
+    pub fn push(&mut self, name: &Arc<str>) {
+        let len = self.len as usize;
+        if self.names[..len].iter().any(|n| n.as_deref() == Some(name)) {
+            return;
+        }
+        if len == Expected::CAPACITY {
+            self.truncated = true;
+            return;
+        }
+        self.names[len] = Some(Arc::clone(name));
+        self.len += 1;
+    }
+
+    /// The expected token names, in grammar production order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.names[..self.len as usize]
+            .iter()
+            .filter_map(|n| n.as_deref())
+    }
+
+    /// Number of names reported (not counting any truncated away).
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// `true` when no token context was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// `true` when more tokens were live than fit in the inline set.
+    pub fn is_truncated(&self) -> bool {
+        self.truncated
+    }
+
+    /// Marks the set truncated without adding a name — used when
+    /// rebuilding a set whose overflow names are no longer known
+    /// (artifact decoding preserves the flag, not the lost names).
+    pub fn mark_truncated(&mut self) {
+        self.truncated = true;
+    }
+}
+
+impl fmt::Display for Expected {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, name) in self.names().enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "{name}")?;
+        }
+        if self.truncated {
+            write!(f, ", …")?;
+        }
+        Ok(())
+    }
+}
+
 /// Parse failure for fused parsing (byte-level positions: there are
 /// no tokens to report). Each variant also carries the 1-based
-/// line/column of the failure — computed from the input (one-shot) or
-/// from the session's incremental accounting (streaming) — so
-/// `Display` messages are actionable.
+/// line/column of the failure, so `Display` messages are actionable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FusedParseError {
     /// No production of the pending nonterminal matches the input at
@@ -126,8 +193,8 @@ impl FusedParseError {
     /// ```
     ///
     /// `source` must be the same input the failing parse saw (for a
-    /// streaming parse, the concatenation of every chunk); positions
-    /// in the error index into it.
+    /// chunked parse, the concatenation of every chunk); positions in
+    /// the error index into it.
     pub fn render_snippet(&self, source: &[u8]) -> String {
         let pos = self.pos().min(source.len());
         let start = source[..pos]
@@ -187,10 +254,9 @@ impl std::error::Error for FusedParseError {}
 /// Reduces are addressed by index rather than held by borrow or
 /// `Arc` clone, so entries stay `Copy` and the stack can live in a
 /// session that outlives any single call without refcount traffic on
-/// the per-token hot path (as the staged VM's one-word control entries
-/// index its action tables).
+/// the per-token hot path.
 #[derive(Clone, Copy)]
-pub(crate) enum Ctl {
+enum Ctl {
     Nt(NtId),
     Reduce { nt: NtId, idx: u32 },
 }
@@ -198,63 +264,20 @@ pub(crate) enum Ctl {
 /// The three continuations of Fig 9 (`no`, `back`, `on n̄`),
 /// specialized to production indices.
 #[derive(Clone, Copy)]
-pub(crate) enum K {
+enum K {
     No,
     Back,
     On(usize),
 }
 
-/// Where a suspended fused parse resumes — the automaton position
-/// saved when a feed runs out of bytes.
-#[derive(Clone, Copy)]
-pub(crate) enum Resume {
-    /// No stream is active (fresh session, or the last parse ended).
-    Idle,
-    /// At the top of the control loop, about to pop the next entry.
-    Control,
-    /// Mid-scan of one token of `nt`: the first `scanned` buffered
-    /// bytes have been fed to the live derivatives, the longest match
-    /// so far is `rs_len` bytes, and `k` is the pending continuation.
-    Token {
-        nt: NtId,
-        k: K,
-        rs_len: usize,
-        scanned: usize,
-    },
-    /// Mid-scan of one trailing skip lexeme: `r` is the current
-    /// derivative of the skip regex (fallback path, taken when the
-    /// grammar carries no flat skip DFA for the caller's regex).
-    Trailing {
-        r: RegexId,
-        best_len: usize,
-        scanned: usize,
-    },
-    /// Mid-scan of one trailing skip lexeme in the flattened skip
-    /// DFA: `st` is a `FlatDfa` row.
-    TrailingFlat {
-        st: u32,
-        best_len: usize,
-        scanned: usize,
-    },
-}
-
 /// Caller-owned scratch state for fused parsing: the control stack,
-/// value stack and live-derivative set of the Fig 9 interpreter,
-/// plus the suspension state and retained byte tail of an in-progress
-/// streaming parse. The unstaged counterpart of
-/// `flap_staged::ParseSession`.
+/// value stack and live-derivative set of the Fig 9 interpreter. The
+/// unstaged counterpart of `flap_staged::ParseSession`.
 pub struct FusedSession<V> {
-    pub(crate) control: Vec<Ctl>,
-    pub(crate) values: Vec<V>,
+    control: Vec<Ctl>,
+    values: Vec<V>,
     /// Reused scratch buffer for the live derivative set.
-    pub(crate) live: Vec<(RegexId, usize)>,
-    /// Suspension point of an in-progress streaming parse.
-    pub(crate) resume: Resume,
-    /// `stream_id` of the grammar that created the suspension, so a
-    /// suspended session cannot be resumed against different tables.
-    pub(crate) owner: u64,
-    /// Retained bytes + line/column accounting for streaming.
-    pub(crate) stream: StreamState,
+    live: Vec<(RegexId, usize)>,
 }
 
 impl<V> FusedSession<V> {
@@ -265,21 +288,14 @@ impl<V> FusedSession<V> {
             control: Vec::new(),
             values: Vec::new(),
             live: Vec::new(),
-            resume: Resume::Idle,
-            owner: 0,
-            stream: StreamState::new(),
         }
     }
 
-    /// Abandons any suspended stream and clears all per-parse state,
-    /// retaining buffer capacity.
+    /// Clears all per-parse state, retaining buffer capacity.
     pub fn reset(&mut self) {
         self.control.clear();
         self.values.clear();
         self.live.clear();
-        self.resume = Resume::Idle;
-        self.owner = 0;
-        self.stream.reset();
     }
 }
 
@@ -289,313 +305,129 @@ impl<V> Default for FusedSession<V> {
     }
 }
 
-/// What one run of the stepper produced. Positions are relative to
-/// the byte slice the stepper was given; wrappers translate them to
-/// global stream offsets and line/columns.
-enum Flow {
-    /// Out of bytes before end of input (only when `last == false`):
-    /// everything before `keep_from` is fully consumed; the caller
-    /// must retain the rest (the in-progress token's tail).
-    More { keep_from: usize },
-    /// Parse and trailing skips completed exactly at end of input.
-    Done,
-    /// No production of `nt` matched at `pos`.
-    NoMatch { pos: usize, nt: NtId },
-    /// The start symbol completed but non-skippable input remains.
-    TrailingInput { pos: usize },
-}
-
 /// The immutable-per-call context of the fused interpreter: the
-/// grammar, the derivative arena and the skip regex.
+/// grammar and the derivative arena.
 struct Machine<'a, V> {
     fg: &'a FusedGrammar<V>,
     arena: &'a mut RegexArena,
-    skip: Option<RegexId>,
 }
 
 impl<V> Machine<'_, V> {
-    /// The resumable Fig 9 stepper. Runs over `input` until it either
-    /// needs more bytes (`last == false`), finishes, or fails. All
-    /// hot-loop state lives in the session halves passed in, so a
-    /// suspended run can continue on the next feed exactly where it
-    /// stopped.
-    ///
-    /// `obs` receives per-event hooks (token commits, skips,
-    /// reductions); monomorphized over [`NoopObserver`] the calls
-    /// vanish and this compiles to the unobserved stepper.
-    // The session halves are deliberately separate parameters: they
-    // must be borrowed disjointly from the caller's session struct.
-    #[allow(clippy::too_many_arguments)]
-    fn run<O: Observer>(
+    /// Runs Fig 9 over the whole input, leaving the start symbol's
+    /// value on `values`: `G` pops the control stack, `F` scans one
+    /// token for each nonterminal it pops, and once the stack is empty
+    /// the trailing skippable input is consumed.
+    fn run(
         &mut self,
         control: &mut Vec<Ctl>,
         values: &mut Vec<V>,
         live: &mut Vec<(RegexId, usize)>,
-        resume: &mut Resume,
         input: &[u8],
-        last: bool,
-        obs: &mut O,
-    ) -> Flow {
+    ) -> Result<(), FusedParseError> {
         let mut pos = 0usize;
-        if !matches!(
-            *resume,
-            Resume::Trailing { .. } | Resume::TrailingFlat { .. }
-        ) {
-            let mut suspended = match *resume {
-                Resume::Token {
-                    nt,
-                    k,
-                    rs_len,
-                    scanned,
-                } => Some((nt, k, rs_len, scanned)),
-                _ => None,
+        while let Some(ctl) = control.pop() {
+            let nt = match ctl {
+                Ctl::Reduce { nt, idx } => {
+                    let tok = self.fg.entry(nt).prods[idx as usize]
+                        .token
+                        .as_ref()
+                        .expect("Reduce entries address token productions");
+                    tok.reduce.run(values);
+                    continue;
+                }
+                Ctl::Nt(nt) => nt,
             };
-            'outer: loop {
-                // Resume a suspended scan (the token tail starts at
-                // buffer offset 0 by the retention invariant), or pop
-                // the next control entry and start a fresh one.
-                let (nt, tok_start, mut k, mut rs, mut i) = match suspended.take() {
-                    Some((nt, k, rs_len, scanned)) => (nt, 0, k, rs_len, scanned),
-                    None => match control.pop() {
-                        None => break 'outer,
-                        Some(Ctl::Reduce { nt, idx }) => {
-                            let tok = self.fg.entry(nt).prods[idx as usize]
-                                .token
-                                .as_ref()
-                                .expect("Reduce entries address token productions");
-                            tok.reduce.run(values);
-                            obs.reduce(nt.index() as u32);
-                            continue 'outer;
-                        }
-                        Some(Ctl::Nt(n)) => {
-                            let entry = self.fg.entry(n);
-                            live.clear();
-                            live.extend(entry.prods.iter().enumerate().map(|(i, p)| (p.regex, i)));
-                            let k = if entry.eps.is_some() { K::Back } else { K::No };
-                            (n, pos, k, pos, pos)
-                        }
-                    },
-                };
-                // F: scan one token for nonterminal `nt`.
-                while i < input.len() && !live.is_empty() {
-                    let c = input[i];
-                    live.retain_mut(|(r, _)| {
-                        *r = self.arena.deriv(*r, c);
-                        *r != RegexArena::EMPTY
-                    });
-                    if live.is_empty() {
-                        break;
-                    }
-                    i += 1;
-                    let mut nullable = live.iter().filter(|&&(r, _)| self.arena.nullable(r));
-                    if let Some(&(_, idx)) = nullable.next() {
-                        debug_assert!(
-                            nullable.next().is_none(),
-                            "fused production regexes must be disjoint"
-                        );
-                        k = K::On(idx);
-                        rs = i;
-                    }
+            let entry = self.fg.entry(nt);
+            live.clear();
+            live.extend(entry.prods.iter().enumerate().map(|(i, p)| (p.regex, i)));
+            let mut k = if entry.eps.is_some() { K::Back } else { K::No };
+            // F: scan one token for nonterminal `nt`.
+            let (mut rs, mut i) = (pos, pos);
+            while i < input.len() {
+                let c = input[i];
+                live.retain_mut(|(r, _)| {
+                    *r = self.arena.deriv(*r, c);
+                    *r != RegexArena::EMPTY
+                });
+                if live.is_empty() {
+                    break;
                 }
-                if i >= input.len() && !last && !live.is_empty() {
-                    // Out of bytes with the scan still live: a longer
-                    // match may arrive in the next chunk. Suspend,
-                    // retaining the token's bytes from tok_start on.
-                    *resume = Resume::Token {
+                i += 1;
+                let mut nullable = live.iter().filter(|&&(r, _)| self.arena.nullable(r));
+                if let Some(&(_, idx)) = nullable.next() {
+                    debug_assert!(
+                        nullable.next().is_none(),
+                        "fused production regexes must be disjoint"
+                    );
+                    k = K::On(idx);
+                    rs = i;
+                }
+            }
+            // Step(k, rs)
+            match k {
+                K::No => {
+                    let (line, col) = line_col(input, pos);
+                    return Err(FusedParseError::NoMatch {
+                        pos,
+                        line,
+                        col,
                         nt,
-                        k,
-                        rs_len: rs - tok_start,
-                        scanned: i - tok_start,
-                    };
-                    return Flow::More {
-                        keep_from: tok_start,
-                    };
+                        expected: self.expected_at(nt, &input[pos..]),
+                    });
                 }
-                // Step(k, rs)
-                match k {
-                    K::No => {
-                        // drop partially-reduced values now rather
-                        // than holding them until the session's next
-                        // parse
-                        control.clear();
-                        values.clear();
-                        *resume = Resume::Idle;
-                        return Flow::NoMatch { pos: tok_start, nt };
-                    }
-                    K::Back => {
-                        let entry = self.fg.entry(nt);
-                        let (_, eps) = entry.eps.as_ref().expect("Back implies an ε rule");
-                        eps.run(values);
-                        obs.eps_reduce();
-                        // consume nothing: pos stays at tok_start
-                        pos = tok_start;
-                    }
-                    K::On(idx) => {
-                        pos = rs;
-                        let FusedProd { token, .. } = &self.fg.entry(nt).prods[idx];
-                        match token {
-                            None => {
-                                // skip self-loop: retry the same
-                                // nonterminal after the skipped bytes
-                                obs.skipped(rs - tok_start);
-                                control.push(Ctl::Nt(nt));
-                            }
-                            Some(tok) => {
-                                obs.token(tok.token.index() as u32, rs - tok_start);
-                                values.push((tok.tok_action)(&input[tok_start..rs]));
-                                control.push(Ctl::Reduce {
-                                    nt,
-                                    idx: idx as u32,
-                                });
-                                for &m in tok.tail.iter().rev() {
-                                    control.push(Ctl::Nt(m));
-                                }
-                            }
+                K::Back => {
+                    // consume nothing: pos stays at the token start
+                    let (_, eps) = entry.eps.as_ref().expect("Back implies an ε rule");
+                    eps.run(values);
+                }
+                K::On(idx) => {
+                    match &entry.prods[idx].token {
+                        // skip self-loop: retry the same nonterminal
+                        // after the skipped bytes
+                        None => control.push(Ctl::Nt(nt)),
+                        Some(tok) => {
+                            values.push((tok.tok_action)(&input[pos..rs]));
+                            control.push(Ctl::Reduce {
+                                nt,
+                                idx: idx as u32,
+                            });
+                            control.extend(tok.tail.iter().rev().map(|&m| Ctl::Nt(m)));
                         }
                     }
+                    pos = rs;
                 }
             }
         }
 
-        // G exhausted (or resuming here): consume trailing skippable
-        // lexemes, then require end of input.
-        let Some(skip) = self.skip else {
-            let at = if matches!(
-                *resume,
-                Resume::Trailing { .. } | Resume::TrailingFlat { .. }
-            ) {
-                0
-            } else {
-                pos
-            };
-            if at < input.len() {
-                control.clear();
-                values.clear();
-                *resume = Resume::Idle;
-                return Flow::TrailingInput { pos: at };
-            }
-            if !last {
-                *resume = Resume::Trailing {
-                    r: RegexArena::EMPTY,
-                    best_len: 0,
-                    scanned: 0,
-                };
-                return Flow::More { keep_from: at };
-            }
-            *resume = Resume::Idle;
-            return Flow::Done;
-        };
-        // Flat fast path: the fused grammar carries a flattened DFA
-        // for its own skip regex (sink precomputed, SWAR through the
-        // whitespace self-loop). A caller passing some other regex —
-        // or a session suspended on the derivative path — falls back
-        // to stepping derivatives below.
-        let flat = match *resume {
-            Resume::Trailing { .. } => None,
-            _ => self.fg.skip_dfa(skip),
-        };
-        if let Some(flat) = flat {
-            let (mut tok_start, mut row, mut best, mut i) = match *resume {
-                Resume::TrailingFlat {
-                    st,
-                    best_len,
-                    scanned,
-                } => (0, st, best_len, scanned),
-                _ => (pos, 0, 0, pos),
-            };
+        // G exhausted: consume trailing skippable lexemes, each the
+        // longest match of the skip regex, then require end of input.
+        if let Some(skip) = self.fg.skip {
             loop {
-                // longest-match scan of one skip lexeme from tok_start
-                let (r2, j, b, dead) = flat.run_longest(input, row, i, tok_start, best);
-                row = r2;
-                i = j;
-                best = b;
-                if !dead && !last {
-                    *resume = Resume::TrailingFlat {
-                        st: row,
-                        best_len: best,
-                        scanned: i - tok_start,
-                    };
-                    return Flow::More {
-                        keep_from: tok_start,
-                    };
+                let (mut r, mut best, mut i) = (skip, 0, pos);
+                while r != RegexArena::EMPTY && i < input.len() {
+                    r = self.arena.deriv(r, input[i]);
+                    i += 1;
+                    if self.arena.nullable(r) {
+                        best = i - pos;
+                    }
                 }
                 if best == 0 {
                     break;
                 }
-                // commit the lexeme; rescan lookahead bytes beyond it
-                obs.skipped(best);
-                tok_start += best;
-                i = tok_start;
-                row = 0;
-                best = 0;
+                pos += best;
             }
-            if tok_start < input.len() {
-                control.clear();
-                values.clear();
-                *resume = Resume::Idle;
-                return Flow::TrailingInput { pos: tok_start };
-            }
-            *resume = Resume::Idle;
-            return Flow::Done;
         }
-        let (mut tok_start, mut r, mut best, mut i) = match *resume {
-            Resume::Trailing {
-                r,
-                best_len,
-                scanned,
-            } => (0, r, best_len, scanned),
-            _ => (pos, skip, 0, pos),
-        };
-        loop {
-            // longest-match scan of one skip lexeme from tok_start
-            loop {
-                if r == RegexArena::EMPTY {
-                    break;
-                }
-                if i >= input.len() {
-                    if last {
-                        break;
-                    }
-                    *resume = Resume::Trailing {
-                        r,
-                        best_len: best,
-                        scanned: i - tok_start,
-                    };
-                    return Flow::More {
-                        keep_from: tok_start,
-                    };
-                }
-                r = self.arena.deriv(r, input[i]);
-                i += 1;
-                if self.arena.nullable(r) {
-                    best = i - tok_start;
-                }
-            }
-            if best == 0 {
-                break;
-            }
-            // commit the lexeme; rescan any lookahead bytes beyond it
-            obs.skipped(best);
-            tok_start += best;
-            i = tok_start;
-            r = skip;
-            best = 0;
+        if pos < input.len() {
+            let (line, col) = line_col(input, pos);
+            return Err(FusedParseError::TrailingInput { pos, line, col });
         }
-        if tok_start < input.len() {
-            control.clear();
-            values.clear();
-            *resume = Resume::Idle;
-            return Flow::TrailingInput { pos: tok_start };
-        }
-        *resume = Resume::Idle;
-        Flow::Done
+        Ok(())
     }
 
     /// The expected-token set at a `NoMatch`: replays the failing
-    /// scan over the token's bytes (cold path — the bytes are always
-    /// at hand, one-shot from the input slice and streaming from the
-    /// retained tail) and reports the productions that were still
-    /// live just before the scan died, in production order.
+    /// scan over the token's bytes (cold path) and reports the
+    /// productions that were still live just before the scan died, in
+    /// production order.
     fn expected_at(&mut self, nt: NtId, bytes: &[u8]) -> Expected {
         let fg = self.fg;
         let entry = fg.entry(nt);
@@ -641,21 +473,18 @@ impl<V> Machine<'_, V> {
 pub fn parse_fused<V>(
     fg: &FusedGrammar<V>,
     arena: &mut RegexArena,
-    skip: Option<RegexId>,
     input: &[u8],
 ) -> Result<V, FusedParseError> {
-    parse_fused_with(fg, arena, skip, &mut FusedSession::new(), input)
+    parse_fused_with(fg, arena, &mut FusedSession::new(), input)
 }
 
-/// As [`parse_fused`], with caller-owned scratch state — a thin
-/// wrapper handing the resumable stepper the whole input at once, so
-/// the one-shot and streaming paths share a single hot loop.
+/// As [`parse_fused`], with caller-owned scratch state.
 ///
 /// Note that unlike the staged VM, the unstaged interpreter *must*
 /// mutate the regex arena (derivatives are computed and memoized at
 /// parse time), so concurrent use requires one arena per thread as
-/// well as one session per thread. Any stream suspended in `session`
-/// is abandoned.
+/// well as one session per thread. `arena` must be the one `fg` was
+/// fused into, i.e. its lexer's.
 ///
 /// # Errors
 ///
@@ -663,274 +492,27 @@ pub fn parse_fused<V>(
 pub fn parse_fused_with<V>(
     fg: &FusedGrammar<V>,
     arena: &mut RegexArena,
-    skip: Option<RegexId>,
     session: &mut FusedSession<V>,
     input: &[u8],
-) -> Result<V, FusedParseError> {
-    parse_fused_obs(fg, arena, skip, session, input, &mut NoopObserver)
-}
-
-/// As [`parse_fused_with`], with an [`Observer`] receiving the
-/// parse's events (token commits, skips, reductions — see
-/// [`crate::obs`]). The observed and unobserved paths run the same
-/// stepper, so results and errors are byte-identical.
-///
-/// # Errors
-///
-/// [`FusedParseError`] on mismatch or trailing input.
-pub fn parse_fused_obs<V, O: Observer>(
-    fg: &FusedGrammar<V>,
-    arena: &mut RegexArena,
-    skip: Option<RegexId>,
-    session: &mut FusedSession<V>,
-    input: &[u8],
-    obs: &mut O,
 ) -> Result<V, FusedParseError> {
     session.reset();
     session.control.push(Ctl::Nt(fg.start()));
-    session.resume = Resume::Control;
     let FusedSession {
         control,
         values,
         live,
-        resume,
-        ..
     } = session;
-    let mut m = Machine { fg, arena, skip };
-    match m.run(control, values, live, resume, input, true, obs) {
-        Flow::Done => {
+    match (Machine { fg, arena }).run(control, values, live, input) {
+        Ok(()) => {
             debug_assert_eq!(values.len(), 1, "parse must produce exactly one value");
             Ok(values.pop().expect("parse produced no value"))
         }
-        Flow::NoMatch { pos, nt } => {
-            let (line, col) = line_col(input, pos);
-            Err(FusedParseError::NoMatch {
-                pos,
-                line,
-                col,
-                nt,
-                expected: m.expected_at(nt, &input[pos..]),
-            })
-        }
-        Flow::TrailingInput { pos } => {
-            let (line, col) = line_col(input, pos);
-            Err(FusedParseError::TrailingInput { pos, line, col })
-        }
-        Flow::More { .. } => unreachable!("one-shot parses never suspend"),
-    }
-}
-
-/// Begins (or continues) a suspendable fused parse backed by
-/// caller-owned session state.
-///
-/// If `session` holds a stream suspended by *this* grammar (any
-/// clone — they share tables), the returned handle continues it;
-/// otherwise — fresh session, completed stream, or a suspension left
-/// by a different grammar — a fresh parse starts. (The arena must be
-/// the one the suspension's derivatives live in, i.e. the same
-/// lexer's; ids only guard the grammar.) Feed chunks with
-/// [`FusedStream::feed`] and signal end of input with
-/// [`FusedStream::finish`]:
-///
-/// ```
-/// use flap_cfe::Cfe;
-/// use flap_dgnf::normalize;
-/// use flap_fuse::{fuse, stream_fused, FusedSession, Step};
-/// use flap_lex::LexerBuilder;
-///
-/// let mut b = LexerBuilder::new();
-/// let num = b.token("num", "[0-9]+")?;
-/// let mut lexer = b.build()?;
-/// let g: Cfe<i64> = Cfe::tok_with(num, |lx| lx.len() as i64);
-/// let fused = fuse(&mut lexer, &normalize(&g)?)?;
-///
-/// let mut session = FusedSession::new();
-/// let skip = lexer.skip_regex();
-/// let mut s = stream_fused(&fused, lexer.arena_mut(), skip, &mut session);
-/// assert!(matches!(s.feed(b"12"), Step::NeedMore)); // "123…"? wait for more
-/// assert!(matches!(s.feed(b"3"), Step::NeedMore));
-/// match s.finish() {
-///     Step::Done(n) => assert_eq!(n, 3),
-///     other => panic!("{other:?}"),
-/// }
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn stream_fused<'a, V>(
-    fg: &'a FusedGrammar<V>,
-    arena: &'a mut RegexArena,
-    skip: Option<RegexId>,
-    session: &'a mut FusedSession<V>,
-) -> FusedStream<'a, V> {
-    if !matches!(session.resume, Resume::Idle) && session.owner != fg.stream_id() {
-        // a suspension from some other grammar: its state indices
-        // would be meaningless here — abandon it
-        session.reset();
-    }
-    if matches!(session.resume, Resume::Idle) {
-        session.reset();
-        session.control.push(Ctl::Nt(fg.start()));
-        session.resume = Resume::Control;
-        session.owner = fg.stream_id();
-    }
-    FusedStream {
-        fg,
-        arena,
-        skip,
-        session,
-    }
-}
-
-/// A suspendable fused parse in progress; created by [`stream_fused`].
-///
-/// Dropping the handle mid-stream keeps the suspension in the
-/// session: call [`stream_fused`] again to continue, or
-/// [`FusedSession::reset`] to abandon.
-pub struct FusedStream<'a, V> {
-    fg: &'a FusedGrammar<V>,
-    arena: &'a mut RegexArena,
-    skip: Option<RegexId>,
-    session: &'a mut FusedSession<V>,
-}
-
-impl<V> FusedStream<'_, V> {
-    /// Feeds one chunk, returning [`Step::NeedMore`] or [`Step::Err`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream already completed (returned `Done` or
-    /// `Err`); start a new parse with [`stream_fused`] instead.
-    pub fn feed(&mut self, chunk: &[u8]) -> Step<V> {
-        self.feed_obs(chunk, &mut NoopObserver)
-    }
-
-    /// As [`FusedStream::feed`], with an [`Observer`] receiving the
-    /// feed boundary and the chunk's parse events.
-    ///
-    /// # Panics
-    ///
-    /// As for [`FusedStream::feed`].
-    pub fn feed_obs<O: Observer>(&mut self, chunk: &[u8], obs: &mut O) -> Step<V> {
-        assert!(
-            !matches!(self.session.resume, Resume::Idle),
-            "no active stream: the previous parse completed; call stream_fused again"
-        );
-        obs.feed(chunk.len(), self.session.stream.buf().len());
-        if self.session.stream.buf().is_empty() {
-            // no token tail retained: scan the caller's chunk in
-            // place and copy only what suspension must keep
-            self.step(Some(chunk), false, obs)
-        } else {
-            self.session.stream.push_chunk(chunk);
-            self.step(None, false, obs)
-        }
-    }
-
-    /// Signals end of input, returning [`Step::Done`] or
-    /// [`Step::Err`].
-    ///
-    /// # Panics
-    ///
-    /// As for [`FusedStream::feed`].
-    pub fn finish(self) -> Step<V> {
-        self.finish_obs(&mut NoopObserver)
-    }
-
-    /// As [`FusedStream::finish`], with an [`Observer`] receiving the
-    /// final events.
-    ///
-    /// # Panics
-    ///
-    /// As for [`FusedStream::feed`].
-    pub fn finish_obs<O: Observer>(mut self, obs: &mut O) -> Step<V> {
-        assert!(
-            !matches!(self.session.resume, Resume::Idle),
-            "no active stream: the previous parse completed; call stream_fused again"
-        );
-        self.step(None, true, obs)
-    }
-
-    /// Drains `source` through [`FusedStream::feed`] and then
-    /// [`FusedStream::finish`] — parse an entire [`ByteSource`].
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError`] on either an I/O failure of the source or a
-    /// parse failure of the input.
-    pub fn parse_source(mut self, source: &mut impl ByteSource) -> Result<V, StreamError> {
-        while let Some(chunk) = source.next_chunk()? {
-            match self.feed(chunk) {
-                Step::NeedMore => {}
-                Step::Err(e) => return Err(StreamError::Parse(e)),
-                Step::Done(_) => unreachable!("feed never completes a parse"),
-            }
-        }
-        match self.finish() {
-            Step::Done(v) => Ok(v),
-            Step::Err(e) => Err(StreamError::Parse(e)),
-            Step::NeedMore => unreachable!("finish never suspends"),
-        }
-    }
-
-    /// One stepper run over either the retained buffer (`chunk ==
-    /// None`) or a caller's chunk scanned in place (fast path, buffer
-    /// empty). Either way `bytes[0]` sits at the stream's global
-    /// offset.
-    fn step<O: Observer>(&mut self, chunk: Option<&[u8]>, last: bool, obs: &mut O) -> Step<V> {
-        let FusedSession {
-            control,
-            values,
-            live,
-            resume,
-            stream,
-            ..
-        } = &mut *self.session;
-        let mut m = Machine {
-            fg: self.fg,
-            arena: &mut *self.arena,
-            skip: self.skip,
-        };
-        let flow = match chunk {
-            Some(c) => m.run(control, values, live, resume, c, last, obs),
-            None => m.run(control, values, live, resume, stream.buf(), last, obs),
-        };
-        match flow {
-            Flow::More { keep_from } => {
-                match chunk {
-                    Some(c) => stream.absorb(c, keep_from),
-                    None => stream.consume(keep_from),
-                }
-                Step::NeedMore
-            }
-            Flow::Done => {
-                debug_assert_eq!(values.len(), 1, "parse must produce exactly one value");
-                let v = values.pop().expect("parse produced no value");
-                stream.reset();
-                Step::Done(v)
-            }
-            Flow::NoMatch { pos, nt } => {
-                let bytes = chunk.unwrap_or_else(|| stream.buf());
-                let (line, col) = stream.line_col_in(bytes, pos);
-                let err = FusedParseError::NoMatch {
-                    pos: stream.global(pos),
-                    line,
-                    col,
-                    nt,
-                    expected: m.expected_at(nt, &bytes[pos..]),
-                };
-                stream.reset();
-                Step::Err(err)
-            }
-            Flow::TrailingInput { pos } => {
-                let bytes = chunk.unwrap_or_else(|| stream.buf());
-                let (line, col) = stream.line_col_in(bytes, pos);
-                let err = FusedParseError::TrailingInput {
-                    pos: stream.global(pos),
-                    line,
-                    col,
-                };
-                stream.reset();
-                Step::Err(err)
-            }
+        Err(e) => {
+            // drop partially-reduced values now rather than holding
+            // them until the session's next parse
+            control.clear();
+            values.clear();
+            Err(e)
         }
     }
 }
@@ -965,8 +547,7 @@ mod tests {
 
     fn count(input: &[u8]) -> Result<i64, FusedParseError> {
         let (mut lexer, fused) = sexp_setup();
-        let skip = lexer.skip_regex();
-        parse_fused(&fused, lexer.arena_mut(), skip, input)
+        parse_fused(&fused, lexer.arena_mut(), input)
     }
 
     #[test]
@@ -1004,71 +585,29 @@ mod tests {
     #[test]
     fn session_reuse_agrees_with_fresh_sessions() {
         let (mut lexer, fused) = sexp_setup();
-        let skip = lexer.skip_regex();
         let mut session = FusedSession::new();
         for input in [&b"(a (b c))"[..], b"a", b"(a", b"(x y z)", b"", b"(p q)"] {
-            let reused = parse_fused_with(&fused, lexer.arena_mut(), skip, &mut session, input);
-            let fresh = parse_fused(&fused, lexer.arena_mut(), skip, input);
+            let reused = parse_fused_with(&fused, lexer.arena_mut(), &mut session, input);
+            let fresh = parse_fused(&fused, lexer.arena_mut(), input);
             assert_eq!(reused, fresh, "on {input:?}");
         }
     }
 
     #[test]
-    fn chunked_stream_agrees_with_one_shot() {
-        let (mut lexer, fused) = sexp_setup();
-        let skip = lexer.skip_regex();
-        let mut session = FusedSession::new();
-        for input in [
-            &b"(a (b c))"[..],
-            b"a",
-            b"  ( a\n(b) )  ",
-            b"(longatom (another) end)",
-            b"(a",
-            b")",
-            b"",
-            b"a b",
-            b"(a) !",
-        ] {
-            let expected = parse_fused(&fused, lexer.arena_mut(), skip, input);
-            for chunk in [1usize, 2, 3, 7] {
-                let mut s = stream_fused(&fused, lexer.arena_mut(), skip, &mut session);
-                let mut result = None;
-                for piece in input.chunks(chunk) {
-                    match s.feed(piece) {
-                        Step::NeedMore => {}
-                        Step::Err(e) => {
-                            result = Some(Err(e));
-                            break;
-                        }
-                        Step::Done(_) => unreachable!(),
-                    }
-                }
-                let result = result.unwrap_or_else(|| match s.finish() {
-                    Step::Done(v) => Ok(v),
-                    Step::Err(e) => Err(e),
-                    Step::NeedMore => unreachable!(),
-                });
-                assert_eq!(result, expected, "chunk={chunk} on {input:?}");
-                session.reset(); // abandon any suspension left by early errors
-            }
+    fn expected_dedups_and_truncates() {
+        let names: Vec<Arc<str>> = (0..10)
+            .map(|i| Arc::from(format!("t{i}").as_str()))
+            .collect();
+        let mut e = Expected::none();
+        e.push(&names[0]);
+        e.push(&names[0]);
+        assert_eq!(e.len(), 1);
+        for n in &names {
+            e.push(n);
         }
-    }
-
-    #[test]
-    fn stream_parse_source_drives_byte_sources() {
-        use crate::stream::{ReadSource, SliceChunks};
-        let (mut lexer, fused) = sexp_setup();
-        let skip = lexer.skip_regex();
-        let mut session = FusedSession::new();
-        let input = b"(a (b c) (d e f))";
-
-        let s = stream_fused(&fused, lexer.arena_mut(), skip, &mut session);
-        let v = s.parse_source(&mut SliceChunks::new(input, 3)).unwrap();
-        assert_eq!(v, 6);
-
-        let s = stream_fused(&fused, lexer.arena_mut(), skip, &mut session);
-        let mut src = ReadSource::with_capacity(std::io::Cursor::new(&input[..]), 5);
-        assert_eq!(s.parse_source(&mut src).unwrap(), 6);
+        assert_eq!(e.len(), Expected::CAPACITY);
+        assert!(e.is_truncated());
+        assert_eq!(e.to_string(), "t0, t1, t2, t3, t4, t5, t6, t7, …");
     }
 
     #[test]
@@ -1135,11 +674,10 @@ mod tests {
         let mut lexer = b.build().unwrap();
         let g: Cfe<i64> = Cfe::tok_val(ab, 1).or(Cfe::tok_val(cd, 2));
         let fused = fuse(&mut lexer, &normalize(&g).unwrap()).unwrap();
-        let skip = lexer.skip_regex();
-        let err = parse_fused(&fused, lexer.arena_mut(), skip, b"ax").unwrap_err();
+        let err = parse_fused(&fused, lexer.arena_mut(), b"ax").unwrap_err();
         let names: Vec<&str> = err.expected().unwrap().names().collect();
         assert_eq!(names, ["ab"], "{err}");
-        let err = parse_fused(&fused, lexer.arena_mut(), skip, b"x").unwrap_err();
+        let err = parse_fused(&fused, lexer.arena_mut(), b"x").unwrap_err();
         let names: Vec<&str> = err.expected().unwrap().names().collect();
         assert_eq!(names, ["ab", "cd"], "{err}");
     }
@@ -1193,8 +731,7 @@ mod tests {
             b"",
             b"a b",
         ] {
-            let skip = lexer.skip_regex();
-            let fused_res = parse_fused(&fused, lexer.arena_mut(), skip, input);
+            let fused_res = parse_fused(&fused, lexer.arena_mut(), input);
             let tok_res = clex
                 .tokenize(input)
                 .map_err(|e| e.pos)
@@ -1241,23 +778,10 @@ mod tests {
         );
         let g = normalize(&row).unwrap();
         let fused = fuse(&mut lexer, &g).unwrap();
-        let skip = lexer.skip_regex();
         assert_eq!(
-            parse_fused(&fused, lexer.arena_mut(), skip, b"\"a\",\"b\"\"c\",\"\"").unwrap(),
+            parse_fused(&fused, lexer.arena_mut(), b"\"a\",\"b\"\"c\",\"\"").unwrap(),
             3
         );
-        assert!(parse_fused(&fused, lexer.arena_mut(), skip, b"\"a\",").is_err());
-
-        // the quoted-field lexeme straddling chunk boundaries must
-        // still reach the action as one contiguous slice
-        let mut session = FusedSession::new();
-        let input = b"\"a\",\"b\"\"c\",\"\"";
-        for chunk in 1..=4usize {
-            let s = stream_fused(&fused, lexer.arena_mut(), skip, &mut session);
-            let v = s
-                .parse_source(&mut crate::stream::SliceChunks::new(input, chunk))
-                .unwrap();
-            assert_eq!(v, 3, "chunk={chunk}");
-        }
+        assert!(parse_fused(&fused, lexer.arena_mut(), b"\"a\",").is_err());
     }
 }

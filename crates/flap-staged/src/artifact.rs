@@ -556,7 +556,7 @@ impl DecodedTables {
             start_nt: self.start_nt,
             // Fresh identity: suspended streaming sessions must not
             // resume against a different load of the same tables.
-            stream_id: flap_fuse::stream::next_owner_id(),
+            stream_id: crate::stream::next_owner_id(),
             state_expected: self.state_expected,
             prod_names: self.prod_names,
             prod_owner: self.prod_owner,

@@ -132,7 +132,7 @@ pub struct CompiledParser<V> {
     /// `None` when the lexer had no skip rule.
     pub(crate) skip: Option<FlatDfa>,
     pub(crate) start_nt: u32,
-    /// Streaming-owner id (`flap_fuse::stream::next_owner_id`):
+    /// Streaming-owner id (`crate::stream::next_owner_id`):
     /// suspended sessions record it so they cannot be resumed
     /// against a different parser's tables.
     pub(crate) stream_id: u64,
@@ -272,7 +272,7 @@ impl<V> CompiledParser<V> {
             conts,
             skip,
             start_nt: fused.start().index() as u32,
-            stream_id: flap_fuse::stream::next_owner_id(),
+            stream_id: crate::stream::next_owner_id(),
             state_expected,
             prod_names,
             prod_owner,
@@ -292,7 +292,7 @@ impl<V> CompiledParser<V> {
 
     /// Number of flat fused productions — the index space of the
     /// `class`/`rule` identifiers this parser's engine reports to an
-    /// [`Observer`](flap_fuse::Observer).
+    /// [`Observer`](crate::Observer).
     pub fn prod_count(&self) -> usize {
         self.conts.heads.len()
     }
@@ -300,7 +300,7 @@ impl<V> CompiledParser<V> {
     /// Token name of flat production `p`, or `None` for F2 skip
     /// self-loops (and out-of-range indices). Renders the raw
     /// `class`/`rule` ids the engine hands to an
-    /// [`Observer`](flap_fuse::Observer).
+    /// [`Observer`](crate::Observer).
     pub fn prod_label(&self, p: u32) -> Option<&str> {
         self.prod_names.get(p as usize)?.as_deref()
     }
@@ -312,7 +312,7 @@ impl<V> CompiledParser<V> {
     }
 
     /// State id of a premultiplied transition-table `row` as reported
-    /// by [`Observer::nt_row`](flap_fuse::Observer::nt_row).
+    /// by [`Observer::nt_row`](crate::Observer::nt_row).
     pub fn row_state(&self, row: u32) -> u32 {
         row / self.stride
     }

@@ -23,7 +23,9 @@ use std::sync::Arc;
 
 use flap_cfe::{EpsAction, MapAction, SeqAction, TokAction};
 use flap_dgnf::ContOp;
-use flap_fuse::{FusedNt, FusedProd, Observer};
+use flap_fuse::{FusedNt, FusedProd};
+
+use crate::obs::Observer;
 
 /// A control-stack word: a 2-bit tag and a 30-bit payload — a
 /// nonterminal to parse, or an index into one of the action tables.

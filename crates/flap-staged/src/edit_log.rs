@@ -1,49 +1,19 @@
-//! Incremental re-parsing: checkpointed sessions that reuse work
-//! across edits (the editor/LSP workload class).
+//! The bookkeeping half of incremental re-parsing: checkpoint
+//! spacing ([`IncrementalConfig`]), reuse accounting ([`ReuseStats`])
+//! and the edit log.
 //!
-//! flap's determinism means the automaton state at any byte offset is
-//! a *pure function of the input prefix* — nothing later in the input
-//! can ever send the parse back. That is exactly the property
-//! incremental parsers exploit, and the one thing backtracking
-//! designs need a full memo table to recover. A session that records
-//! suspended stepper states ("checkpoints") at regular intervals can
-//! therefore re-parse an edited document by:
-//!
-//! * **prefix reuse** — restart from the last checkpoint at or before
-//!   the edit instead of from byte 0; and
-//! * **suffix reuse** (validation only; see
-//!   `flap_staged::IncrementalSession`) — stop as soon as the
-//!   post-edit automaton state *re-converges* with the previous run's
-//!   recorded state at the same (shifted) offset: determinism
-//!   guarantees the rest of the parse is byte-for-byte identical, so
-//!   the previous outcome can be returned with shifted positions.
-//!
-//! The unstaged layer here ([`FusedIncremental`] +
-//! [`parse_incremental_fused`]) reuses prefixes only: semantic values
-//! flow through opaque user actions, so a value built from edited
-//! bytes — and every value downstream of it — must be rebuilt. The
-//! staged layer adds suffix convergence for validation, where no
-//! actions run: a 1-byte edit in a multi-MB document re-scans about
-//! one gap between validation checkpoints, which are spaced by their
-//! own cost (a few KiB apart for the bundled grammars; see
-//! [`IncrementalConfig::interval`]).
-//!
-//! This module also holds the engine-agnostic bookkeeping both layers
-//! share: the edit log ([`EditLog`], hidden) that applies
-//! [`splice`](FusedIncremental::splice) edits, partitions checkpoints
-//! into still-valid and potentially-reusable sets, and shifts
-//! recorded positions (byte offsets *and* line/column accounting)
-//! into post-edit coordinates.
+//! [`EditLog`] owns the document and the checkpoints of the previous
+//! runs. It applies `splice` edits, partitions checkpoints into
+//! still-valid and potentially-reusable sets, and shifts recorded
+//! positions (byte offsets *and* line/column accounting) into
+//! post-edit coordinates. `crate::incremental` binds it to the VM.
 
 use std::fmt;
-use std::mem::size_of;
 use std::ops::Range;
 
-use flap_regex::{RegexArena, RegexId};
+use flap_fuse::FusedParseError;
 
-use crate::fuse::FusedGrammar;
-use crate::parse::{stream_fused, Ctl, FusedParseError, FusedSession, Resume};
-use crate::stream::{Step, StreamSnapshot};
+use crate::stream::StreamSnapshot;
 
 /// Tuning for an incremental session's checkpoint density.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,10 +29,10 @@ pub struct IncrementalConfig {
     /// semantic value.
     ///
     /// Validation checkpoints hold only a control stack, whose depth
-    /// tracks grammar nesting, so the staged engine spaces them by
-    /// their own cost: one that retains `b` bytes is recorded only
-    /// once `min(interval, 16 * b)` bytes separate it from the
-    /// previous one. While no checkpoint retains more than
+    /// tracks grammar nesting, so they are spaced by their own cost:
+    /// one that retains `b` bytes is recorded only once
+    /// `min(interval, 16 * b)` bytes separate it from the previous
+    /// one. While no checkpoint retains more than
     /// `interval / 16` bytes, all of them together retain at most
     /// `doc_len / 16`. A re-validation re-scans a whole gap (it
     /// restarts at the checkpoint before the edit and converges at
@@ -134,12 +104,9 @@ impl fmt::Display for ReuseStats {
     }
 }
 
-/// One recorded suspension of a streaming stepper: engine-specific
-/// stacks plus position accounting.
-///
-/// Hidden machinery shared with `flap-staged` — not a stable API.
-#[doc(hidden)]
-pub struct Ckpt<S> {
+/// One recorded suspension of the streaming VM: its stacks plus
+/// position accounting.
+pub(crate) struct Ckpt<S> {
     /// Position accounting at suspension; `snap.offset` is the global
     /// offset of the first byte of the retained token tail.
     pub snap: StreamSnapshot,
@@ -148,7 +115,7 @@ pub struct Ckpt<S> {
     /// `doc[snap.offset .. snap.offset + scanned]` at restore time and
     /// need not be stored.
     pub scanned: usize,
-    /// Engine-specific suspended state (stacks + resume point).
+    /// Suspended state (stacks + resume point).
     pub state: S,
 }
 
@@ -159,14 +126,11 @@ impl<S> Ckpt<S> {
     }
 }
 
-/// The engine-agnostic half of an incremental session: the document,
-/// the checkpoint logs, the previous outcome and the dirty window —
-/// everything `splice` has to maintain, independent of which stepper
-/// the checkpoints belong to.
-///
-/// Hidden machinery shared with `flap-staged` — not a stable API.
-#[doc(hidden)]
-pub struct EditLog<S> {
+/// The document half of an incremental session: the document, the
+/// checkpoint logs, the previous outcome and the dirty window —
+/// everything `splice` has to maintain, independent of what the
+/// checkpoints' suspended states hold.
+pub(crate) struct EditLog<S> {
     /// Current document contents.
     pub doc: Vec<u8>,
     /// Checkpoints whose prefix of `doc` is unedited, ascending by
@@ -380,212 +344,6 @@ impl<S> EditLog<S> {
         self.stale.clear();
         self.outcome = None;
         self.dirty = Some(0..self.doc.len());
-    }
-}
-
-impl<S> Default for EditLog<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Suspended state of the unstaged interpreter at a checkpoint.
-struct FuseState<V> {
-    control: Vec<Ctl>,
-    values: Vec<V>,
-    live: Vec<(RegexId, usize)>,
-    resume: Resume,
-}
-
-/// An edit-aware session for the unstaged fused interpreter: owns the
-/// document, a checkpoint log and reuse statistics. Apply edits with
-/// [`FusedIncremental::splice`], then re-parse with
-/// [`parse_incremental_fused`] — the parse restarts from the last
-/// checkpoint before the first edit instead of from byte 0.
-///
-/// The staged counterpart (`flap_staged::IncrementalSession`, or
-/// `Parser::incremental` in `flap-core`) additionally reuses the
-/// *suffix* of a validation re-parse; the unstaged layer exists to
-/// keep the staged/unstaged differential property testable on the
-/// incremental path too.
-pub struct FusedIncremental<V> {
-    log: EditLog<FuseState<V>>,
-    interval: usize,
-    /// `stream_id` of the grammar the checkpoints belong to.
-    owner: u64,
-    stats: ReuseStats,
-    scratch: FusedSession<V>,
-}
-
-impl<V> FusedIncremental<V> {
-    /// An empty session with the default checkpoint interval.
-    pub fn new() -> Self {
-        Self::with_config(IncrementalConfig::default())
-    }
-
-    /// An empty session with explicit checkpoint density.
-    pub fn with_config(config: IncrementalConfig) -> Self {
-        FusedIncremental {
-            log: EditLog::new(),
-            interval: config.interval.max(1),
-            owner: 0,
-            stats: ReuseStats::default(),
-            scratch: FusedSession::new(),
-        }
-    }
-
-    /// The current document contents.
-    pub fn doc(&self) -> &[u8] {
-        &self.log.doc
-    }
-
-    /// Replaces `doc[range]` with `replacement`. Load the initial
-    /// document with `splice(0..0, text)`; multiple splices between
-    /// re-parses accumulate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds or reversed.
-    pub fn splice(&mut self, range: Range<usize>, replacement: &[u8]) {
-        // prefix-only reuse: checkpoints past the edit hold stale
-        // semantic values and can never be resumed, so drop them now
-        self.log.splice(range, replacement, false);
-    }
-
-    /// Reuse accounting for the most recent re-parse.
-    pub fn stats(&self) -> ReuseStats {
-        self.stats
-    }
-}
-
-impl<V> Default for FusedIncremental<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Re-parses the session's document after edits, reusing the longest
-/// unedited checkpointed prefix. Results — values, errors, error
-/// positions and line/columns — are identical to a from-scratch
-/// [`crate::parse_fused`] of the current document.
-///
-/// `V: Clone` because checkpoints snapshot the value stack; clones
-/// must be true value copies for restored parses to agree with
-/// from-scratch ones (all paper grammars qualify).
-///
-/// As with all unstaged entry points, `arena` must be the same
-/// derivative arena across calls (checkpoints hold `RegexId`s into
-/// it); the grammar is guarded by its stream id, and a different
-/// grammar simply invalidates the log.
-///
-/// # Errors
-///
-/// [`FusedParseError`] exactly as a from-scratch parse would report.
-pub fn parse_incremental_fused<V: Clone>(
-    fg: &FusedGrammar<V>,
-    arena: &mut RegexArena,
-    skip: Option<RegexId>,
-    inc: &mut FusedIncremental<V>,
-) -> Result<V, FusedParseError> {
-    if inc.owner != fg.stream_id() {
-        inc.log.invalidate();
-        inc.owner = fg.stream_id();
-    }
-    let doc_len = inc.log.doc.len();
-
-    // Restart point: the last confirmed checkpoint at or before the
-    // dirty window (or the last one outright if the document is clean).
-    let limit = inc.log.dirty.as_ref().map_or(doc_len, |d| d.start);
-    let cut = inc.log.confirmed.partition_point(|c| c.scan_pos() <= limit);
-    inc.log.confirmed.truncate(cut);
-    let mut pos = 0usize;
-    match inc.log.confirmed.last() {
-        Some(c) => {
-            pos = c.scan_pos();
-            let s = &mut inc.scratch;
-            s.control.clear();
-            s.control.extend_from_slice(&c.state.control);
-            s.values.clear();
-            s.values.extend(c.state.values.iter().cloned());
-            s.live.clear();
-            s.live.extend_from_slice(&c.state.live);
-            s.resume = c.state.resume;
-            s.owner = fg.stream_id();
-            s.stream.restore(
-                c.snap,
-                &inc.log.doc[c.snap.offset..c.snap.offset + c.scanned],
-            );
-        }
-        // fresh parse: stream_fused below begins one on an idle session
-        None => inc.scratch.reset(),
-    }
-    inc.stats = ReuseStats {
-        doc_len,
-        prefix_reused: pos,
-        ..ReuseStats::default()
-    };
-
-    let mut next_ck = pos + inc.interval;
-    let outcome = loop {
-        if pos >= doc_len {
-            break match stream_fused(fg, arena, skip, &mut inc.scratch).finish() {
-                Step::Done(v) => Ok(v),
-                Step::Err(e) => Err(e),
-                Step::NeedMore => unreachable!("finish never suspends"),
-            };
-        }
-        let target = next_ck.min(doc_len);
-        let mut s = stream_fused(fg, arena, skip, &mut inc.scratch);
-        let step = s.feed(&inc.log.doc[pos..target]);
-        inc.stats.parsed += target - pos;
-        pos = target;
-        match step {
-            Step::NeedMore => {}
-            Step::Err(e) => break Err(e),
-            Step::Done(_) => unreachable!("feed never completes a parse"),
-        }
-        if pos >= next_ck && pos < doc_len {
-            let s = &inc.scratch;
-            debug_assert_eq!(
-                s.stream.offset() + s.stream.buf().len(),
-                pos,
-                "suspension must have scanned every fed byte"
-            );
-            inc.log.confirmed.push(Ckpt {
-                snap: s.stream.snapshot(),
-                scanned: s.stream.buf().len(),
-                state: FuseState {
-                    control: s.control.clone(),
-                    values: s.values.clone(),
-                    live: s.live.clone(),
-                    resume: s.resume,
-                },
-            });
-            next_ck = pos + inc.interval;
-        }
-    };
-
-    inc.stats.checkpoints = inc.log.confirmed.len();
-    inc.stats.retained_bytes = inc
-        .log
-        .confirmed
-        .iter()
-        .map(|c| {
-            size_of::<Ckpt<FuseState<V>>>()
-                + c.state.control.len() * size_of::<Ctl>()
-                + c.state.values.len() * size_of::<V>()
-                + c.state.live.len() * size_of::<(RegexId, usize)>()
-        })
-        .sum();
-    match outcome {
-        Ok(v) => {
-            inc.log.complete(Ok(()));
-            Ok(v)
-        }
-        Err(e) => {
-            inc.log.complete(Err(e.clone()));
-            Err(e)
-        }
     }
 }
 

@@ -1,22 +1,28 @@
-//! Incremental re-parsing for compiled parsers: prefix reuse for
+//! Incremental re-parsing: checkpointed sessions that reuse work
+//! across edits (the editor/LSP workload class) — prefix reuse for
 //! value parses, prefix *plus suffix-convergence* reuse for
 //! validation.
 //!
-//! The mechanics — checkpoint log, `splice` coordinate shifting,
-//! reuse statistics — are shared with the unstaged layer in
-//! `flap_fuse::incremental`; this module binds them to the staged VM
-//! and adds the one thing only an action-free parse can have:
-//! **suffix reuse**. Validation runs the engine with actions compiled
-//! out, so its entire automaton state is `(control stack, resume
-//! point)` — no semantic values. When a post-edit re-validation,
-//! stopping at the previous run's (position-shifted) checkpoints,
-//! finds its own suspended state *equal* to the recorded one,
-//! determinism guarantees every remaining byte behaves identically —
-//! the previous outcome is returned with shifted positions and the
-//! parse stops there. A 1-byte edit in a multi-MB document then costs
-//! about one gap between validation checkpoints, not the document;
-//! those checkpoints are spaced by their own cost (a few KiB apart,
-//! see [`IncrementalConfig::interval`]).
+//! flap's determinism means the automaton state at any byte offset is
+//! a *pure function of the input prefix* — nothing later in the input
+//! can ever send the parse back. A session that records suspended VM
+//! states ("checkpoints") as it goes can therefore re-parse an edited
+//! document by restarting from the last checkpoint at or before the
+//! edit instead of from byte 0. The checkpoint log, `splice`
+//! coordinate shifting and reuse statistics live in
+//! `crate::edit_log`; this module binds them to the VM and adds the
+//! one thing only an action-free parse can have: **suffix reuse**.
+//! Validation runs the engine with actions compiled out, so its entire
+//! automaton state is `(control stack, resume point)` — no semantic
+//! values. When a post-edit re-validation, stopping at the previous
+//! run's (position-shifted) checkpoints, finds its own suspended state
+//! *equal* to the recorded one, determinism guarantees every remaining
+//! byte behaves identically — the previous outcome is returned with
+//! shifted positions and the parse stops there. A 1-byte edit in a
+//! multi-MB document then costs about one gap between validation
+//! checkpoints, not the document; those checkpoints are spaced by
+//! their own cost (a few KiB apart, see
+//! [`IncrementalConfig::interval`]).
 //!
 //! Value parses ([`CompiledParser::parse_incremental`]) cannot reuse
 //! suffixes: semantic actions are opaque folds, so a value built from
@@ -27,11 +33,12 @@
 use std::mem::size_of;
 use std::ops::Range;
 
-use flap_fuse::incremental::{Ckpt, EditLog};
-use flap_fuse::{FusedParseError, IncrementalConfig, NoopObserver, Observer, ReuseStats};
+use flap_fuse::FusedParseError;
 
 use crate::compile::CompiledParser;
 use crate::cont::Ctl;
+use crate::edit_log::{Ckpt, EditLog, IncrementalConfig, ReuseStats};
+use crate::obs::{NoopObserver, Observer};
 use crate::vm::{Flow, ParseSession, Resume};
 
 /// Suspended state of the staged VM at a checkpoint.

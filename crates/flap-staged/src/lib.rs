@@ -3,7 +3,8 @@
 //!
 //! The unstaged fused parser of `flap-fuse` computes regex
 //! derivatives for every input character. This crate performs that
-//! work once, ahead of parsing:
+//! work once, ahead of parsing, and its VM is the one production
+//! engine (the unstaged parser stays as its differential oracle):
 //!
 //! * [`CompiledParser::compile`] builds one state per indexed
 //!   function `S_{F_n,k}` of Fig 10 (memoized on the derivative
@@ -20,6 +21,11 @@
 //!   value stacks), so a compiled parser is immutable and
 //!   `Send + Sync`: share one parser across threads, give each thread
 //!   its own session, and steady-state parsing allocates nothing;
+//! * [`CompiledParser::stream`] feeds input chunk by chunk from any
+//!   [`ByteSource`], [`IncrementalSession`] re-parses an edited
+//!   document from checkpoints, and the `_obs` variants of
+//!   `parse_with`, `feed`, `finish` and the incremental entry points
+//!   report to an [`Observer`];
 //! * [`codegen::emit_rust`] prints the states as compilable Rust
 //!   source, reproducing the generated-code excerpt of §5.5;
 //! * [`measure_pipeline`] collects the Table 1 size columns and the
@@ -103,20 +109,23 @@ pub mod artifact;
 pub mod codegen;
 mod compile;
 mod cont;
+mod edit_log;
 mod incremental;
 mod metrics;
+mod obs;
 pub mod origin;
+mod stream;
 mod vm;
 
 pub use compile::{CompiledParser, State, StopAction};
+pub use edit_log::{IncrementalConfig, ReuseStats};
 pub use incremental::IncrementalSession;
-pub use metrics::{measure_pipeline, CompileTimes, SizeReport, TableFootprint};
+pub use metrics::{measure_pipeline, CompileError, CompileTimes, SizeReport, TableFootprint};
+pub use obs::{NoopObserver, Observer, ParseProfiler};
 pub use origin::Origin;
+pub use stream::{ByteSource, IterSource, ReadSource, SliceChunks, Step, StreamError};
 pub use vm::{ParseSession, StreamParse};
 
-// The streaming, incremental and observability vocabulary shared
-// with `flap-fuse`, re-exported so staged users need only this crate.
-pub use flap_fuse::{
-    ByteSource, Expected, IncrementalConfig, IterSource, NoopObserver, Observer, ParseProfiler,
-    ReadSource, ReuseStats, SliceChunks, Step, StreamError,
-};
+// Parse errors carry the expected-token set defined beside them in
+// `flap-fuse`; re-exported so staged users need only this crate.
+pub use flap_fuse::Expected;

@@ -2,14 +2,50 @@
 //! Table 2, collected in one place so the benchmark harness and tests
 //! agree on definitions.
 
+use std::fmt;
 use std::time::{Duration, Instant};
 
-use flap_cfe::Cfe;
-use flap_dgnf::normalize;
-use flap_fuse::fuse;
+use flap_cfe::{Cfe, TypeError};
+use flap_dgnf::{normalize, DgnfError, NormalizeError};
+use flap_fuse::{fuse, FuseError};
 use flap_lex::Lexer;
 
 use crate::compile::CompiledParser;
+
+/// Everything that can go wrong between a grammar definition and a
+/// runnable parser.
+#[derive(Clone, Debug)]
+pub enum CompileError {
+    /// The grammar violates the Fig 2 side conditions (ambiguity,
+    /// left recursion, …).
+    Type(TypeError),
+    /// Normalization failed (only reachable for expressions that the
+    /// type checker would reject).
+    Normalize(NormalizeError),
+    /// The normalized grammar is not DGNF (ditto).
+    Dgnf(DgnfError),
+    /// Fusion failed (lexer/grammar mismatch).
+    Fuse(FuseError),
+}
+
+impl fmt::Display for CompileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CompileError::Type(e) => write!(f, "type error: {e}"),
+            CompileError::Normalize(e) => write!(f, "normalization error: {e}"),
+            CompileError::Dgnf(e) => write!(f, "normal form error: {e}"),
+            CompileError::Fuse(e) => write!(f, "fusion error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CompileError {}
+
+impl From<TypeError> for CompileError {
+    fn from(e: TypeError) -> Self {
+        CompileError::Type(e)
+    }
+}
 
 /// The "Sizes of inputs, intermediate forms, and generated code" row
 /// for one grammar (Table 1).
@@ -98,25 +134,24 @@ impl<V> CompiledParser<V> {
 ///
 /// # Errors
 ///
-/// Propagates the first pipeline error, stringified (the harness only
-/// reports it).
+/// The first pipeline error, as the [`CompileError`] of its stage.
 pub fn measure_pipeline<V: 'static>(
     lexer: &mut Lexer,
     cfe: &Cfe<V>,
-) -> Result<(CompiledParser<V>, SizeReport, CompileTimes), String> {
+) -> Result<(CompiledParser<V>, SizeReport, CompileTimes), CompileError> {
     let mut times = CompileTimes::default();
 
     let t0 = Instant::now();
-    flap_cfe::type_check(cfe).map_err(|e| e.to_string())?;
+    flap_cfe::type_check(cfe)?;
     times.type_check = t0.elapsed();
 
     let t0 = Instant::now();
-    let grammar = normalize(cfe).map_err(|e| e.to_string())?;
-    grammar.check_dgnf().map_err(|e| e.to_string())?;
+    let grammar = normalize(cfe).map_err(CompileError::Normalize)?;
+    grammar.check_dgnf().map_err(CompileError::Dgnf)?;
     times.normalize = t0.elapsed();
 
     let t0 = Instant::now();
-    let fused = fuse(lexer, &grammar).map_err(|e| e.to_string())?;
+    let fused = fuse(lexer, &grammar).map_err(CompileError::Fuse)?;
     times.fuse = t0.elapsed();
 
     let t0 = Instant::now();

@@ -1,24 +1,24 @@
 //! Parse-time observability hooks.
 //!
-//! Both execution engines — the Fig 9 derivative interpreter in this
-//! crate and the staged table automaton in `flap-staged` — are generic
-//! over an [`Observer`] that is notified at the *event* granularity of
-//! a parse: a committed token, a committed skip run, a reduction, a
-//! nonterminal dispatch, a stream feed, an incremental re-parse. There
-//! are deliberately no per-byte hooks: the scanning inner loops stay
-//! exactly as tight as before.
+//! The staged engine is generic over an [`Observer`] that is notified
+//! at the *event* granularity of a parse: a committed token, a
+//! committed skip run, a reduction, a nonterminal dispatch, a stream
+//! feed, an incremental re-parse. There are deliberately no per-byte
+//! hooks: the scanning inner loops stay exactly as tight as before.
 //!
 //! # The zero-overhead invariant
 //!
 //! Every hook has an empty `#[inline(always)]` default body, and every
-//! unobserved entry point passes [`NoopObserver`]. Because the engines
-//! are monomorphized over the observer type, the `NoopObserver`
+//! unobserved entry point passes [`NoopObserver`]. Because the engine
+//! is monomorphized over the observer type, the `NoopObserver`
 //! instantiation compiles to exactly the code that existed before the
 //! hooks: the hook arguments are values the engine already holds in
-//! locals at each call site, so the calls vanish entirely. The
-//! invariant is guarded by the steady-state allocation audit (zero
-//! allocations on the disabled path) and the `fig11` benchmark
-//! snapshot (throughput within noise of the unhooked engine).
+//! locals at each call site, so the calls vanish entirely. Two tests
+//! guard the invariant: the allocation audit
+//! (`crates/integration/tests/alloc.rs`) finds zero allocations on
+//! the disabled path, and the traced == untraced differential
+//! (`crates/integration/tests/obs.rs`) finds identical values and
+//! errors with and without a live observer.
 //!
 //! # Observers
 //!
@@ -33,7 +33,7 @@
 //! Custom observers are ordinary trait impls; see the trait docs for
 //! the meaning of each event.
 
-use crate::incremental::ReuseStats;
+use crate::edit_log::ReuseStats;
 
 /// Receives parse-time events from an execution engine.
 ///
@@ -43,13 +43,12 @@ use crate::incremental::ReuseStats;
 /// counters, not I/O — since a large input produces millions of
 /// events.
 ///
-/// The `class`, `rule` and `row` identifiers are engine-level indices,
-/// kept raw so the hot path never does translation work: the staged
-/// engine reports its flat production index as the token class and
-/// reduction rule and its premultiplied transition-table row; the
-/// unstaged interpreter reports the lexer token index as the class and
-/// the nonterminal index as the rule. Use the owning parser's tables
-/// (e.g. `CompiledParser::prod_label` in `flap-staged`) to render them.
+/// The `class`, `rule` and `row` identifiers are kept raw so the hot
+/// path never does translation work: the engine reports its flat
+/// production index as the token class and reduction rule, and its
+/// premultiplied transition-table row. Render them with the owning
+/// [`CompiledParser`](crate::CompiledParser)'s `prod_label`, `prod_nt`
+/// and `row_state`.
 pub trait Observer {
     /// A run of `bytes` skippable bytes (whitespace, comments) was
     /// consumed outside any token.
@@ -75,8 +74,7 @@ pub trait Observer {
     fn eps_reduce(&mut self) {}
 
     /// The engine dispatched a nonterminal and began scanning its next
-    /// token from automaton row `row` (staged engine only; the
-    /// interpreter has no rows and never fires this).
+    /// token from automaton row `row`.
     #[inline(always)]
     fn nt_row(&mut self, row: u32) {
         let _ = row;
@@ -99,8 +97,9 @@ pub trait Observer {
 
 /// The disabled path: observes nothing, costs nothing.
 ///
-/// Engines monomorphized over `NoopObserver` compile to the same code
-/// as engines without hooks — see the module docs.
+/// The engine monomorphized over `NoopObserver` compiles to the same
+/// code as an engine without hooks: every hook's default body is
+/// empty and `#[inline(always)]`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopObserver;
 
@@ -109,7 +108,7 @@ impl Observer for NoopObserver {}
 /// An accumulating, allocation-bounded parse profile.
 ///
 /// Attach one to any observed entry point (`parse_with_obs`,
-/// `parse_fused_obs`, …) and read the public counters afterwards; the
+/// `feed_obs`, …) and read the public counters afterwards; the
 /// same profiler can be fed by many parses to profile a workload. The
 /// per-class/per-rule/per-row tables grow on first sight of a new
 /// index and are then reused, so steady-state profiling allocates

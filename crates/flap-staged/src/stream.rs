@@ -1,8 +1,7 @@
-//! Streaming input for fused parsing: chunked byte sources and the
-//! shared suspend/resume bookkeeping.
+//! Streaming input for the staged VM: chunked byte sources and the
+//! suspend/resume bookkeeping.
 //!
-//! The fused automata (unstaged in this crate, staged in
-//! `flap-staged`) depend on the input only through `input[i]` and the
+//! The VM depends on the input only through `input[i]` and the
 //! current token's span, so a parse does not need the whole input up
 //! front. This module provides the pieces every streaming entry point
 //! shares:
@@ -34,16 +33,15 @@
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use crate::parse::FusedParseError;
+use flap_fuse::FusedParseError;
 
 /// Allocates a process-unique id for a streaming *owner* (a compiled
-/// parser or fused grammar). Suspended sessions record the owner that
-/// created them, so resuming with a different owner — whose state and
-/// production indices would be meaningless — is detected and treated
-/// as starting a fresh parse instead of corrupting the automaton.
-pub fn next_owner_id() -> u64 {
+/// parser). Suspended sessions record the owner that created them, so
+/// resuming with a different owner — whose state and production
+/// indices would be meaningless — is detected and treated as starting
+/// a fresh parse instead of corrupting the automaton.
+pub(crate) fn next_owner_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
@@ -166,7 +164,7 @@ where
 /// without materializing the input.
 ///
 /// ```
-/// use flap_fuse::{ByteSource, ReadSource};
+/// use flap_staged::{ByteSource, ReadSource};
 ///
 /// let mut src = ReadSource::with_capacity(std::io::Cursor::new(b"hello"), 2);
 /// assert_eq!(src.next_chunk().unwrap(), Some(&b"he"[..]));
@@ -261,89 +259,6 @@ impl From<FusedParseError> for StreamError {
     }
 }
 
-/// The token names whose regexes were still live when a failing scan
-/// stopped — the "expected one of …" half of a parse error.
-///
-/// The set is stored inline (at most [`Expected::CAPACITY`] names,
-/// each a shared `Arc<str>`), so attaching it to an error allocates
-/// nothing: error construction stays on the allocation-free hot path.
-/// Sets wider than the capacity are truncated and flagged.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct Expected {
-    names: [Option<Arc<str>>; Expected::CAPACITY],
-    len: u8,
-    truncated: bool,
-}
-
-impl Expected {
-    /// Maximum number of names reported before truncation.
-    pub const CAPACITY: usize = 8;
-
-    /// An empty set (used by error variants with no token context).
-    pub fn none() -> Self {
-        Expected::default()
-    }
-
-    /// Adds a token name, deduplicating; past capacity the set is
-    /// marked truncated instead of growing.
-    pub fn push(&mut self, name: &Arc<str>) {
-        let len = self.len as usize;
-        if self.names[..len].iter().any(|n| n.as_deref() == Some(name)) {
-            return;
-        }
-        if len == Expected::CAPACITY {
-            self.truncated = true;
-            return;
-        }
-        self.names[len] = Some(Arc::clone(name));
-        self.len += 1;
-    }
-
-    /// The expected token names, in grammar production order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.names[..self.len as usize]
-            .iter()
-            .filter_map(|n| n.as_deref())
-    }
-
-    /// Number of names reported (not counting any truncated away).
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// `true` when no token context was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// `true` when more tokens were live than fit in the inline set.
-    pub fn is_truncated(&self) -> bool {
-        self.truncated
-    }
-
-    /// Marks the set truncated without adding a name — used when
-    /// rebuilding a set whose overflow names are no longer known
-    /// (artifact decoding preserves the flag, not the lost names).
-    pub fn mark_truncated(&mut self) {
-        self.truncated = true;
-    }
-}
-
-impl fmt::Display for Expected {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, name) in self.names().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{name}")?;
-        }
-        if self.truncated {
-            write!(f, ", …")?;
-        }
-        Ok(())
-    }
-}
-
 /// Per-session streaming bookkeeping: the retained byte buffer and
 /// incremental line/column accounting.
 ///
@@ -355,7 +270,7 @@ impl fmt::Display for Expected {
 /// line/column state, so positions keep matching a one-shot parse of
 /// the whole input without retaining it.
 #[derive(Debug, Default)]
-pub struct StreamState {
+pub(crate) struct StreamState {
     buf: Vec<u8>,
     /// Global byte offset of `buf[0]`.
     offset: usize,
@@ -399,18 +314,13 @@ impl StreamState {
         self.offset + rel
     }
 
-    /// 1-based (line, column) of buffer-relative offset `rel`, equal
-    /// to what [`crate::line_col`] would report at the same global
-    /// offset of the concatenated input.
-    pub fn line_col_at(&self, rel: usize) -> (usize, usize) {
-        self.line_col_in(&self.buf, rel)
-    }
-
-    /// As [`StreamState::line_col_at`], but for a position within
-    /// `bytes`, the unconsumed input currently being scanned — the
-    /// retained buffer, or a caller's chunk being scanned in place
-    /// while the buffer is empty. `bytes[0]` is global offset
-    /// [`StreamState::offset`] either way.
+    /// 1-based (line, column) of offset `rel` within `bytes`, the
+    /// unconsumed input currently being scanned — the retained
+    /// buffer, or a caller's chunk being scanned in place while the
+    /// buffer is empty. `bytes[0]` is global offset
+    /// [`StreamState::offset`] either way, and the result equals what
+    /// [`flap_fuse::line_col`] would report at the same global offset
+    /// of the concatenated input.
     pub fn line_col_in(&self, bytes: &[u8], rel: usize) -> (usize, usize) {
         let upto = &bytes[..rel.min(bytes.len())];
         let nl = upto.iter().filter(|&&b| b == b'\n').count();
@@ -489,7 +399,7 @@ impl StreamState {
 /// checkpoint must persist besides the automaton stacks. The retained
 /// token tail is deliberately excluded (see [`StreamState::snapshot`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StreamSnapshot {
+pub(crate) struct StreamSnapshot {
     /// Global byte offset of the first retained byte.
     pub offset: usize,
     /// Newlines among the consumed bytes `[0, offset)`.
@@ -501,7 +411,7 @@ pub struct StreamSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::line_col;
+    use flap_fuse::line_col;
 
     #[test]
     fn slice_chunks_cover_input() {
@@ -531,23 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_dedups_and_truncates() {
-        let names: Vec<Arc<str>> = (0..10)
-            .map(|i| Arc::from(format!("t{i}").as_str()))
-            .collect();
-        let mut e = Expected::none();
-        e.push(&names[0]);
-        e.push(&names[0]);
-        assert_eq!(e.len(), 1);
-        for n in &names {
-            e.push(n);
-        }
-        assert_eq!(e.len(), Expected::CAPACITY);
-        assert!(e.is_truncated());
-        assert_eq!(e.to_string(), "t0, t1, t2, t3, t4, t5, t6, t7, …");
-    }
-
-    #[test]
     fn stream_state_line_col_matches_one_shot() {
         let input = b"ab\ncd\n\nxy z";
         // consume in awkward pieces and compare every surviving offset
@@ -558,7 +451,7 @@ mod tests {
             st.push_chunk(&input[split..]);
             for rel in 0..=(input.len() - split) {
                 assert_eq!(
-                    st.line_col_at(rel),
+                    st.line_col_in(st.buf(), rel),
                     line_col(input, split + rel),
                     "split {split} rel {rel}"
                 );

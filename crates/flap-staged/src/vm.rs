@@ -69,11 +69,12 @@
 //! allocates a fresh session per call; servers and benchmarks should
 //! hold one session per worker thread and reuse it.
 
-use flap_fuse::obs::{NoopObserver, Observer};
-use flap_fuse::{line_col, ByteSource, FusedParseError, Step, StreamError, StreamState};
+use flap_fuse::{line_col, FusedParseError};
 
 use crate::compile::{decode_stop, CompiledParser, StopAction, STOP};
 use crate::cont::Ctl;
+use crate::obs::{NoopObserver, Observer};
+use crate::stream::{ByteSource, Step, StreamError, StreamState};
 
 /// Where a suspended parse resumes — the automaton position saved
 /// when a feed runs out of bytes.
@@ -502,7 +503,7 @@ impl<V> CompiledParser<V> {
 
     /// As [`CompiledParser::parse_with`], with an [`Observer`]
     /// receiving the parse's events (token commits, skips, reductions,
-    /// nonterminal dispatches — see [`flap_fuse::obs`]). The observed
+    /// nonterminal dispatches — see [`Observer`]). The observed
     /// and unobserved paths run the same stepper, so results and
     /// errors are byte-identical; with [`NoopObserver`] this *is*
     /// [`CompiledParser::parse_with`].
@@ -588,9 +589,9 @@ impl<V> CompiledParser<V> {
     /// ```
     /// use flap_cfe::Cfe;
     /// use flap_dgnf::normalize;
-    /// use flap_fuse::{fuse, Step};
+    /// use flap_fuse::fuse;
     /// use flap_lex::LexerBuilder;
-    /// use flap_staged::{CompiledParser, ParseSession};
+    /// use flap_staged::{CompiledParser, ParseSession, Step};
     ///
     /// let mut b = LexerBuilder::new();
     /// let num = b.token("num", "[0-9]+")?;
@@ -1002,7 +1003,7 @@ mod tests {
 
     #[test]
     fn parse_source_drives_byte_sources() {
-        use flap_fuse::{IterSource, ReadSource, SliceChunks};
+        use crate::{IterSource, ReadSource, SliceChunks};
         let p = sexp_parser();
         let input = b"(a (b c) (d e f))";
         let mut session = ParseSession::new();
@@ -1076,8 +1077,7 @@ mod tests {
             b"a b",
             b"(((((deep)))))",
         ] {
-            let skip = lexer.skip_regex();
-            let unstaged = flap_fuse::parse_fused(&fused, lexer.arena_mut(), skip, input);
+            let unstaged = flap_fuse::parse_fused(&fused, lexer.arena_mut(), input);
             let staged = p.parse(input);
             assert_eq!(unstaged, staged, "disagreement on {:?}", input);
         }

@@ -305,8 +305,7 @@ struct Oracle {
 
 impl Oracle {
     fn parse(&mut self, doc: &[u8]) -> Result<String, ParseError> {
-        let skip = self.lexer.skip_regex();
-        flap::flap_fuse::parse_fused(&self.fused, self.lexer.arena_mut(), skip, doc)
+        flap::flap_fuse::parse_fused(&self.fused, self.lexer.arena_mut(), doc)
     }
 }
 

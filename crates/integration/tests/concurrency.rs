@@ -13,9 +13,9 @@
 // larger Err variant is deliberate.
 #![allow(clippy::result_large_err)]
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+mod common;
 
+use common::workload;
 use flap_fuse::FusedSession;
 use flap_grammars::GrammarDef;
 
@@ -23,27 +23,6 @@ const THREADS: usize = 6;
 /// Per-thread start-offset stagger (arbitrary; just ensures threads
 /// hit different inputs at the same wall-clock moment).
 const THREAD_STRIDE: usize = 3;
-
-/// Valid documents from the grammar's generator plus malformed
-/// mutations (truncation, byte smashing, junk suffix).
-fn workload(def: &GrammarDef<i64>, seeds: u64) -> Vec<Vec<u8>> {
-    let mut inputs = Vec::new();
-    for seed in 0..seeds {
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ seed);
-        let valid = (def.generate)(seed, 600 + 350 * seed as usize);
-        let mut truncated = valid.clone();
-        truncated.truncate(rng.random_range(0..valid.len().max(1)));
-        let mut smashed = valid.clone();
-        if !smashed.is_empty() {
-            let at = rng.random_range(0..smashed.len());
-            smashed[at] = if rng.random_bool(0.5) { 0x01 } else { b'!' };
-        }
-        let mut suffixed = valid.clone();
-        suffixed.extend_from_slice(b" \x02trailing");
-        inputs.extend([valid, truncated, smashed, suffixed]);
-    }
-    inputs
-}
 
 /// Runs the differential for one grammar: staged results from many
 /// threads sharing one parser vs the unstaged fused interpreter.
@@ -54,13 +33,10 @@ fn check_grammar(def: GrammarDef<i64>, seeds: u64) {
     let mut lexer = (def.lexer)();
     let grammar = flap::flap_dgnf::normalize(&(def.cfe)()).expect("normalizes");
     let fused = flap::flap_fuse::fuse(&mut lexer, &grammar).expect("fuses");
-    let skip = lexer.skip_regex();
     let mut session = FusedSession::new();
     let expected: Vec<Result<i64, flap::ParseError>> = inputs
         .iter()
-        .map(|i| {
-            flap::flap_fuse::parse_fused_with(&fused, lexer.arena_mut(), skip, &mut session, i)
-        })
+        .map(|i| flap::flap_fuse::parse_fused_with(&fused, lexer.arena_mut(), &mut session, i))
         .collect();
 
     // Staged side: ONE parser, shared by reference across threads.
@@ -121,10 +97,9 @@ fn parse_batch_agrees_with_unstaged_on_mixed_validity() {
     let mut lexer = (def.lexer)();
     let grammar = flap::flap_dgnf::normalize(&(def.cfe)()).expect("normalizes");
     let fused = flap::flap_fuse::fuse(&mut lexer, &grammar).expect("fuses");
-    let skip = lexer.skip_regex();
     let expected: Vec<_> = inputs
         .iter()
-        .map(|i| flap::flap_fuse::parse_fused(&fused, lexer.arena_mut(), skip, i))
+        .map(|i| flap::flap_fuse::parse_fused(&fused, lexer.arena_mut(), i))
         .collect();
 
     for threads in [1, 4, 8] {

@@ -1,6 +1,7 @@
 //! Failure injection: every way a user can hold the library wrong
 //! must produce a structured error, not a panic or a wrong parse.
 
+use flap::flap_fuse::FuseError;
 use flap::{Cfe, CompileError, LexBuildError, LexerBuilder, Parser, TypeError};
 
 fn lexer_ab() -> (flap::Lexer, flap::Token, flap::Token) {
@@ -65,6 +66,27 @@ fn ambiguous_sequencing_is_a_type_error() {
         }
         other => panic!(
             "expected NotSeparable, got {:?}",
+            other.err().map(|e| e.to_string())
+        ),
+    }
+}
+
+#[test]
+fn a_token_the_lexer_lacks_is_a_fusion_error() {
+    // the grammar is written against a four-token lexer, then compiled
+    // against the two-token one: type-check and normalization pass,
+    // fusion finds no regex for the token
+    let (lexer, _, _) = lexer_ab();
+    let mut b = LexerBuilder::new();
+    for (name, re) in [("a", "a"), ("z", "z"), ("x", "x")] {
+        b.token(name, re).unwrap();
+    }
+    let y = b.token("y", "y").unwrap();
+    let g: Cfe<i64> = Cfe::tok_val(y, 1);
+    match Parser::compile(lexer, &g) {
+        Err(CompileError::Fuse(FuseError::UnknownToken(t))) => assert_eq!(t, y),
+        other => panic!(
+            "expected UnknownToken, got {:?}",
             other.err().map(|e| e.to_string())
         ),
     }

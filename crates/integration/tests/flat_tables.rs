@@ -38,8 +38,7 @@ fn check_against_oracle<V: 'static>(def: GrammarDef<V>) {
             def.name
         );
 
-        let skip = lexer.skip_regex();
-        let unstaged = flap::flap_fuse::parse_fused(&fused, lexer.arena_mut(), skip, &input)
+        let unstaged = flap::flap_fuse::parse_fused(&fused, lexer.arena_mut(), &input)
             .unwrap_or_else(|e| panic!("{}: unstaged parse failed: {e}", def.name));
         assert_eq!(
             (def.finish)(unstaged),

@@ -5,10 +5,9 @@
 //! byte-for-byte with a from-scratch parse of the current document:
 //! same values, same errors, same error positions and line/columns.
 //!
-//! The sweep runs all six benchmark grammars through both staged
-//! entry points (`parse_incremental`, `validate_incremental`) and the
-//! unstaged interpreter (`parse_incremental_fused`); targeted tests
-//! pin down suffix convergence and shifted-error reuse. A second
+//! The sweep runs all six benchmark grammars through both entry
+//! points (`parse_incremental`, `validate_incremental`); targeted
+//! tests pin down suffix convergence and shifted-error reuse. A second
 //! sweep runs the default config on 128–256 KiB json and sexp
 //! documents, where validation checkpoints are spaced by their cost,
 //! with batches of splices in arbitrary order.
@@ -525,35 +524,4 @@ fn mode_and_parser_switches_invalidate_cleanly() {
     );
     // and back to values
     assert_eq!(parser.parse_incremental(&mut inc).map(def.finish), want);
-}
-
-/// The unstaged interpreter's incremental path agrees with its own
-/// from-scratch parse under the same random edit script.
-#[test]
-fn unstaged_incremental_agrees_with_from_scratch() {
-    let def = flap_grammars::json::def();
-    let mut lexer = (def.lexer)();
-    let grammar = flap_dgnf::normalize(&(def.cfe)()).unwrap();
-    let fused = flap_fuse::fuse(&mut lexer, &grammar).unwrap();
-    let skip = lexer.skip_regex();
-
-    let doc0 = (def.generate)(31, 4 * 1024);
-    let donor = (def.generate)(32, 512);
-    let mut rng = StdRng::seed_from_u64(0xfced);
-    let mut inc = flap_fuse::FusedIncremental::with_config(IncrementalConfig { interval: 256 });
-    inc.splice(0..0, &doc0);
-    for _ in 0..25 {
-        let (range, repl) = random_edit(&mut rng, inc.doc(), &donor);
-        inc.splice(range, &repl);
-        let doc = inc.doc().to_vec();
-        let got = flap_fuse::parse_incremental_fused(&fused, lexer.arena_mut(), skip, &mut inc)
-            .map(def.finish);
-        let want = flap_fuse::parse_fused(&fused, lexer.arena_mut(), skip, &doc).map(def.finish);
-        assert_eq!(got, want, "unstaged incremental diverged");
-        assert_eq!(
-            inc.stats().suffix_reused,
-            0,
-            "unstaged reuse is prefix-only"
-        );
-    }
 }

@@ -2,13 +2,18 @@
 //! stage on all six benchmark grammars, and the whole pipeline is
 //! linear-time.
 
+mod common;
+
 use std::time::Instant;
 
+use common::workload;
 use flap_grammars::GrammarDef;
 
 fn stage_agreement<V: 'static>(def: &GrammarDef<V>) {
-    // staged-fused VM vs unstaged-fused interpreter vs token-level
-    // DGNF parser: identical accept/reject and values.
+    // staged-fused VM vs unstaged-fused interpreter: identical values
+    // and identical errors (position, line/column, expected set).
+    // Both vs the token-level DGNF parser and the reference oracle:
+    // identical accept/reject and values.
     let parser = def.flap_parser();
     let mut lexer = (def.lexer)();
     let grammar = flap_dgnf::normalize(&(def.cfe)()).expect("normalizes");
@@ -17,32 +22,24 @@ fn stage_agreement<V: 'static>(def: &GrammarDef<V>) {
     let mut lexer2 = (def.lexer)();
     let clex = flap_lex::CompiledLexer::build(&mut lexer2);
 
-    for seed in 0..4u64 {
-        let mut inputs = vec![(def.generate)(seed, 1200)];
-        let mut broken = inputs[0].clone();
-        broken.truncate(broken.len() * 2 / 3);
-        inputs.push(broken);
-        for input in &inputs {
-            let staged = parser.parse(input).map(def.finish).ok();
-            let skip = lexer.skip_regex();
-            let unstaged = flap_fuse::parse_fused(&fused, lexer.arena_mut(), skip, input)
-                .map(def.finish)
-                .ok();
-            assert_eq!(staged, unstaged, "[{}] staged vs unstaged", def.name);
-            let tokens = clex
-                .tokenize(input)
-                .ok()
-                .and_then(|lx| flap_dgnf::parse_tokens(&grammar, input, &lx).ok())
-                .map(def.finish);
-            // token-level Fig 8 does not consume trailing whitespace,
-            // so only compare when both succeed or the fused side
-            // also failed
-            if tokens.is_some() || staged.is_none() {
-                assert_eq!(staged, tokens, "[{}] staged vs token-level", def.name);
-            }
-            let oracle = (def.reference)(input).ok();
-            assert_eq!(staged, oracle, "[{}] staged vs oracle", def.name);
+    for input in &workload(def, 12) {
+        let staged = parser.parse(input).map(def.finish);
+        let unstaged = flap_fuse::parse_fused(&fused, lexer.arena_mut(), input).map(def.finish);
+        assert_eq!(staged, unstaged, "[{}] staged vs unstaged", def.name);
+        let staged = staged.ok();
+        let tokens = clex
+            .tokenize(input)
+            .ok()
+            .and_then(|lx| flap_dgnf::parse_tokens(&grammar, input, &lx).ok())
+            .map(def.finish);
+        // token-level Fig 8 does not consume trailing whitespace,
+        // so only compare when both succeed or the fused side
+        // also failed
+        if tokens.is_some() || staged.is_none() {
+            assert_eq!(staged, tokens, "[{}] staged vs token-level", def.name);
         }
+        let oracle = (def.reference)(input).ok();
+        assert_eq!(staged, oracle, "[{}] staged vs oracle", def.name);
     }
 }
 

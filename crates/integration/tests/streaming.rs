@@ -1,14 +1,12 @@
 //! Streaming differential tests: feeding input in chunks — down to
 //! one byte at a time — must agree byte-for-byte with one-shot
-//! parsing, on values and on error positions (line/column included),
-//! for both the staged VM and the unstaged fused interpreter.
+//! parsing, on values and on error positions (line/column included).
 
 // Errors inline their expected-token set (allocation-free); the
 // larger Err variant is deliberate.
 #![allow(clippy::result_large_err)]
 
-use flap::{ParseSession, Step};
-use flap_fuse::{stream_fused, FusedSession, IterSource, ReadSource, SliceChunks};
+use flap::{IterSource, ParseSession, ReadSource, SliceChunks, Step};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,48 +102,6 @@ fn staged_chunked_feeds_agree_with_one_shot() {
                     "{}: random split #{round} {cuts:?}",
                     def.name
                 );
-            }
-        }
-    }
-}
-
-#[test]
-fn unstaged_chunked_feeds_agree_with_staged_and_one_shot() {
-    for def in [flap_grammars::json::def(), flap_grammars::sexp::def()] {
-        let parser = def.flap_parser();
-        let mut lexer = (def.lexer)();
-        let grammar = flap::flap_dgnf::normalize(&(def.cfe)()).expect("normalizes");
-        let fused = flap::flap_fuse::fuse(&mut lexer, &grammar).expect("fuses");
-        let skip = lexer.skip_regex();
-        let mut session = FusedSession::new();
-        let mut rng = StdRng::seed_from_u64(42);
-        for input in workloads(&def, 13) {
-            let expected = parser.parse(&input);
-            for _ in 0..4 {
-                let cuts = random_cuts(&mut rng, input.len());
-                let pieces = split_at_all(&input, &cuts);
-                let mut s = stream_fused(&fused, lexer.arena_mut(), skip, &mut session);
-                let mut got = None;
-                for piece in &pieces {
-                    match s.feed(piece) {
-                        Step::NeedMore => {}
-                        Step::Err(e) => {
-                            got = Some(Err(e));
-                            break;
-                        }
-                        Step::Done(_) => unreachable!(),
-                    }
-                }
-                let got = got.unwrap_or_else(|| match s.finish() {
-                    Step::Done(v) => Ok(v),
-                    Step::Err(e) => Err(e),
-                    Step::NeedMore => unreachable!(),
-                });
-                session.reset();
-                // staged and unstaged streaming agree on values AND
-                // on full error structure (position, line/col,
-                // expected set)
-                assert_eq!(got, expected, "{}: cuts {cuts:?}", def.name);
             }
         }
     }
