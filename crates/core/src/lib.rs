@@ -100,24 +100,26 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The one-shot [`Parser::parse`] / [`Parser::parse_with`] /
-//! [`Parser::parse_batch`] entry points are thin wrappers over the
-//! same stepper, handed the whole slice at once — there is exactly
-//! one hot loop, and the contiguous fast path does no buffering or
-//! copying.
+//! The one-shot [`Parser::parse`] / [`Parser::parse_with`] entry
+//! points are thin wrappers over the same stepper, handed the whole
+//! slice at once — there is exactly one hot loop, and the contiguous
+//! fast path does no buffering or copying.
 //!
 //! # Concurrency
 //!
 //! A compiled [`Parser`] is immutable and `Send + Sync`: semantic
 //! actions are stored as `Arc<dyn Fn … + Send + Sync>` and all
 //! per-parse mutable state lives in a caller-owned [`ParseSession`].
-//! Share one parser across any number of threads, give each thread
-//! its own session (allocation-free steady state), or let
-//! [`Parser::parse_batch`] shard a batch of inputs across scoped
-//! worker threads:
+//! Share one parser across any number of threads and give each
+//! thread its own session (allocation-free steady state), or hand a
+//! batch to a [`Parser::serve`] pool: persistent workers, a bounded
+//! submission queue with backpressure, panic isolation and built-in
+//! metrics (see the [`serve`] module). The pool is the only place
+//! the library spawns threads.
 //!
 //! ```
 //! # use flap::{Cfe, LexerBuilder, Parser};
+//! use flap::serve::PoolConfig;
 //! # let mut lx = LexerBuilder::new();
 //! # let atom = lx.token("atom", "[a-z]+")?;
 //! # let lexer = lx.build()?;
@@ -130,17 +132,13 @@
 //!     assert_eq!(parser.parse_with(&mut session, input)?, 1);
 //! }
 //!
-//! // batch sharded over 4 worker threads, results in input order
-//! let docs: Vec<&[u8]> = vec![b"abc"; 1024];
-//! let results = parser.parse_batch(&docs, 4);
+//! // a batch spread over 4 pool workers, results in input order; a
+//! // panicking action fails its own slot, not the caller
+//! let pool = parser.serve(PoolConfig::default().workers(4));
+//! let results = pool.parse_batch(vec![&b"abc"[..]; 1024]);
 //! assert!(results.iter().all(|r| *r.as_ref().unwrap() == 1));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! For a *long-lived* service — persistent workers, a bounded
-//! submission queue with backpressure, panic isolation and built-in
-//! metrics — use [`Parser::serve`] and the [`serve`] module instead
-//! of re-spawning `parse_batch` threads per call.
 //!
 //! # Crate map
 //!

@@ -18,7 +18,7 @@
 //! * **Profiling.** [`ParseProfiler`] accumulates a per-grammar
 //!   profile — bytes skipped vs lexed, a token-class histogram,
 //!   reductions by rule, automaton-row heat — with bounded
-//!   allocation; `flap-bench --profile` renders it.
+//!   allocation; `flap-bench`'s `profile` binary renders it.
 //! * **Tracing & export.** [`TraceRecorder`] collects timed spans
 //!   (queue-wait vs execution per pool job, one lane per worker) and
 //!   writes them as Chrome trace-event JSON readable by Perfetto or

@@ -1,7 +1,6 @@
 //! The end-user entry point: compile a lexer + combinator grammar
 //! into a fused, staged parser.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use flap_artifact::{AlignedBuf, ArtifactError};
@@ -22,8 +21,8 @@ use flap_staged::{
 /// tables sit behind an [`Arc`], so cloning a `Parser` (or taking
 /// [`Parser::compiled_arc`]) shares them rather than copying — hand
 /// one parser to as many threads as you like, each with its own
-/// session, or let [`Parser::parse_batch`] shard a workload across
-/// scoped threads for you.
+/// session, or let a [`Parser::serve`] pool spread a batch over its
+/// workers with [`ParsePool::parse_batch`](crate::serve::ParsePool::parse_batch).
 ///
 /// See [`Parser::compile`] for construction and the crate docs for a
 /// complete example.
@@ -382,96 +381,18 @@ impl<V: 'static> Parser<V> {
 }
 
 impl<V: Send + 'static> Parser<V> {
-    /// Parses a batch of independent inputs in parallel on `threads`
-    /// scoped worker threads, returning one result per input, in
-    /// input order.
-    ///
-    /// The compiled tables are shared (`&self`); each worker owns one
-    /// [`ParseSession`], reused across all inputs it claims, so the
-    /// per-input cost is the same allocation-free hot path as
-    /// [`Parser::parse_with`]. Work is distributed dynamically (an
-    /// atomic cursor over the batch), so skewed input sizes don't
-    /// stall a whole shard.
-    ///
-    /// `threads == 0` is not an error: it *clamps* to
-    /// [`std::thread::available_parallelism`] (falling back to 1 if
-    /// that is unavailable), so `parse_batch(inputs, 0)` means "use
-    /// the whole machine". `threads == 1` parses inline on the
-    /// calling thread, making the single-thread case an honest
-    /// baseline for scaling comparisons. An empty `inputs` slice
-    /// returns an empty vector without spawning any threads.
-    ///
-    /// Each call pays the scoped-thread spawn/join cost, which is the
-    /// right trade for one big batch. A service parsing many small
-    /// batches (or single documents) over time should instead keep a
-    /// [`Parser::serve`] pool, which reuses its workers and sessions
-    /// across submissions; `parse_batch` remains the zero-setup
-    /// fallback.
-    pub fn parse_batch<I: AsRef<[u8]> + Sync>(
-        &self,
-        inputs: &[I],
-        threads: usize,
-    ) -> Vec<Result<V, FusedParseError>> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let threads = match threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
-        if threads <= 1 || inputs.len() <= 1 {
-            let mut session = self.session();
-            return inputs
-                .iter()
-                .map(|i| self.parse_with(&mut session, i.as_ref()))
-                .collect();
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let mut collected: Vec<Vec<(usize, Result<V, FusedParseError>)>> =
-            Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(inputs.len()))
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut session = self.session();
-                        let mut local = Vec::new();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= inputs.len() {
-                                break;
-                            }
-                            local.push((idx, self.parse_with(&mut session, inputs[idx].as_ref())));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                collected.push(h.join().expect("parse worker panicked"));
-            }
-        });
-        let mut results: Vec<Option<Result<V, FusedParseError>>> =
-            (0..inputs.len()).map(|_| None).collect();
-        for (idx, r) in collected.into_iter().flatten() {
-            results[idx] = Some(r);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every input index was claimed by a worker"))
-            .collect()
-    }
-
     /// Spawns a persistent worker pool serving this parser: long-lived
     /// workers with reusable sessions, a bounded submission queue with
     /// explicit backpressure, panic isolation and built-in metrics.
     /// The pool shares the compiled tables via [`Parser::compiled_arc`]
     /// and outlives this `Parser` if need be.
     ///
-    /// See the [`crate::serve`] module docs for the full API.
+    /// The pool is the only place the library spawns threads. Parse a
+    /// batch in parallel with
+    /// [`ParsePool::parse_batch`](crate::serve::ParsePool::parse_batch);
+    /// parse one sequentially with [`Parser::parse_with`] in a loop over
+    /// one session. See the [`crate::serve`] module docs for the full
+    /// API.
     pub fn serve(&self, config: crate::serve::PoolConfig) -> crate::serve::ParsePool<V> {
         crate::serve::ParsePool::new(self.compiled_arc(), config)
     }
@@ -551,33 +472,6 @@ mod tests {
                 assert_eq!(h.join().unwrap(), expect);
             }
         });
-    }
-
-    #[test]
-    fn parse_batch_matches_sequential_in_order() {
-        let p = sexp();
-        let inputs: Vec<Vec<u8>> = (0..97)
-            .map(|i| {
-                if i % 7 == 3 {
-                    b"(a (".to_vec() // malformed
-                } else {
-                    let mut s = b"(".to_vec();
-                    s.extend(std::iter::repeat_n(&b"a "[..], i % 11).flatten());
-                    s.push(b')');
-                    s
-                }
-            })
-            .collect();
-        let sequential: Vec<_> = inputs.iter().map(|i| p.parse(i)).collect();
-        for threads in [0, 1, 2, 4, 8] {
-            assert_eq!(
-                p.parse_batch(&inputs, threads),
-                sequential,
-                "threads={threads}"
-            );
-        }
-        // empty batch
-        assert!(p.parse_batch(&Vec::<Vec<u8>>::new(), 4).is_empty());
     }
 
     #[test]

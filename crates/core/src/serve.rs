@@ -1,13 +1,13 @@
 //! A persistent parse service: a long-lived worker pool with
 //! admission control, panic isolation and built-in metrics.
 //!
-//! [`Parser::parse_batch`](crate::Parser::parse_batch) spawns scoped
-//! threads on every call, which is the right shape for a one-off
-//! batch but not for a server fielding millions of small requests:
-//! there, thread spawn cost must be amortized, concurrency must be
-//! bounded, overload must be *rejected* rather than buffered without
-//! limit, and a panicking semantic action must kill one request — not
-//! the process. [`ParsePool`] provides exactly that substrate:
+//! The pool is the only place the library spawns threads, and
+//! [`ParsePool::parse_batch`] is its one batch API. A server fielding
+//! many small requests needs more than a batch: thread spawn cost
+//! must be amortized, concurrency must be bounded, overload must be
+//! *rejected* rather than buffered without limit, and a panicking
+//! semantic action must kill one request — not the process.
+//! [`ParsePool`] provides exactly that substrate:
 //!
 //! * **Worker pool.** N long-lived worker threads, each owning one
 //!   reusable [`ParseSession`], share the compiled tables behind an
@@ -26,8 +26,7 @@
 //!   [`try_wait`](Handle::try_wait) and
 //!   [`wait_timeout`](Handle::wait_timeout) — a poll interface an
 //!   async runtime can drive without this crate taking any
-//!   dependency — or, via [`ParsePool::submit_with_callback`], a
-//!   callback invoked on the worker at completion.
+//!   dependency. Every job completes through its handle's slot.
 //! * **Streaming jobs.** [`ParsePool::open_stream`] parks a
 //!   suspendable session in the pool; each
 //!   [`StreamJob::feed`] submits one chunk as a queue job, so a
@@ -500,28 +499,10 @@ impl<T> fmt::Debug for Handle<T> {
 // ---------------------------------------------------------------------------
 // Jobs and the shared pool state
 
-/// Callback form of job completion: invoked on the worker thread as
-/// soon as the job finishes.
-pub type JobCallback<V> = Box<dyn FnOnce(Result<V, JobError>) + Send + 'static>;
-
-enum ParseDone<V> {
-    Slot(Arc<Slot<Result<V, JobError>>>),
-    Call(JobCallback<V>),
-}
-
-impl<V> ParseDone<V> {
-    fn fill(self, result: Result<V, JobError>) {
-        match self {
-            ParseDone::Slot(slot) => slot.fill(result),
-            ParseDone::Call(cb) => cb(result),
-        }
-    }
-}
-
 enum Job<V> {
     Parse {
         input: JobInput,
-        done: ParseDone<V>,
+        done: Arc<Slot<Result<V, JobError>>>,
         enqueued: Instant,
     },
     Feed {
@@ -669,7 +650,7 @@ impl<V: Send + 'static> ParsePool<V> {
                     q,
                     Job::Parse {
                         input,
-                        done: ParseDone::Slot(slot),
+                        done: slot,
                         enqueued: Instant::now(),
                     },
                 );
@@ -707,39 +688,7 @@ impl<V: Send + 'static> ParsePool<V> {
                     q,
                     Job::Parse {
                         input,
-                        done: ParseDone::Slot(Arc::clone(&handle.slot)),
-                        enqueued: Instant::now(),
-                    },
-                );
-                Ok(())
-            }
-        }
-    }
-
-    /// Submits with a completion callback instead of a handle: the
-    /// callback runs on the worker thread the moment the job
-    /// finishes — the hook for executors that want to wake a task
-    /// rather than poll. Keep it short; the worker is not serving
-    /// anyone while it runs. Blocks while the queue is full.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Closed`] after shutdown.
-    pub fn submit_with_callback(
-        &self,
-        input: impl Into<JobInput>,
-        callback: JobCallback<V>,
-    ) -> Result<(), SubmitError> {
-        let input = input.into();
-        match self.shared.lock_for_push(true) {
-            Err(Refused::Full) => unreachable!("blocking push cannot see a full queue"),
-            Err(Refused::Closed) => Err(SubmitError::Closed(input)),
-            Ok(q) => {
-                self.shared.push(
-                    q,
-                    Job::Parse {
-                        input,
-                        done: ParseDone::Call(callback),
+                        done: Arc::clone(&handle.slot),
                         enqueued: Instant::now(),
                     },
                 );
@@ -766,11 +715,11 @@ impl<V: Send + 'static> ParsePool<V> {
     }
 
     /// Parses a batch through the pool, returning one result per
-    /// input in input order — the long-lived-service counterpart of
-    /// [`Parser::parse_batch`](crate::Parser::parse_batch): worker
-    /// threads and sessions are reused across calls instead of
-    /// re-spawned per call. Submission blocks under backpressure, so
-    /// batches larger than the queue are fine.
+    /// input in input order — the library's one batch API. Worker
+    /// threads and sessions are reused across calls. A panicking
+    /// semantic action fails only its own input, with
+    /// [`JobError::Panicked`]. Submission blocks under backpressure,
+    /// so batches larger than the queue are fine.
     pub fn parse_batch<I>(&self, inputs: I) -> Vec<Result<V, JobError>>
     where
         I: IntoIterator,
@@ -800,11 +749,6 @@ impl<V: Send + 'static> ParsePool<V> {
     /// [`MetricsEmitter::start`](crate::obs::MetricsEmitter::start).
     pub fn metrics_arc(&self) -> Arc<Metrics> {
         Arc::clone(&self.shared.metrics)
-    }
-
-    /// Configured worker count.
-    pub fn workers(&self) -> usize {
-        self.shared.metrics.snapshot().workers
     }
 
     /// Graceful shutdown: closes the queue, lets the workers drain
@@ -887,17 +831,7 @@ impl<V: Send + 'static> StreamJob<V> {
     /// unfinished, [`SubmitError::StreamFinished`] once the stream
     /// ended, [`SubmitError::Closed`] after pool shutdown.
     pub fn feed(&mut self, chunk: impl Into<JobInput>) -> Result<FeedHandle<V>, SubmitError> {
-        self.advance(Some(chunk.into()), true)
-    }
-
-    /// As [`StreamJob::feed`] without blocking on a full queue:
-    /// refused with [`SubmitError::Busy`] instead.
-    ///
-    /// # Errors
-    ///
-    /// As [`StreamJob::feed`], plus [`SubmitError::Busy`].
-    pub fn try_feed(&mut self, chunk: impl Into<JobInput>) -> Result<FeedHandle<V>, SubmitError> {
-        self.advance(Some(chunk.into()), false)
+        self.advance(Some(chunk.into()))
     }
 
     /// Signals end of input; the handle yields [`FeedStatus::Done`]
@@ -907,7 +841,7 @@ impl<V: Send + 'static> StreamJob<V> {
     ///
     /// As [`StreamJob::feed`].
     pub fn finish(&mut self) -> Result<FeedHandle<V>, SubmitError> {
-        self.advance(None, true)
+        self.advance(None)
     }
 
     /// Whether the stream has reached a terminal state (value
@@ -916,28 +850,18 @@ impl<V: Send + 'static> StreamJob<V> {
         self.inner.finished.load(Ordering::Acquire)
     }
 
-    fn advance(
-        &mut self,
-        chunk: Option<JobInput>,
-        blocking: bool,
-    ) -> Result<FeedHandle<V>, SubmitError> {
+    fn advance(&mut self, chunk: Option<JobInput>) -> Result<FeedHandle<V>, SubmitError> {
         if self.inner.finished.load(Ordering::Acquire) {
             return Err(SubmitError::StreamFinished(chunk.unwrap_or_default()));
         }
         if self.inner.pending.swap(true, Ordering::AcqRel) {
             return Err(SubmitError::FeedInFlight(chunk.unwrap_or_default()));
         }
-        match self.shared.lock_for_push(blocking) {
-            Err(refused) => {
+        match self.shared.lock_for_push(true) {
+            Err(Refused::Full) => unreachable!("blocking push cannot see a full queue"),
+            Err(Refused::Closed) => {
                 self.inner.pending.store(false, Ordering::Release);
-                let input = chunk.unwrap_or_default();
-                Err(match refused {
-                    Refused::Full => {
-                        self.shared.metrics.job_rejected();
-                        SubmitError::Busy(input)
-                    }
-                    Refused::Closed => SubmitError::Closed(input),
-                })
+                Err(SubmitError::Closed(chunk.unwrap_or_default()))
             }
             Ok(q) => {
                 let slot = Slot::new();
@@ -1215,23 +1139,6 @@ mod tests {
             other => panic!("expected a parse error, got {other:?}"),
         }
         assert_eq!(pool.metrics().snapshot().parse_errors, 1);
-    }
-
-    #[test]
-    fn callback_completion_runs_on_worker() {
-        let pool = word_pool(|_| 1, PoolConfig::default().workers(1));
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.submit_with_callback(
-            &b"x y z"[..],
-            Box::new(move |r| {
-                tx.send((r, thread::current().name().map(String::from)))
-                    .unwrap();
-            }),
-        )
-        .unwrap();
-        let (r, name) = rx.recv().unwrap();
-        assert_eq!(r, Ok(3));
-        assert!(name.unwrap().starts_with("flap-serve:"), "worker thread");
     }
 
     #[test]

@@ -3,19 +3,14 @@
 //! subsystem.
 //!
 //! Usage: `cargo run -p flap-bench --release --bin boot --
-//! [--json] [--smoke [snapshot]]`
+//! [--json] [--smoke [snapshot]]` (`--json` and `--smoke` as in
+//! `flap_bench::cli`, against `BENCH_boot.json`). `--smoke` also
+//! asserts the acceptance floor: loading the largest grammar's
+//! artifact as a recognizer must be at least 10× faster than
+//! cold-compiling it.
 //!
-//! * `--json` prints the results as a JSON document (the schema of
-//!   the checked-in `BENCH_boot.json`) instead of the table.
-//! * `--smoke [snapshot]` runs a fast pass, compares the document's
-//!   *schema* against the checked-in snapshot (default
-//!   `BENCH_boot.json`), and additionally asserts the acceptance
-//!   floor: loading the largest grammar's artifact as a recognizer
-//!   must be at least 10× faster than cold-compiling it. Exits
-//!   non-zero on either failure, so CI keeps both the snapshot and
-//!   the floor honest.
-//!
-//! Four timings per grammar, each best-of-N (drops excluded):
+//! Four timings per grammar, each a median from `flap_bench::timing`
+//! (drops excluded):
 //!
 //! * **compile** — the full cold path a process pays on first boot:
 //!   build the lexer and combinator grammar, then
@@ -37,58 +32,52 @@
 //! parser on a generated document, so the bench doubles as an
 //! end-to-end artifact round-trip test.
 
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
 use flap::artifact::{load_recognizer, AlignedBuf};
 use flap::Parser;
+use flap_bench::cli::Cli;
 use flap_bench::json::{obj, Json};
+use flap_bench::timing::{time, worst_spread_pct, Timing};
 use flap_grammars::GrammarDef;
 
 /// The smoke-mode acceptance floor: a recognizer load must beat cold
 /// compile by at least this factor on the largest grammar.
 const MIN_LOAD_SPEEDUP: f64 = 10.0;
 
+/// Timed calls per figure, in every mode: the smoke's floor check
+/// compares two medians of micro-timings, which a few calls leave
+/// noisy.
+const ITERS: usize = 15;
+
 struct BootRow {
     name: &'static str,
     artifact_bytes: usize,
-    compile_us: f64,
-    grammar_build_us: f64,
-    from_artifact_us: f64,
-    load_us: f64,
+    compile: Timing,
+    grammar_build: Timing,
+    from_artifact: Timing,
+    load: Timing,
 }
 
 impl BootRow {
     /// `compile / (build + from_artifact)`: how much of a boot that
     /// runs actions the artifact removes.
     fn boot_speedup(&self) -> f64 {
-        self.compile_us / (self.grammar_build_us + self.from_artifact_us)
+        self.compile.median / (self.grammar_build.median + self.from_artifact.median)
     }
 
     /// `compile / load`: the same for a recognizer-only boot.
     fn load_speedup(&self) -> f64 {
-        self.compile_us / self.load_us
+        self.compile.median / self.load.median
     }
 }
 
-/// Best of `iters` timed calls of `f`, in µs; each result is dropped
-/// outside the timed span.
-fn best_of<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        let out = std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
-        drop(out);
-    }
-    best
-}
-
-fn bench_one<V: 'static>(def: GrammarDef<V>, iters: usize) -> BootRow {
+fn bench_one<V: 'static>(def: GrammarDef<V>) -> BootRow {
     // Cold compile: everything a fresh process does before its first
     // parse, including building the lexer and grammar definitions.
-    let compile_us = best_of(iters, || {
+    let compile = time(ITERS, || {
         Parser::compile((def.lexer)(), &(def.cfe)()).expect("compiles")
     });
 
@@ -102,20 +91,21 @@ fn bench_one<V: 'static>(def: GrammarDef<V>, iters: usize) -> BootRow {
     // (a server keeps the file mapped or in an aligned arena; the
     // tables are borrowed from it, never copied).
     let buf = Arc::new(AlignedBuf::from_bytes(&bytes));
-    let load_us = best_of(iters, || {
-        let r = load_recognizer(&buf).expect("artifact loads");
+    let load = time(ITERS, || {
+        let r = load_recognizer(black_box(&buf)).expect("artifact loads");
         assert!(r.tables_shared(), "load must borrow, not copy, tables");
         r
     });
 
     // Full parser from artifact, split into the caller's grammar
     // construction and the load proper.
-    let grammar_build_us = best_of(iters, || ((def.lexer)(), (def.cfe)()));
+    let grammar_build = time(ITERS, || ((def.lexer)(), (def.cfe)()));
     let cfe = (def.cfe)();
-    let mut lexers: Vec<_> = (0..iters).map(|_| (def.lexer)()).collect();
-    let from_artifact_us = best_of(iters, || {
+    // one lexer per call, warm-up included
+    let mut lexers: Vec<_> = (0..=ITERS).map(|_| (def.lexer)()).collect();
+    let from_artifact = time(ITERS, || {
         let lexer = lexers.pop().expect("one lexer per iteration");
-        Parser::from_artifact(&bytes, lexer, &cfe).expect("loads")
+        Parser::from_artifact(black_box(&bytes), lexer, &cfe).expect("loads")
     });
 
     // Round-trip correctness: the loaded parser and recognizer agree
@@ -135,10 +125,10 @@ fn bench_one<V: 'static>(def: GrammarDef<V>, iters: usize) -> BootRow {
     BootRow {
         name: def.name,
         artifact_bytes: bytes.len(),
-        compile_us,
-        grammar_build_us,
-        from_artifact_us,
-        load_us,
+        compile,
+        grammar_build,
+        from_artifact,
+        load,
     }
 }
 
@@ -149,12 +139,12 @@ fn headline(rows: &[BootRow]) -> &BootRow {
         .expect("at least one grammar")
 }
 
-fn report(rows: &[BootRow], iters: usize) -> Json {
+fn report(rows: &[BootRow]) -> Json {
     let round1 = |v: f64| Json::Num((v * 10.0).round() / 10.0);
     let h = headline(rows);
     obj(vec![
         ("bench", Json::Str("boot".to_string())),
-        ("iters", Json::Num(iters as f64)),
+        ("iters", Json::Num(ITERS as f64)),
         ("headline_grammar", Json::Str(h.name.to_string())),
         ("headline_boot_speedup", round1(h.boot_speedup())),
         ("headline_load_speedup", round1(h.load_speedup())),
@@ -167,11 +157,11 @@ fn report(rows: &[BootRow], iters: usize) -> Json {
                             r.name.to_string(),
                             obj(vec![
                                 ("artifact_bytes", Json::Num(r.artifact_bytes as f64)),
-                                ("compile_us", round1(r.compile_us)),
-                                ("grammar_build_us", round1(r.grammar_build_us)),
-                                ("from_artifact_us", round1(r.from_artifact_us)),
+                                ("compile_us", round1(r.compile.us())),
+                                ("grammar_build_us", round1(r.grammar_build.us())),
+                                ("from_artifact_us", round1(r.from_artifact.us())),
                                 ("boot_speedup", round1(r.boot_speedup())),
-                                ("load_us", round1(r.load_us)),
+                                ("load_us", round1(r.load.us())),
                                 ("load_speedup", round1(r.load_speedup())),
                             ]),
                         )
@@ -182,10 +172,13 @@ fn report(rows: &[BootRow], iters: usize) -> Json {
     ])
 }
 
-fn print_table(rows: &[BootRow], iters: usize) {
-    println!("boot latency: cold compile vs artifact boot (best of {iters})");
+fn print_table(rows: &[BootRow]) {
     println!(
-        "{:<8}{:>12}{:>13}{:>11}{:>17}{:>9}{:>11}{:>9}",
+        "boot latency: cold compile vs artifact boot (median of {ITERS}; spread: widest \
+         interquartile range in the row, % of its median)"
+    );
+    println!(
+        "{:<8}{:>12}{:>13}{:>11}{:>17}{:>9}{:>11}{:>9}{:>9}",
         "grammar",
         "artifact B",
         "compile µs",
@@ -193,19 +186,21 @@ fn print_table(rows: &[BootRow], iters: usize) {
         "from_artifact µs",
         "boot",
         "load µs",
-        "load"
+        "load",
+        "spread"
     );
     for r in rows {
         println!(
-            "{:<8}{:>12}{:>13.1}{:>11.1}{:>17.1}{:>8.1}x{:>11.1}{:>8.1}x",
+            "{:<8}{:>12}{:>13.1}{:>11.1}{:>17.1}{:>8.1}x{:>11.1}{:>8.1}x{:>8.0}%",
             r.name,
             r.artifact_bytes,
-            r.compile_us,
-            r.grammar_build_us,
-            r.from_artifact_us,
+            r.compile.us(),
+            r.grammar_build.us(),
+            r.from_artifact.us(),
             r.boot_speedup(),
-            r.load_us,
-            r.load_speedup()
+            r.load.us(),
+            r.load_speedup(),
+            worst_spread_pct([&r.compile, &r.grammar_build, &r.from_artifact, &r.load])
         );
     }
     let h = headline(rows);
@@ -219,96 +214,37 @@ fn print_table(rows: &[BootRow], iters: usize) {
     );
 }
 
-struct Options {
-    json: bool,
-    /// `Some(snapshot_path)` when running as a CI smoke check.
-    smoke: Option<String>,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        json: false,
-        smoke: None,
-    };
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => opts.json = true,
-            "--smoke" => {
-                let path = match args.peek() {
-                    Some(p) if !p.starts_with("--") => args.next().unwrap(),
-                    _ => "BENCH_boot.json".to_string(),
-                };
-                opts.smoke = Some(path);
-            }
-            other => {
-                eprintln!("boot: unknown argument {other}");
-            }
-        }
-    }
-    opts
-}
-
 fn main() -> ExitCode {
-    let opts = parse_args();
-    // Smoke still needs a stable best-of: the 10x floor check below
-    // compares two micro-timings, and best-of-2 is too noisy for it.
-    let iters = if opts.smoke.is_some() { 4 } else { 7 };
+    let cli = Cli::parse("boot", Some("BENCH_boot.json"));
 
     let rows = vec![
-        bench_one(flap_grammars::pgn::def(), iters),
-        bench_one(flap_grammars::ppm::def(), iters),
-        bench_one(flap_grammars::sexp::def(), iters),
-        bench_one(flap_grammars::csv::def(), iters),
-        bench_one(flap_grammars::json::def(), iters),
-        bench_one(flap_grammars::arith::def(), iters),
+        bench_one(flap_grammars::pgn::def()),
+        bench_one(flap_grammars::ppm::def()),
+        bench_one(flap_grammars::sexp::def()),
+        bench_one(flap_grammars::csv::def()),
+        bench_one(flap_grammars::json::def()),
+        bench_one(flap_grammars::arith::def()),
     ];
-    let doc = report(&rows, iters);
-
-    if let Some(snapshot) = &opts.smoke {
-        let text = match std::fs::read_to_string(snapshot) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("boot --smoke: cannot read snapshot {snapshot}: {e}");
-                return ExitCode::FAILURE;
+    let doc = report(&rows);
+    cli.emit(
+        &doc,
+        || print_table(&rows),
+        || {
+            let h = headline(&rows);
+            if h.load_speedup() < MIN_LOAD_SPEEDUP {
+                return Err(format!(
+                    "recognizer load speedup {:.1}x on {} is below the {MIN_LOAD_SPEEDUP}x \
+                     acceptance floor",
+                    h.load_speedup(),
+                    h.name
+                ));
             }
-        };
-        let snap = match Json::parse(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("boot --smoke: snapshot {snapshot} is not valid JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !snap.same_schema(&doc) {
-            eprintln!(
-                "boot --smoke: schema drift between {snapshot} and the harness.\n\
-                 Regenerate with: cargo run --release -p flap-bench --bin boot -- --json \
-                 > BENCH_boot.json\ncurrent harness output:\n{doc}"
-            );
-            return ExitCode::FAILURE;
-        }
-        let h = headline(&rows);
-        if h.load_speedup() < MIN_LOAD_SPEEDUP {
-            eprintln!(
-                "boot --smoke: recognizer load speedup {:.1}x on {} is below the \
-                 {MIN_LOAD_SPEEDUP}x acceptance floor",
+            Ok(format!(
+                "; recognizer load {:.0}x >= {MIN_LOAD_SPEEDUP}x on {}; full boot {:.1}x",
                 h.load_speedup(),
-                h.name
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "boot --smoke: snapshot {snapshot} schema matches; recognizer load {:.0}x >= \
-             {MIN_LOAD_SPEEDUP}x on {}; full boot {:.1}x",
-            h.load_speedup(),
-            h.name,
-            h.boot_speedup()
-        );
-    } else if opts.json {
-        println!("{doc}");
-    } else {
-        print_table(&rows, iters);
-    }
-    ExitCode::SUCCESS
+                h.name,
+                h.boot_speedup()
+            ))
+        },
+    )
 }

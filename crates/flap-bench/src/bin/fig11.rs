@@ -3,26 +3,25 @@
 //!
 //! Usage: `cargo run -p flap-bench --release --bin fig11 --
 //! [target_MB] [--json] [--smoke [snapshot]]` (default 2 MB per
-//! grammar).
+//! grammar; `--json` and `--smoke` as in `flap_bench::cli`, against
+//! `BENCH_fig11.json`).
 //!
-//! * `--json` prints the results as a JSON document (the schema of
-//!   the checked-in `BENCH_fig11.json`) instead of the table.
-//! * `--smoke [snapshot]` runs a fast small-input pass and compares
-//!   the resulting document's *schema* (implementations, grammars,
-//!   ratio rows — not the machine-dependent numbers) against the
-//!   checked-in snapshot (default `BENCH_fig11.json`), exiting
-//!   non-zero on drift. CI runs this so the snapshot cannot silently
-//!   fall out of sync with the harness.
+//! Each cell is a median from `flap_bench::timing`. The
+//! `flap-codegen-recognizer` row runs the recognizer generated at
+//! build time, which has no semantic actions, beside the parsers.
 //!
 //! The absolute numbers depend on the machine; the paper's claim is
 //! about *shape*: flap beats the token-stream implementations by
 //! integer factors, and `normalized` (same grammar, unfused) trails
 //! flap by 1.7–7.4×.
 
+use std::hint::black_box;
 use std::process::ExitCode;
 
+use flap_bench::cli::Cli;
 use flap_bench::json::{obj, Json};
-use flap_bench::{all_cases, throughput_mbps, BenchCase};
+use flap_bench::timing::{self, worst_spread_pct, Timing};
+use flap_bench::{all_cases, time_impl, BenchCase};
 
 /// Median flap-row throughput (MB/s) on the 2 MB workload, measured
 /// on the reference machine immediately before the flattened
@@ -39,101 +38,76 @@ const PRE_FLATTEN_FLAP: [(&str, f64); 6] = [
     ("csv", 79.8),
 ];
 
-struct Options {
-    target_mb: f64,
-    json: bool,
-    /// `Some(snapshot_path)` when running as a CI smoke check.
-    smoke: Option<String>,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        target_mb: 2.0,
-        json: false,
-        smoke: None,
-    };
-    let mut args = std::env::args().skip(1).peekable();
-    let mut explicit_target = false;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => opts.json = true,
-            "--smoke" => {
-                let path = match args.peek() {
-                    Some(p) if !p.starts_with('-') && p.parse::<f64>().is_err() => {
-                        args.next().unwrap()
-                    }
-                    _ => "BENCH_fig11.json".to_string(),
-                };
-                opts.smoke = Some(path);
-            }
-            other => {
-                if let Ok(v) = other.parse() {
-                    opts.target_mb = v;
-                    explicit_target = true;
-                }
-            }
-        }
-    }
-    if opts.smoke.is_some() && !explicit_target {
-        // fast schema-only pass: numbers are not meaningful anyway
-        opts.target_mb = 0.2;
-    }
-    opts
+/// One measured row: a name and MB/s per grammar, with the timings
+/// they came from.
+struct Row {
+    name: String,
+    mbps: Vec<f64>,
+    timings: Vec<Timing>,
 }
 
 /// Measures every implementation row plus the generated-recognizer
-/// row. Returns `(rows, codegen_row)` in display order.
-#[allow(clippy::type_complexity)]
-fn measure(
-    cases: &[BenchCase],
-    target: usize,
-    iters: usize,
-) -> (Vec<(String, Vec<f64>)>, Vec<f64>) {
-    let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
-    for i in 0..cases[0].impls.len() {
-        let mut row = Vec::new();
-        for c in cases {
-            let input = (c.generate)(42, target);
-            let expected = (c.reference)(&input).expect("generated input is valid");
-            row.push(throughput_mbps(&c.impls[i].run, &input, expected, iters));
-        }
-        rows.push((cases[0].impls[i].name.to_string(), row));
-    }
+/// row (last), in display order.
+fn measure(cases: &[BenchCase], target: usize, iters: usize) -> Vec<Row> {
+    let inputs: Vec<Vec<u8>> = cases.iter().map(|c| (c.generate)(42, target)).collect();
+    let row = |name: &str, timings: Vec<Timing>| Row {
+        name: name.to_string(),
+        mbps: timings
+            .iter()
+            .zip(&inputs)
+            .map(|(t, input)| t.mbps(input.len()))
+            .collect(),
+        timings,
+    };
+    let mut rows: Vec<Row> = (0..cases[0].impls.len())
+        .map(|i| {
+            let timings = cases
+                .iter()
+                .zip(&inputs)
+                .map(|(c, input)| {
+                    let expected = (c.reference)(input).expect("generated input is valid");
+                    time_impl(&c.impls[i].run, input, expected, iters)
+                })
+                .collect();
+            row(cases[0].impls[i].name, timings)
+        })
+        .collect();
     // The genuinely staged path: recognizers emitted by
     // flap_staged::codegen and compiled natively by build.rs. These
     // run no semantic actions (closures cannot be residualized); it
     // is the closest analogue of flap's MetaOCaml-generated code.
-    let mut codegen_row = Vec::new();
-    for c in cases {
-        let input = (c.generate)(42, target);
-        let rec = flap_bench::generated_recognizer(c.name);
-        // Rust does not guarantee tail-call elimination, so
-        // iteration-shaped recursion in the generated code (e.g. one
-        // PPM sample per production) may need real stack on multi-MB
-        // inputs; flap's OCaml relies on guaranteed tail calls here.
-        let mbps = std::thread::Builder::new()
-            .stack_size(512 << 20)
-            .spawn(move || {
-                rec(&input).expect("generated recognizer accepts the input");
-                let mut times = Vec::new();
-                for _ in 0..iters {
-                    let t0 = std::time::Instant::now();
-                    rec(&input).expect("recognizes");
-                    times.push(t0.elapsed());
-                }
-                times.sort_unstable();
-                input.len() as f64 / times[times.len() / 2].as_secs_f64() / 1e6
-            })
-            .expect("spawn")
-            .join()
-            .expect("codegen bench thread");
-        codegen_row.push(mbps);
-    }
-    (rows, codegen_row)
+    let codegen = cases
+        .iter()
+        .zip(&inputs)
+        .map(|(c, input)| {
+            let rec = flap_bench::generated_recognizer(c.name);
+            let input = input.clone();
+            // Rust does not guarantee tail-call elimination, so
+            // iteration-shaped recursion in the generated code (e.g.
+            // one PPM sample per production) may need real stack on
+            // multi-MB inputs; flap's OCaml relies on guaranteed tail
+            // calls here.
+            std::thread::Builder::new()
+                .stack_size(512 << 20)
+                .spawn(move || {
+                    rec(&input).expect("generated recognizer accepts the input");
+                    timing::time(iters, || rec(black_box(&input)).expect("recognizes"))
+                })
+                .expect("spawn")
+                .join()
+                .expect("codegen bench thread")
+        })
+        .collect();
+    rows.push(row(CODEGEN, codegen));
+    rows
 }
 
-fn ratio_of<'a>(rows: &'a [(String, Vec<f64>)], name: &str) -> &'a [f64] {
-    &rows.iter().find(|(n, _)| n == name).expect("impl row").1
+/// The codegen row's name: it runs no semantic actions, so it sets a
+/// recognizer beside the parsers.
+const CODEGEN: &str = "flap-codegen-recognizer";
+
+fn mbps_of<'a>(rows: &'a [Row], name: &str) -> &'a [f64] {
+    &rows.iter().find(|r| r.name == name).expect("impl row").mbps
 }
 
 /// One `{grammar: MB/s}` object in Fig 11 grammar order.
@@ -147,34 +121,38 @@ fn grammar_row(cases: &[BenchCase], values: &[f64]) -> Json {
     )
 }
 
-fn report(
-    cases: &[BenchCase],
-    rows: &[(String, Vec<f64>)],
-    codegen_row: &[f64],
-    target_mb: f64,
-    iters: usize,
-) -> Json {
-    let flap_row = &rows[0].1;
-    let norm = ratio_of(rows, "normalized");
-    let asp = ratio_of(rows, "asp");
-    let ratios = |den: &[f64]| {
-        let r: Vec<f64> = flap_row.iter().zip(den).map(|(f, d)| f / d).collect();
-        grammar_row(cases, &r)
-    };
-    let mut impl_rows: Vec<(String, Json)> = rows
-        .iter()
-        .map(|(name, row)| (name.clone(), grammar_row(cases, row)))
-        .collect();
-    impl_rows.push(("flap-codegen".to_string(), grammar_row(cases, codegen_row)));
+/// `flap` over `den`, per grammar.
+fn flap_over(rows: &[Row], den: &str) -> Vec<f64> {
+    let flap = mbps_of(rows, "flap");
+    flap.iter()
+        .zip(mbps_of(rows, den))
+        .map(|(f, d)| f / d)
+        .collect()
+}
+
+fn report(cases: &[BenchCase], rows: &[Row], target_mb: f64, iters: usize) -> Json {
     obj(vec![
         ("bench", Json::Str("fig11".to_string())),
         ("unit", Json::Str("MB/s".to_string())),
         ("target_mb", Json::Num(target_mb)),
         ("iters", Json::Num(iters as f64)),
-        ("rows", Json::Obj(impl_rows)),
+        (
+            "rows",
+            Json::Obj(
+                rows.iter()
+                    .map(|r| (r.name.clone(), grammar_row(cases, &r.mbps)))
+                    .collect(),
+            ),
+        ),
         (
             "ratios",
-            obj(vec![("flap/norm", ratios(norm)), ("flap/asp", ratios(asp))]),
+            obj(vec![
+                (
+                    "flap/norm",
+                    grammar_row(cases, &flap_over(rows, "normalized")),
+                ),
+                ("flap/asp", grammar_row(cases, &flap_over(rows, "asp"))),
+            ]),
         ),
         (
             "baseline",
@@ -200,84 +178,51 @@ fn report(
     ])
 }
 
-fn print_table(
-    cases: &[BenchCase],
-    rows: &[(String, Vec<f64>)],
-    codegen_row: &[f64],
-    target_mb: f64,
-    iters: usize,
-) {
-    println!("Fig 11: parser throughput (MB/s), inputs ≈ {target_mb} MB, median of {iters} runs");
+fn print_table(cases: &[BenchCase], rows: &[Row], target_mb: f64, iters: usize) {
+    println!(
+        "Fig 11: parser throughput (MB/s), inputs ≈ {target_mb} MB, median of {iters} runs \
+         (spread: widest interquartile range in the row, % of its median)"
+    );
     println!();
-    print!("{:<14}", "impl");
+    print!("{:<24}", "impl");
     for c in cases {
         print!("{:>10}", c.name);
     }
-    println!();
-    for (name, row) in rows {
-        print!("{:<14}", name);
-        for v in row {
+    println!("{:>9}", "spread");
+    for r in rows {
+        print!("{:<24}", r.name);
+        for v in &r.mbps {
             print!("{:>10.1}", v);
         }
-        println!();
+        println!("{:>8.0}%", worst_spread_pct(&r.timings));
     }
-    print!("{:<14}", "flap-codegen†");
-    for v in codegen_row {
-        print!("{:>10.1}", v);
-    }
-    println!("   († recognizer: no semantic actions)");
+    println!("({CODEGEN}: no semantic actions)");
     println!();
     // the paper's headline ratios
-    let flap_row = &rows[0].1;
-    print!("{:<14}", "flap/norm");
-    for (f, n) in flap_row.iter().zip(ratio_of(rows, "normalized")) {
-        print!("{:>10.1}", f / n);
+    for (label, den, paper) in [
+        ("flap/norm", "normalized", "1.7–7.4x"),
+        ("flap/asp", "asp", "2.0–8.0x"),
+    ] {
+        print!("{label:<24}");
+        for r in flap_over(rows, den) {
+            print!("{:>10.1}", r);
+        }
+        println!("   (paper: {paper})");
     }
-    println!("   (paper: 1.7–7.4x)");
-    print!("{:<14}", "flap/asp");
-    for (f, a) in flap_row.iter().zip(ratio_of(rows, "asp")) {
-        print!("{:>10.1}", f / a);
-    }
-    println!("   (paper: 2.0–8.0x)");
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
-    let target = (opts.target_mb * 1e6) as usize;
-    let iters = if opts.smoke.is_some() { 2 } else { 7 };
+    let cli = Cli::parse("fig11", Some("BENCH_fig11.json"));
+    // a smoke run is a fast schema-only pass: its numbers mean nothing
+    let target_mb = cli.arg(0, if cli.smoke() { 0.2 } else { 2.0 });
+    let iters = if cli.smoke() { 2 } else { 7 };
 
     let cases = all_cases();
-    let (rows, codegen_row) = measure(&cases, target, iters);
-    let doc = report(&cases, &rows, &codegen_row, opts.target_mb, iters);
-
-    if let Some(snapshot) = &opts.smoke {
-        let text = match std::fs::read_to_string(snapshot) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("fig11 --smoke: cannot read snapshot {snapshot}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let snap = match Json::parse(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("fig11 --smoke: snapshot {snapshot} is not valid JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !snap.same_schema(&doc) {
-            eprintln!(
-                "fig11 --smoke: schema drift between {snapshot} and the harness.\n\
-                 Regenerate with: cargo run --release -p flap-bench --bin fig11 -- --json \
-                 > BENCH_fig11.json\ncurrent harness output:\n{doc}"
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("fig11 --smoke: snapshot {snapshot} schema matches the harness");
-    } else if opts.json {
-        println!("{doc}");
-    } else {
-        print_table(&cases, &rows, &codegen_row, opts.target_mb, iters);
-    }
-    ExitCode::SUCCESS
+    let rows = measure(&cases, (target_mb * 1e6) as usize, iters);
+    let doc = report(&cases, &rows, target_mb, iters);
+    cli.emit(
+        &doc,
+        || print_table(&cases, &rows, target_mb, iters),
+        || Ok(String::new()),
+    )
 }

@@ -1,166 +1,91 @@
 //! Multi-thread scaling of one shared compiled parser: the
-//! throughput driver for the `Send + Sync` engine, comparing the
-//! per-call scoped-thread `Parser::parse_batch` against a persistent
-//! `flap::serve` worker pool at equal worker counts.
+//! throughput driver for the `Send + Sync` engine, run through a
+//! persistent `flap::serve` worker pool at 1, 2, 4 and 8 workers.
 //!
 //! Usage: `cargo run -p flap-bench --release --bin parallel --
 //! [docs] [doc_kb] [--json] [--smoke [snapshot]]` (default 256
-//! documents of ≈8 KiB).
-//!
-//! * `--json` prints the results as a JSON document (the schema of
-//!   the checked-in `BENCH_parallel.json`) instead of the table.
-//! * `--smoke [snapshot]` runs a fast small-input pass and compares
-//!   the document's *schema* (grammars, modes, thread counts — not
-//!   the machine-dependent numbers) against the checked-in snapshot
-//!   (default `BENCH_parallel.json`), exiting non-zero on drift.
+//! documents of ≈8 KiB; `--json` and `--smoke` as in
+//! `flap_bench::cli`, against `BENCH_parallel.json`).
 //!
 //! One immutable `flap::Parser` per grammar (JSON and s-expressions)
-//! is shared across workers; each worker reuses one `ParseSession`.
-//! The `scoped` rows spawn threads per call; the `pooled` rows submit
-//! the same batch (as shared `Arc<[u8]>` documents, so submission
-//! clones a pointer, not the bytes) to a pre-spawned pool. Pooled
-//! throughput should meet or beat scoped at equal worker counts —
-//! that is the point of amortizing the spawn. Every result is checked
-//! against the independent reference parser. Scaling should track
-//! physical cores; a flat line on a 1-core host is the hardware, not
-//! a regression.
+//! serves a pool whose workers each reuse one `ParseSession`. Each
+//! timed call is one `ParsePool::parse_batch` of the whole batch, as
+//! shared `Arc<[u8]>` documents, so submission clones a pointer, not
+//! the bytes. Every pool's results are first checked against the
+//! independent reference parser. Scaling should track physical
+//! cores; a flat line on a 1-core host is the hardware, not a
+//! regression.
 
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
 use flap::serve::PoolConfig;
+use flap_bench::cli::Cli;
 use flap_bench::json::{obj, Json};
+use flap_bench::timing::{self, worst_spread_pct, Timing};
 use flap_grammars::GrammarDef;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-struct Options {
-    docs: usize,
-    doc_kb: usize,
-    json: bool,
-    /// `Some(snapshot_path)` when running as a CI smoke check.
-    smoke: Option<String>,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        docs: 256,
-        doc_kb: 8,
-        json: false,
-        smoke: None,
-    };
-    let mut positional = Vec::new();
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => opts.json = true,
-            "--smoke" => {
-                let path = match args.peek() {
-                    Some(p) if !p.starts_with('-') && p.parse::<usize>().is_err() => {
-                        args.next().unwrap()
-                    }
-                    _ => "BENCH_parallel.json".to_string(),
-                };
-                opts.smoke = Some(path);
-            }
-            other => {
-                if let Ok(v) = other.parse::<usize>() {
-                    positional.push(v);
-                }
-            }
-        }
-    }
-    match positional.as_slice() {
-        [docs] => opts.docs = *docs,
-        [docs, doc_kb, ..] => {
-            opts.docs = *docs;
-            opts.doc_kb = *doc_kb;
-        }
-        [] => {
-            if opts.smoke.is_some() {
-                // fast schema-only pass: numbers are not meaningful
-                opts.docs = 24;
-                opts.doc_kb = 2;
-            }
-        }
-    }
-    opts
-}
-
 struct GrammarResult {
     name: &'static str,
     total_bytes: usize,
-    /// MB/s per entry of `THREADS`.
-    scoped: Vec<f64>,
-    pooled: Vec<f64>,
+    /// One timing per entry of `THREADS`.
+    pooled: Vec<Timing>,
+}
+
+impl GrammarResult {
+    fn mbps(&self) -> Vec<f64> {
+        self.pooled
+            .iter()
+            .map(|t| t.mbps(self.total_bytes))
+            .collect()
+    }
 }
 
 fn bench_one(def: &GrammarDef<i64>, docs: usize, doc_bytes: usize, iters: usize) -> GrammarResult {
     let parser = def.flap_parser();
-    let batch: Vec<Vec<u8>> = (0..docs as u64)
-        .map(|seed| (def.generate)(seed, doc_bytes))
-        .collect();
-    let total_bytes: usize = batch.iter().map(Vec::len).sum();
     // pooled submissions share the documents: an Arc clone per job,
     // prepared outside the timed region
-    let shared: Vec<Arc<[u8]>> = batch.iter().map(|d| Arc::from(d.as_slice())).collect();
-
-    // correctness first: every worker result must agree with the oracle
+    let batch: Vec<Arc<[u8]>> = (0..docs as u64)
+        .map(|seed| Arc::from((def.generate)(seed, doc_bytes)))
+        .collect();
+    let total_bytes: usize = batch.iter().map(|d| d.len()).sum();
     let expected: Vec<i64> = batch
         .iter()
         .map(|d| (def.reference)(d).expect("generated input is valid"))
         .collect();
 
-    let mut scoped = Vec::new();
-    let mut pooled = Vec::new();
-    for &threads in &THREADS {
-        let mut best = f64::INFINITY;
-        for _ in 0..iters {
-            let t0 = Instant::now();
-            let results = parser.parse_batch(&batch, threads);
-            let dt = t0.elapsed().as_secs_f64();
+    let pooled = THREADS
+        .iter()
+        .map(|&threads| {
+            let pool = parser.serve(
+                PoolConfig::default()
+                    .workers(threads)
+                    .queue_capacity(threads * 4)
+                    .label(def.name),
+            );
+            // correctness first: every worker result must agree with
+            // the oracle
+            let results = pool.parse_batch(batch.iter().cloned());
             for (r, e) in results.iter().zip(&expected) {
                 assert_eq!(
                     r.as_ref().ok(),
                     Some(e),
-                    "scoped worker result disagrees with oracle"
+                    "pooled result disagrees with oracle"
                 );
             }
-            best = best.min(dt);
-        }
-        scoped.push(total_bytes as f64 / best / 1e6);
-
-        let pool = parser.serve(
-            PoolConfig::default()
-                .workers(threads)
-                .queue_capacity(threads * 4)
-                .label(def.name),
-        );
-        // warm-up: grow worker sessions once so timed runs measure
-        // the steady state, same as the scoped path's reused sessions
-        pool.parse_batch(shared.iter().cloned());
-        let mut best = f64::INFINITY;
-        for _ in 0..iters {
-            let t0 = Instant::now();
-            let results = pool.parse_batch(shared.iter().cloned());
-            let dt = t0.elapsed().as_secs_f64();
-            for (r, e) in results.iter().zip(&expected) {
-                assert_eq!(
-                    r.as_ref().ok(),
-                    Some(e),
-                    "pooled worker result disagrees with oracle"
-                );
-            }
-            best = best.min(dt);
-        }
-        pooled.push(total_bytes as f64 / best / 1e6);
-        pool.shutdown();
-    }
+            let t = timing::time(iters, || {
+                pool.parse_batch(black_box(&batch).iter().cloned())
+            });
+            pool.shutdown();
+            t
+        })
+        .collect();
     GrammarResult {
         name: def.name,
         total_bytes,
-        scoped,
         pooled,
     }
 }
@@ -176,26 +101,21 @@ fn thread_row(values: &[f64]) -> Json {
     )
 }
 
-fn report(results: &[GrammarResult], opts: &Options, iters: usize) -> Json {
+fn report(results: &[GrammarResult], docs: usize, doc_kb: usize, iters: usize) -> Json {
     let rows = results
         .iter()
         .map(|r| {
-            let ratio: Vec<f64> = r.pooled.iter().zip(&r.scoped).map(|(p, s)| p / s).collect();
             (
                 r.name.to_string(),
-                obj(vec![
-                    ("scoped", thread_row(&r.scoped)),
-                    ("pooled", thread_row(&r.pooled)),
-                    ("pooled/scoped", thread_row(&ratio)),
-                ]),
+                obj(vec![("pooled", thread_row(&r.mbps()))]),
             )
         })
         .collect();
     obj(vec![
         ("bench", Json::Str("parallel".to_string())),
         ("unit", Json::Str("MB/s".to_string())),
-        ("docs", Json::Num(opts.docs as f64)),
-        ("doc_kb", Json::Num(opts.doc_kb as f64)),
+        ("docs", Json::Num(docs as f64)),
+        ("doc_kb", Json::Num(doc_kb as f64)),
         ("iters", Json::Num(iters as f64)),
         (
             "threads",
@@ -205,80 +125,54 @@ fn report(results: &[GrammarResult], opts: &Options, iters: usize) -> Json {
     ])
 }
 
-fn print_table(results: &[GrammarResult], opts: &Options, iters: usize) {
+fn print_table(results: &[GrammarResult], docs: usize, doc_kb: usize, iters: usize) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!(
-        "Parallel throughput: {} docs x {} KiB, best of {iters} runs, {cores} cores available",
-        opts.docs, opts.doc_kb
+        "Pooled parse_batch throughput: {docs} docs x {doc_kb} KiB, median of {iters} runs, \
+         {cores} cores available"
     );
     println!();
-    print!("{:<8}{:<8}{:>10}", "grammar", "mode", "batch");
+    print!("{:<8}{:>10}", "grammar", "batch");
     for t in THREADS {
         print!("{:>17}", format!("{t} worker(s)"));
     }
-    println!();
+    println!("{:>9}", "spread");
     for r in results {
-        for (mode, row) in [("scoped", &r.scoped), ("pooled", &r.pooled)] {
-            print!(
-                "{:<8}{:<8}{:>10}",
-                r.name,
-                mode,
-                format!("{} KB", r.total_bytes / 1024)
-            );
-            let base = row[0];
-            for v in row {
-                print!("{:>9.1} ({:>4.2}x)", v, v / base);
-            }
-            println!();
+        print!(
+            "{:<8}{:>10}",
+            r.name,
+            format!("{} KB", r.total_bytes / 1024)
+        );
+        let mbps = r.mbps();
+        for v in &mbps {
+            print!("{:>9.1} ({:>4.2}x)", v, v / mbps[0]);
         }
+        println!("{:>8.0}%", worst_spread_pct(&r.pooled));
     }
     println!();
     println!(
-        "MB/s (speedup vs 1 worker). scoped = Parser::parse_batch, threads spawned per call;\n\
-         pooled = flap::serve::ParsePool::parse_batch, persistent workers, Arc'd documents."
+        "MB/s (speedup vs 1 worker) of flap::serve::ParsePool::parse_batch over Arc'd \
+         documents;\nspread: widest interquartile range in the row, % of its median."
     );
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
-    let iters = if opts.smoke.is_some() { 2 } else { 5 };
+    let cli = Cli::parse("parallel", Some("BENCH_parallel.json"));
+    // a smoke run is a fast schema-only pass: its numbers mean nothing
+    let docs = cli.arg(0, if cli.smoke() { 24 } else { 256 });
+    let doc_kb = cli.arg(1, if cli.smoke() { 2 } else { 8 });
+    let iters = if cli.smoke() { 2 } else { 5 };
 
     let results: Vec<GrammarResult> = [flap_grammars::json::def(), flap_grammars::sexp::def()]
         .iter()
-        .map(|def| bench_one(def, opts.docs, opts.doc_kb * 1024, iters))
+        .map(|def| bench_one(def, docs, doc_kb * 1024, iters))
         .collect();
-    let doc = report(&results, &opts, iters);
-
-    if let Some(snapshot) = &opts.smoke {
-        let text = match std::fs::read_to_string(snapshot) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("parallel --smoke: cannot read snapshot {snapshot}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let snap = match Json::parse(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("parallel --smoke: snapshot {snapshot} is not valid JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !snap.same_schema(&doc) {
-            eprintln!(
-                "parallel --smoke: schema drift between {snapshot} and the harness.\n\
-                 Regenerate with: cargo run --release -p flap-bench --bin parallel -- --json \
-                 > BENCH_parallel.json\ncurrent harness output:\n{doc}"
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("parallel --smoke: snapshot {snapshot} schema matches the harness");
-    } else if opts.json {
-        println!("{doc}");
-    } else {
-        print_table(&results, &opts, iters);
-    }
-    ExitCode::SUCCESS
+    let doc = report(&results, docs, doc_kb, iters);
+    cli.emit(
+        &doc,
+        || print_table(&results, docs, doc_kb, iters),
+        || Ok(String::new()),
+    )
 }

@@ -1,58 +1,33 @@
-//! Quick component-cost profiler used during development (not a
-//! paper artifact): separates scan cost from action cost.
+//! Event-count profile of the staged parser, per grammar: one
+//! [`ParseProfiler`] observes one parse of a generated document, and
+//! its counters are rendered through the compiled parser's label
+//! tables — bytes per phase (skip vs lex), the token-class histogram,
+//! reductions grouped by nonterminal and the hottest automaton rows.
 //!
-//! `--profile` switches to the observer-based report: one
-//! [`ParseProfiler`] per grammar, rendered with the compiled
-//! parser's label tables — bytes per phase (skip vs lex), the
-//! token-class histogram, reductions grouped by nonterminal and the
-//! hottest automaton rows, plus observed-vs-noop throughput so the
-//! cost of *enabled* profiling is visible next to the zero-overhead
-//! disabled path.
-
-use std::time::Instant;
+//! Usage: `cargo run -p flap-bench --release --bin profile`
+//!
+//! It reports counts, never time: the `benchmark` package's traced
+//! ladder (`--trace 1`) measures what each layer costs.
 
 use flap::obs::ParseProfiler;
 
-fn time<F: FnMut()>(label: &str, bytes: usize, mut f: F) {
-    // warmup
-    f();
-    let n = 5;
-    let t0 = Instant::now();
-    for _ in 0..n {
-        f();
-    }
-    let dt = t0.elapsed().as_secs_f64() / n as f64;
-    println!("{:<28} {:>8.1} MB/s", label, bytes as f64 / dt / 1e6);
-}
-
-/// Mean seconds per run of `f` (1 warmup + `n` timed).
-fn secs_per_run<F: FnMut()>(n: u32, mut f: F) -> f64 {
-    f();
-    let t0 = Instant::now();
-    for _ in 0..n {
-        f();
-    }
-    t0.elapsed().as_secs_f64() / n as f64
-}
-
-/// The `--profile` report for one grammar: parse a generated
-/// document once under a [`ParseProfiler`] and render the counters
-/// through the compiled parser's label tables.
+/// Parses a generated document once under a [`ParseProfiler`] and
+/// prints the counters through the compiled parser's label tables.
 fn profile_grammar(def: flap_grammars::GrammarDef<i64>, doc_bytes: usize) {
     let input = (def.generate)(42, doc_bytes);
     let parser = flap::Parser::compile((def.lexer)(), &(def.cfe)()).unwrap();
     let compiled = parser.compiled();
     let mut session = parser.session();
     let mut prof = ParseProfiler::new();
-    let traced = secs_per_run(5, || {
-        prof.reset();
-        parser
-            .parse_with_obs(&mut session, &input, &mut prof)
-            .unwrap();
-    });
-    let noop = secs_per_run(5, || {
-        parser.parse_with(&mut session, &input).unwrap();
-    });
+    let value = parser
+        .parse_with_obs(&mut session, &input, &mut prof)
+        .unwrap();
+    assert_eq!(
+        (def.finish)(value),
+        (def.reference)(&input).expect("generated input is valid"),
+        "{}: observed parse disagrees with the oracle",
+        def.name
+    );
 
     println!("== {} profile ({} B) ==", def.name, input.len());
     let total = (prof.bytes_skipped + prof.bytes_lexed).max(1);
@@ -62,13 +37,6 @@ fn profile_grammar(def: flap_grammars::GrammarDef<i64>, doc_bytes: usize) {
         100.0 * prof.bytes_lexed as f64 / total as f64,
         prof.bytes_skipped,
         100.0 * prof.bytes_skipped as f64 / total as f64,
-    );
-    println!(
-        "time        {:.2} ms profiled ({:.1} MB/s), {:.2} ms unobserved ({:.1} MB/s)",
-        traced * 1e3,
-        input.len() as f64 / traced / 1e6,
-        noop * 1e3,
-        input.len() as f64 / noop / 1e6,
     );
 
     println!("tokens      {} committed", prof.tokens());
@@ -131,73 +99,6 @@ fn profile_grammar(def: flap_grammars::GrammarDef<i64>, doc_bytes: usize) {
 }
 
 fn main() {
-    if std::env::args().skip(1).any(|a| a == "--profile") {
-        profile_grammar(flap_grammars::json::def(), 2_000_000);
-        profile_grammar(flap_grammars::sexp::def(), 2_000_000);
-        return;
-    }
-    for which in ["json", "sexp"] {
-        println!("== {which} ==");
-        let (def, input) = match which {
-            "json" => {
-                let d = flap_grammars::json::def();
-                let i = (d.generate)(42, 2_000_000);
-                (flap_bench::case(d), i)
-            }
-            _ => {
-                let d = flap_grammars::sexp::def();
-                let i = (d.generate)(42, 2_000_000);
-                (flap_bench::case(d), i)
-            }
-        };
-        let parser = match which {
-            "json" => flap_grammars::json::def().flap_parser(),
-            _ => {
-                // recompile sexp parser (uniform type)
-                let d = flap_grammars::sexp::def();
-                flap::Parser::compile((d.lexer)(), &(d.cfe)()).unwrap()
-            }
-        };
-        let _ = &parser;
-        time("flap parse", input.len(), || {
-            (def.impls[0].run)(&input).unwrap();
-        });
-        let mut lexer = match which {
-            "json" => flap_grammars::json::lexer(),
-            _ => flap_grammars::sexp::lexer(),
-        };
-        let clex = flap_lex::CompiledLexer::build(&mut lexer);
-        time("lex only", input.len(), || {
-            let mut n = 0;
-            for lx in clex.lexemes(&input) {
-                lx.unwrap();
-                n += 1;
-            }
-            std::hint::black_box(n);
-        });
-        time("normalized", input.len(), || {
-            (def.impls[2].run)(&input).unwrap();
-        });
-    }
-    // recognizer path (no actions at all)
-    let d = flap_grammars::json::def();
-    let input = (d.generate)(42, 2_000_000);
-    let p = d.flap_parser();
-    time("json recognize (no actions)", input.len(), || {
-        p.recognize(&input).unwrap();
-    });
-    let d = flap_grammars::sexp::def();
-    let input = (d.generate)(42, 2_000_000);
-    let p = d.flap_parser();
-    time("sexp recognize (no actions)", input.len(), || {
-        p.recognize(&input).unwrap();
-    });
-    time("sexp recognize (codegen)", input.len(), || {
-        flap_bench::generated::sexp_gen::recognize(&input).unwrap();
-    });
-    let d = flap_grammars::json::def();
-    let input = (d.generate)(42, 2_000_000);
-    time("json recognize (codegen)", input.len(), || {
-        flap_bench::generated::json_gen::recognize(&input).unwrap();
-    });
+    profile_grammar(flap_grammars::json::def(), 2_000_000);
+    profile_grammar(flap_grammars::sexp::def(), 2_000_000);
 }

@@ -3,8 +3,8 @@
 //! output next to the Fig 11 numbers.
 //!
 //! Usage: `cargo run -p flap-bench --release --bin streaming --
-//! [doc_kb] [iters] [--json]` (default one ≈256 KiB document, 5
-//! iterations). `--json` prints the results as the JSON document
+//! [doc_kb] [iters] [--json]` (default one ≈256 KiB document, median
+//! of 5 timed runs). `--json` prints the results as the JSON document
 //! checked in as `BENCH_streaming.json`.
 //!
 //! One `flap::Parser` per grammar (JSON and s-expressions) parses the
@@ -15,10 +15,13 @@
 //! retention, line accounting per boundary). Expect large chunks to
 //! sit near 1.00x and 64-byte chunks to bound the worst case.
 
-use std::time::Instant;
+use std::hint::black_box;
+use std::process::ExitCode;
 
 use flap::SliceChunks;
+use flap_bench::cli::Cli;
 use flap_bench::json::{obj, Json};
+use flap_bench::timing::{self, worst_spread_pct, Timing};
 use flap_grammars::GrammarDef;
 
 const CHUNKS: [usize; 4] = [64, 1024, 4096, 64 * 1024];
@@ -26,9 +29,9 @@ const CHUNKS: [usize; 4] = [64, 1024, 4096, 64 * 1024];
 struct GrammarResult {
     name: &'static str,
     doc_bytes: usize,
-    contiguous_mbps: f64,
-    /// MB/s per entry of [`CHUNKS`].
-    chunked_mbps: Vec<f64>,
+    contiguous: Timing,
+    /// One timing per entry of [`CHUNKS`].
+    chunked: Vec<Timing>,
 }
 
 fn bench_one(def: &GrammarDef<i64>, doc_bytes: usize, iters: usize) -> GrammarResult {
@@ -37,32 +40,38 @@ fn bench_one(def: &GrammarDef<i64>, doc_bytes: usize, iters: usize) -> GrammarRe
     let expected = (def.reference)(&input).expect("generated input is valid");
     let mut session = parser.session();
 
-    let mut best_contiguous = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        let v = parser.parse_with(&mut session, &input).expect("parses");
-        best_contiguous = best_contiguous.min(t0.elapsed().as_secs_f64());
-        assert_eq!(v, expected, "contiguous result disagrees with oracle");
-    }
+    let v = parser.parse_with(&mut session, &input);
+    assert_eq!(v, Ok(expected), "contiguous result disagrees with oracle");
+    let contiguous = timing::time(iters, || {
+        parser
+            .parse_with(&mut session, black_box(&input))
+            .expect("parses")
+    });
 
-    let mut chunked_mbps = Vec::new();
-    for chunk in CHUNKS {
-        let mut best = f64::INFINITY;
-        for _ in 0..iters {
-            let t0 = Instant::now();
-            let v = parser
-                .parse_source_with(&mut session, &mut SliceChunks::new(&input, chunk))
-                .expect("parses");
-            best = best.min(t0.elapsed().as_secs_f64());
-            assert_eq!(v, expected, "streamed result disagrees with oracle");
-        }
-        chunked_mbps.push(input.len() as f64 / best / 1e6);
-    }
+    let chunked = CHUNKS
+        .iter()
+        .map(|&chunk| {
+            let v = parser.parse_source_with(&mut session, &mut SliceChunks::new(&input, chunk));
+            assert_eq!(
+                v.ok(),
+                Some(expected),
+                "streamed result disagrees with oracle"
+            );
+            timing::time(iters, || {
+                parser
+                    .parse_source_with(
+                        &mut session,
+                        &mut SliceChunks::new(black_box(&input), chunk),
+                    )
+                    .expect("parses")
+            })
+        })
+        .collect();
     GrammarResult {
         name: def.name,
         doc_bytes: input.len(),
-        contiguous_mbps: input.len() as f64 / best_contiguous / 1e6,
-        chunked_mbps,
+        contiguous,
+        chunked,
     }
 }
 
@@ -86,14 +95,16 @@ fn report(results: &[GrammarResult], iters: usize) -> Json {
                             r.name.to_string(),
                             obj(vec![
                                 ("doc_bytes", Json::Num(r.doc_bytes as f64)),
-                                ("contiguous", round1(r.contiguous_mbps)),
+                                ("contiguous", round1(r.contiguous.mbps(r.doc_bytes))),
                                 (
                                     "chunked",
                                     Json::Obj(
                                         CHUNKS
                                             .iter()
-                                            .zip(&r.chunked_mbps)
-                                            .map(|(c, &v)| (c.to_string(), round1(v)))
+                                            .zip(&r.chunked)
+                                            .map(|(c, t)| {
+                                                (c.to_string(), round1(t.mbps(r.doc_bytes)))
+                                            })
                                             .collect(),
                                     ),
                                 ),
@@ -106,48 +117,42 @@ fn report(results: &[GrammarResult], iters: usize) -> Json {
     ])
 }
 
-fn main() {
-    let mut doc_kb: usize = 256;
-    let mut iters: usize = 5;
-    let mut json = false;
-    let mut positional = 0;
-    for a in std::env::args().skip(1) {
-        if a == "--json" {
-            json = true;
-        } else if let Ok(v) = a.parse() {
-            match positional {
-                0 => doc_kb = v,
-                _ => iters = v,
-            }
-            positional += 1;
-        }
+fn print_table(results: &[GrammarResult], iters: usize) {
+    println!(
+        "streaming throughput: chunked feed vs contiguous slice (MB/s, median of {iters}; \
+         spread: widest interquartile range in the row, % of its median)"
+    );
+    print!("{:<8}{:>9}{:>12}", "grammar", "doc", "contiguous");
+    for chunk in CHUNKS {
+        print!("{:>18}", format!("chunk {chunk}B"));
     }
+    println!("{:>9}", "spread");
+    for r in results {
+        let contiguous = r.contiguous.mbps(r.doc_bytes);
+        print!(
+            "{:<8}{:>9}{:>12.1}",
+            r.name,
+            format!("{} KB", r.doc_bytes / 1024),
+            contiguous
+        );
+        for t in &r.chunked {
+            let mbps = t.mbps(r.doc_bytes);
+            print!("{:>10.1} ({:>4.2}x)", mbps, mbps / contiguous);
+        }
+        let all = std::iter::once(&r.contiguous).chain(&r.chunked);
+        println!("{:>8.0}%", worst_spread_pct(all));
+    }
+}
+
+fn main() -> ExitCode {
+    let cli = Cli::parse("streaming", None);
+    let doc_kb: usize = cli.arg(0, 256);
+    let iters: usize = cli.arg(1, 5);
 
     let results: Vec<GrammarResult> = [flap_grammars::json::def(), flap_grammars::sexp::def()]
         .iter()
         .map(|def| bench_one(def, doc_kb * 1024, iters))
         .collect();
-
-    if json {
-        println!("{}", report(&results, iters));
-        return;
-    }
-    println!("streaming throughput: chunked feed vs contiguous slice (MB/s, best of {iters})");
-    print!("{:<8}{:>9}{:>12}", "grammar", "doc", "contiguous");
-    for chunk in CHUNKS {
-        print!("{:>18}", format!("chunk {chunk}B"));
-    }
-    println!();
-    for r in &results {
-        print!(
-            "{:<8}{:>9}{:>12.1}",
-            r.name,
-            format!("{} KB", r.doc_bytes / 1024),
-            r.contiguous_mbps
-        );
-        for mbps in &r.chunked_mbps {
-            print!("{:>10.1} ({:>4.2}x)", mbps, mbps / r.contiguous_mbps);
-        }
-        println!();
-    }
+    let doc = report(&results, iters);
+    cli.emit(&doc, || print_table(&results, iters), || Ok(String::new()))
 }

@@ -4,10 +4,12 @@
 //! Usage: `cargo run -p flap-bench --release --bin table1`
 //!
 //! The paper's values are printed alongside for comparison. Small
-//! CFE-count differences are expected (we count μ-binder and variable
-//! nodes; see EXPERIMENTS.md); the interesting columns are the
-//! normalized/fused/function counts, which show that normalization
-//! does not exhibit the cubic GNF blow-up.
+//! CFE-count differences are expected: `flap_cfe::node_count` counts
+//! every node of the combinator tree, μ-binders and variables
+//! included, while the paper's grammars are written with OCaml
+//! combinators whose internal shapes differ. The interesting columns
+//! are the normalized/fused/function counts, which show that
+//! normalization does not exhibit the cubic GNF blow-up.
 
 use flap::Parser;
 

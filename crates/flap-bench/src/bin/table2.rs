@@ -8,33 +8,33 @@
 //! under the one-second interactivity threshold (§6 cites Nielsen's
 //! ten-second rule).
 
-use std::time::Instant;
-
 use flap::Parser;
+use flap_bench::timing::time;
+
+const RUNS: usize = 9;
 
 fn row<V: 'static>(def: flap_grammars::GrammarDef<V>, paper_ms: f64) {
-    // median of several complete pipeline runs
-    let mut totals = Vec::new();
-    let mut breakdown = None;
-    for _ in 0..9 {
-        let lexer = (def.lexer)();
-        let cfe = (def.cfe)();
-        let t0 = Instant::now();
-        let p = Parser::compile(lexer, &cfe).expect("compiles");
-        totals.push(t0.elapsed().as_secs_f64() * 1e3);
-        breakdown = Some(p.times());
-    }
-    totals.sort_by(f64::total_cmp);
-    let t = breakdown.expect("at least one run");
+    // median of several complete pipeline runs; the lexer each one
+    // consumes is built outside the timed span
+    let cfe = (def.cfe)();
+    let mut lexers: Vec<_> = (0..=RUNS).map(|_| (def.lexer)()).collect();
+    let total = time(RUNS, || {
+        Parser::compile(lexers.pop().expect("one lexer per run"), &cfe).expect("compiles")
+    });
+    let t = Parser::compile((def.lexer)(), &cfe)
+        .expect("compiles")
+        .times();
     println!(
-        "{:<8}{:>12.3}{:>12.3}   (check {:.3} + normalize {:.3} + fuse {:.3} + stage {:.3})",
+        "{:<8}{:>12.3}{:>12.3}   (check {:.3} + normalize {:.3} + fuse {:.3} + stage {:.3}; \
+         spread {:.0}%)",
         def.name,
-        totals[totals.len() / 2],
+        total.median * 1e3,
         paper_ms,
         t.type_check.as_secs_f64() * 1e3,
         t.normalize.as_secs_f64() * 1e3,
         t.fuse.as_secs_f64() * 1e3,
         t.stage.as_secs_f64() * 1e3,
+        100.0 * total.spread(),
     );
 }
 

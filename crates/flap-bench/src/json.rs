@@ -1,12 +1,13 @@
 //! A minimal JSON value, writer and parser for the benchmark
-//! snapshot files (`BENCH_fig11.json`, `BENCH_streaming.json`).
+//! snapshot files (`BENCH_*.json`).
 //!
 //! The harness has no serialization dependency, and the snapshots
 //! are small and machine-written, so this module implements just
 //! enough of RFC 8259 to round-trip them: the six value kinds,
-//! string escapes, and `f64` numbers. The `fig11 --smoke` CI mode
-//! uses [`Json::same_schema`] to fail when a code change drifts the
-//! snapshot layout without regenerating the checked-in file.
+//! string escapes, and `f64` numbers. The `--smoke` CI mode
+//! ([`crate::cli`]) uses [`Json::same_schema`] to fail when a code
+//! change drifts the snapshot layout without regenerating the
+//! checked-in file.
 
 use std::fmt;
 

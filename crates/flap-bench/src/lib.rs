@@ -1,9 +1,15 @@
 //! Benchmark harness for the flap evaluation (§6).
 //!
 //! This crate wires the six grammars of `flap-grammars` to the parser
-//! implementations and provides the measurement loops used by the
-//! `fig11`, `fig12`, `table1` and `table2` binaries and the Criterion
-//! benches.
+//! implementations, and gives its binaries one timing core
+//! ([`timing`]: a warm-up call, then `black_box`ed timed calls
+//! reported as a median with quartile spread) and one command line
+//! ([`cli`]: `--json` and `--smoke [snapshot]`). The paper-figure
+//! binaries are `fig11`, `fig12`, `table1` and `table2`; `parallel`,
+//! `streaming`, `incr` and `boot` measure the engine's own subsystems,
+//! `profile` prints event counts and `tracecheck` validates a trace.
+//! The per-layer cost ladder lives in the separate `benchmark`
+//! package (`--trace 1`).
 //!
 //! Implementations measured (names as printed):
 //!
@@ -18,13 +24,16 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod json;
+pub mod timing;
 
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::hint::black_box;
 
 use flap_baselines::{AspParser, Ll1Parser, LrParser, UnfusedParser};
 use flap_grammars::GrammarDef;
+use timing::Timing;
 
 /// A boxed parse function: complete input in, reported value out.
 pub type RunFn = Box<dyn Fn(&[u8]) -> Result<i64, String>>;
@@ -145,48 +154,24 @@ pub const IMPL_NAMES: [&str; 6] = [
     "slr",
 ];
 
-/// Measures the throughput of `run` on `input`: median MB/s over
-/// `iters` timed runs after one warm-up run.
+/// Times `run` on `input` with [`timing::time`].
 ///
 /// # Panics
 ///
 /// Panics if the implementation rejects the input or disagrees with
 /// `expected` — every throughput number doubles as a correctness
 /// check.
-pub fn throughput_mbps(
+pub fn time_impl(
     run: &dyn Fn(&[u8]) -> Result<i64, String>,
     input: &[u8],
     expected: i64,
     iters: usize,
-) -> f64 {
+) -> Timing {
     let check = run(input).expect("benchmark input must parse");
     assert_eq!(check, expected, "implementation disagrees with the oracle");
-    let mut times: Vec<Duration> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        let v = run(input);
-        let dt = t0.elapsed();
-        assert!(v.is_ok());
-        times.push(dt);
-    }
-    times.sort_unstable();
-    let median = times[times.len() / 2];
-    input.len() as f64 / median.as_secs_f64() / 1_000_000.0
-}
-
-/// Times a single run, returning milliseconds (best of `iters`).
-pub fn best_ms(run: &dyn Fn(&[u8]) -> Result<i64, String>, input: &[u8], iters: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        let v = run(input);
-        let dt = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(v.is_ok(), "benchmark input must parse");
-        if dt < best {
-            best = dt;
-        }
-    }
-    best
+    timing::time(iters, || {
+        run(black_box(input)).expect("benchmark input must parse")
+    })
 }
 
 #[cfg(test)]
@@ -215,8 +200,8 @@ mod tests {
         let c = case(flap_grammars::sexp::def());
         let input = (c.generate)(1, 2000);
         let expected = (c.reference)(&input).unwrap();
-        let mbps = throughput_mbps(&c.impls[0].run, &input, expected, 3);
-        assert!(mbps > 0.0);
+        let t = time_impl(&c.impls[0].run, &input, expected, 3);
+        assert!(t.mbps(input.len()) > 0.0);
     }
 }
 

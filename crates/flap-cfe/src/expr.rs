@@ -282,9 +282,9 @@ impl<V: Clone + Send + Sync + 'static> Cfe<V> {
 /// Counts *occurrences*: shared sub-expressions are counted once per
 /// use, matching the paper's observation that the combinator interface
 /// cannot express sharing. `Fix` bodies are counted once; `Var`
-/// occurrences and `Fix` binders count as one node each (the paper's
-/// counts appear to exclude one of these, so ours run slightly
-/// higher; see EXPERIMENTS.md).
+/// occurrences and `Fix` binders count as one node each. The paper
+/// does not say how it counts either, so the `table1` binary's
+/// comparison with it is approximate.
 pub fn node_count<V>(g: &Cfe<V>) -> usize {
     match g.node() {
         CfeNode::Bot | CfeNode::Eps(_) | CfeNode::Tok(..) | CfeNode::Var(_) => 1,

@@ -21,10 +21,10 @@
 //! * `generate()` — a seeded synthetic workload generator standing in
 //!   for the paper's test corpora (which are not distributed).
 //!
-//! The paper's corpora are replaced by generators per the
-//! reproduction's substitution policy (see DESIGN.md): the generators
-//! produce the same lexical/structural features the grammars exercise
-//! (nesting, escapes, whitespace distribution, numeric fields), and
+//! The paper's corpora are not distributed, so generators stand in
+//! for them: they produce the same lexical/structural features the
+//! grammars exercise (nesting, escapes, whitespace distribution,
+//! numeric fields), are seeded so every run sees the same bytes, and
 //! the oracle makes every benchmark run double as a correctness
 //! check.
 

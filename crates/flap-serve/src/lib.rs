@@ -17,6 +17,6 @@
 pub mod frame;
 
 pub use flap::serve::{
-    FeedHandle, FeedStatus, Handle, JobCallback, JobError, JobHandle, JobInput, LatencyHistogram,
-    Metrics, MetricsSnapshot, ParsePool, PoolConfig, StreamJob, SubmitError, LATENCY_BUCKETS,
+    FeedHandle, FeedStatus, Handle, JobError, JobHandle, JobInput, LatencyHistogram, Metrics,
+    MetricsSnapshot, ParsePool, PoolConfig, StreamJob, SubmitError, LATENCY_BUCKETS,
 };

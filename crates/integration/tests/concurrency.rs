@@ -16,6 +16,7 @@
 mod common;
 
 use common::workload;
+use flap::serve::{JobError, PoolConfig};
 use flap_fuse::FusedSession;
 use flap_grammars::GrammarDef;
 
@@ -97,17 +98,21 @@ fn parse_batch_agrees_with_unstaged_on_mixed_validity() {
     let mut lexer = (def.lexer)();
     let grammar = flap::flap_dgnf::normalize(&(def.cfe)()).expect("normalizes");
     let fused = flap::flap_fuse::fuse(&mut lexer, &grammar).expect("fuses");
-    let expected: Vec<_> = inputs
+    let expected: Vec<Result<i64, JobError>> = inputs
         .iter()
-        .map(|i| flap::flap_fuse::parse_fused(&fused, lexer.arena_mut(), i))
+        .map(|i| {
+            flap::flap_fuse::parse_fused(&fused, lexer.arena_mut(), i).map_err(JobError::Parse)
+        })
         .collect();
 
-    for threads in [1, 4, 8] {
+    for workers in [1, 4, 8] {
+        let pool = parser.serve(PoolConfig::default().workers(workers));
         assert_eq!(
-            parser.parse_batch(&inputs, threads),
+            pool.parse_batch(inputs.iter().map(Vec::as_slice)),
             expected,
-            "threads={threads}"
+            "workers={workers}"
         );
+        assert!(pool.parse_batch(Vec::<Vec<u8>>::new()).is_empty());
     }
 }
 

@@ -110,7 +110,22 @@ fn panicking_action_fails_one_job_and_pool_survives() {
     assert_eq!(m.workers_replaced, 1, "one worker replaced, once");
     assert_eq!(m.completed, 4);
 
-    // shutdown still joins cleanly with a replaced worker in the pool
+    // a batch isolates the panic too: the middle slot fails, and every
+    // other slot equals its one-shot parse, in input order
+    let batch: [&[u8]; 5] = [b"a b", b"x", b"boom", b"one two three", b""];
+    let got = pool.parse_batch(batch);
+    assert_eq!(got.len(), batch.len());
+    for (i, (doc, r)) in batch.iter().zip(&got).enumerate() {
+        if i == 2 {
+            assert!(matches!(r, Err(JobError::Panicked(_))), "slot {i}: {r:?}");
+        } else {
+            assert_eq!(r, &parser.parse(doc).map_err(JobError::Parse), "slot {i}");
+        }
+    }
+    let m = pool.metrics().snapshot();
+    assert_eq!((m.panicked, m.workers_replaced, m.completed), (2, 2, 8));
+
+    // shutdown still joins cleanly with replaced workers in the pool
     pool.shutdown();
 }
 
