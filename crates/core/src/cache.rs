@@ -18,11 +18,12 @@
 //!   evicted). Tables are behind `Arc`s, so evicting a parser that a
 //!   pool still serves is safe — the pool keeps its clone alive.
 //! * **Counters.** Hits, misses, evictions and in-flight compiles are
-//!   tracked in a shared [`CacheCounters`], which plugs into the
-//!   serving metrics via
+//!   tracked in a shared [`CacheCounters`]. A caller that attaches them
+//!   to a pool with
 //!   [`PoolConfig::cache_counters`](crate::serve::PoolConfig::cache_counters)
-//!   so `flap-serve --stats-json` reports cache effectiveness next to
-//!   queue depth and latency.
+//!   gets them in that pool's metrics, next to queue depth and
+//!   latency. `flap-serve` uses no cache and attaches none, so the
+//!   `cache_*` fields of its `--stats-json` report are always 0.
 //!
 //! # Sizing guidance
 //!

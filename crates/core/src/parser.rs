@@ -294,7 +294,11 @@ impl<V: 'static> Parser<V> {
         &self.lexer
     }
 
-    /// Emits the staged parser as Rust source (§5.5); see
+    /// Emits the parser's flat table as the source of a Rust module
+    /// with one `recognize` function (§5.5): a loop over the automaton
+    /// states with an explicit stack, running no semantic actions.
+    /// Parsers loaded by [`Parser::from_artifact`] emit the same
+    /// source as the compiled ones they were saved from; see
     /// [`flap_staged::codegen::emit_rust`].
     pub fn emit_rust(&self, module_name: &str) -> String {
         flap_staged::codegen::emit_rust(&self.compiled, module_name)

@@ -83,7 +83,7 @@ fn bench_one<V: 'static>(def: GrammarDef<V>) -> BootRow {
 
     let parser = def.flap_parser();
     let bytes = parser.to_artifact();
-    let doc = (def.generate)(42, 16 * 1024);
+    let doc = flap_bench::generator(&def)(42, 16 * 1024);
     let expected = (def.reference)(&doc).expect("generated input is valid");
 
     // Recognizer load: container validation + zero-copy table attach

@@ -81,21 +81,8 @@ fn measure(cases: &[BenchCase], target: usize, iters: usize) -> Vec<Row> {
         .zip(&inputs)
         .map(|(c, input)| {
             let rec = flap_bench::generated_recognizer(c.name);
-            let input = input.clone();
-            // Rust does not guarantee tail-call elimination, so
-            // iteration-shaped recursion in the generated code (e.g.
-            // one PPM sample per production) may need real stack on
-            // multi-MB inputs; flap's OCaml relies on guaranteed tail
-            // calls here.
-            std::thread::Builder::new()
-                .stack_size(512 << 20)
-                .spawn(move || {
-                    rec(&input).expect("generated recognizer accepts the input");
-                    timing::time(iters, || rec(black_box(&input)).expect("recognizes"))
-                })
-                .expect("spawn")
-                .join()
-                .expect("codegen bench thread")
+            rec(input).expect("generated recognizer accepts the input");
+            timing::time(iters, || rec(black_box(input)).expect("recognizes"))
         })
         .collect();
     rows.push(row(CODEGEN, codegen));

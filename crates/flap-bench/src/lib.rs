@@ -127,9 +127,40 @@ pub fn case<V: 'static>(def: GrammarDef<V>) -> BenchCase {
     BenchCase {
         name: def.name,
         impls,
-        generate: def.generate,
+        generate: generator(&def),
         reference: def.reference,
     }
+}
+
+/// The benchmark's document generator for a grammar: its own
+/// `generate`, except for arith, whose generator ignores its byte
+/// target (seed 42 yields a 15-byte expression). Arith documents are
+/// seeded expressions joined up to the target instead.
+pub fn generator<V>(def: &GrammarDef<V>) -> fn(u64, usize) -> Vec<u8> {
+    if def.name == "arith" {
+        arith_document
+    } else {
+        def.generate
+    }
+}
+
+/// An arith document of at least `target` bytes: seeded expressions,
+/// each in parentheses so that a trailing comparison or `let` body
+/// stays well-formed, joined with ` + `.
+fn arith_document(seed: u64, target: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(target + 4096);
+    let mut k = 0u64;
+    while out.len() < target {
+        if k > 0 {
+            out.extend_from_slice(b" + ");
+        }
+        out.push(b'(');
+        let sub_seed = seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        out.extend_from_slice(&flap_grammars::arith::generate(sub_seed, target));
+        out.push(b')');
+        k += 1;
+    }
+    out
 }
 
 /// All six grammars, in the paper's Fig 11 order.
@@ -233,52 +264,63 @@ pub fn generated_recognizer(name: &str) -> fn(&[u8]) -> Result<(), usize> {
 
 #[cfg(test)]
 mod generated_tests {
-    fn check(
-        name: &str,
-        gen: fn(&[u8]) -> Result<(), usize>,
-        vm: impl Fn(&[u8]) -> bool,
-        generate: fn(u64, usize) -> Vec<u8>,
-    ) {
+    use flap_grammars::GrammarDef;
+
+    /// The generated recognizer must return exactly the error offset
+    /// the VM's recognizer reports, on valid documents, on every
+    /// truncation point of a short one, and with single bytes
+    /// replaced throughout.
+    fn agrees_with_the_vm<V: 'static>(def: GrammarDef<V>) {
+        let gen = super::generated_recognizer(def.name);
+        let parser = def.flap_parser();
+        let vm = |doc: &[u8]| parser.recognize(doc).map_err(|e| e.pos());
+        let generate = super::generator(&def);
+        let mut checked = 0;
         for seed in 0..4u64 {
-            let input = generate(seed, 3000);
-            assert!(gen(&input).is_ok(), "{name} codegen rejects a valid input");
-            assert!(vm(&input), "{name} VM rejects a valid input");
-            let mut bad = input.clone();
-            let mid = bad.len() / 2;
-            bad[mid] = 0x02;
-            assert_eq!(
-                gen(&bad).is_ok(),
-                vm(&bad),
-                "{name} codegen and VM disagree on a mutated input"
-            );
+            let doc = generate(seed, 3000);
+            assert_eq!(gen(&doc), Ok(()), "{} rejects seed {seed}", def.name);
+            assert_eq!(vm(&doc), Ok(()), "{} VM rejects seed {seed}", def.name);
+            let short = &doc[..doc.len().min(200)];
+            let cuts = (0..short.len()).map(|n| short[..n].to_vec());
+            let mutants = (0..doc.len()).step_by(7).flat_map(|at| {
+                [0x02, b' ', b'(', b'"', b'0', b'x', b'\n'].map(|b| {
+                    let mut bad = doc.clone();
+                    bad[at] = b;
+                    bad
+                })
+            });
+            for bad in cuts.chain(mutants) {
+                let want = vm(&bad);
+                assert_eq!(
+                    gen(&bad),
+                    want,
+                    "{}: generated and VM recognizers disagree on {:?}",
+                    def.name,
+                    String::from_utf8_lossy(&bad)
+                );
+                checked += usize::from(want.is_err());
+            }
         }
+        assert!(checked > 0, "{}: no document was rejected", def.name);
     }
 
     #[test]
     fn generated_recognizers_agree_with_the_vm() {
-        let d = flap_grammars::sexp::def();
-        let p = d.flap_parser();
-        check(
-            "sexp",
-            super::generated::sexp_gen::recognize,
-            move |i| p.recognize(i).is_ok(),
-            d.generate,
-        );
-        let d = flap_grammars::json::def();
-        let p = d.flap_parser();
-        check(
-            "json",
-            super::generated::json_gen::recognize,
-            move |i| p.recognize(i).is_ok(),
-            d.generate,
-        );
-        let d = flap_grammars::csv::def();
-        let p = d.flap_parser();
-        check(
-            "csv",
-            super::generated::csv_gen::recognize,
-            move |i| p.recognize(i).is_ok(),
-            d.generate,
-        );
+        agrees_with_the_vm(flap_grammars::json::def());
+        agrees_with_the_vm(flap_grammars::sexp::def());
+        agrees_with_the_vm(flap_grammars::arith::def());
+        agrees_with_the_vm(flap_grammars::pgn::def());
+        agrees_with_the_vm(flap_grammars::ppm::def());
+        agrees_with_the_vm(flap_grammars::csv::def());
+    }
+
+    /// The generated code keeps the input's nesting and length on the
+    /// heap: a 2 MB document runs on the test thread's default stack.
+    #[test]
+    fn generated_recognizer_needs_no_large_stack() {
+        let def = flap_grammars::ppm::def();
+        let doc = (def.generate)(42, 2_100_000);
+        assert!(doc.len() >= 2_000_000, "{} bytes", doc.len());
+        assert_eq!(super::generated_recognizer("ppm")(&doc), Ok(()));
     }
 }

@@ -27,9 +27,9 @@
 //! corrupted-but-checksummed or crafted artifact yields a typed
 //! error, never an out-of-bounds or panicking parser.
 //!
-//! The staged per-state structure ([`State`](crate::State)) is not
-//! serialized: it exists for code generation, which operates on
-//! freshly compiled parsers.
+//! The flat transition block is the parser's one table form: the VM
+//! runs it, and [`codegen`](crate::codegen) emits Rust from it, so a
+//! loaded parser does everything a compiled one does.
 //!
 //! [`to_artifact_with`]: CompiledParser::to_artifact_with
 
@@ -138,9 +138,9 @@ impl<V> CompiledParser<V> {
         }
 
         let mut nt = SectionBuf::new();
-        nt.put_u32(self.nt_start.len() as u32);
-        for (&start, eps) in self.nt_start.iter().zip(&self.conts.eps) {
-            nt.put_u32(start);
+        nt.put_u32(self.nt_start_row.len() as u32);
+        for (&row, eps) in self.nt_start_row.iter().zip(&self.conts.eps) {
+            nt.put_u32(row / self.stride);
             nt.put_u8(u8::from(eps.is_some()));
             if let Some(eps) = eps {
                 span(&mut nt, *eps);
@@ -165,7 +165,7 @@ impl<V> CompiledParser<V> {
         meta.put_u32(self.stride);
         meta.put_u32(nstates as u32);
         meta.put_u32(self.start_nt);
-        meta.put_u32(self.nt_start.len() as u32);
+        meta.put_u32(self.nt_start_row.len() as u32);
         meta.put_u32(self.prod_count() as u32);
         meta.put_u8(u8::from(self.skip.is_some()));
         meta.put_u64(origin.map_or(0, Origin::key));
@@ -241,7 +241,6 @@ struct DecodedTables {
     class_map: Box<[u16; 256]>,
     stride: u32,
     trans: AlignedU32s,
-    nt_start: Vec<u32>,
     nt_start_row: Vec<u32>,
     layout: Layout,
     skip: Option<FlatDfa>,
@@ -482,7 +481,6 @@ fn decode_tables(
         class_map,
         stride,
         trans,
-        nt_start,
         nt_start_row,
         layout,
         skip,
@@ -542,14 +540,9 @@ impl DecodedTables {
             ));
         }
         Ok(CompiledParser {
-            // The staged state list exists for code generation and
-            // does not travel in artifacts; state_count() and the VM
-            // run from the flat table alone.
-            states: Vec::new(),
             class_map: self.class_map,
             stride: self.stride,
             trans: self.trans,
-            nt_start: self.nt_start,
             nt_start_row: self.nt_start_row,
             conts: Conts::assemble(self.layout, actions),
             skip: self.skip,
@@ -820,15 +813,16 @@ mod tests {
     }
 
     #[test]
-    fn emit_rust_panics_on_loaded_parsers() {
+    fn loaded_parsers_emit_the_compiled_source() {
         let (p, _) = compiled();
         let bytes = p.to_artifact();
         let buf = Arc::new(AlignedBuf::from_bytes(&bytes));
         let r = load_recognizer(&buf).unwrap();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::codegen::emit_rust(&r, "m")
-        }));
-        assert!(err.is_err(), "codegen must refuse artifact-loaded parsers");
+        assert_eq!(
+            crate::codegen::emit_rust(&r, "m"),
+            crate::codegen::emit_rust(&p, "m"),
+            "code generation reads only what the artifact carries"
+        );
     }
 
     // -----------------------------------------------------------------
@@ -978,7 +972,7 @@ mod tests {
     fn hostile_continuations_are_a_typed_error() {
         let (p, origin) = compiled();
         let bytes = p.to_artifact_with(&origin);
-        let nt_count = p.nt_start.len() as u32;
+        let nt_count = p.nt_start_row.len() as u32;
         // CONTS: user, map and ε table lengths, pool length, words
         const POOL: usize = 4;
 
@@ -1012,7 +1006,7 @@ mod tests {
 
         // A start row that stops on a match would commit empty
         // tokens without end.
-        let start = p.nt_start[p.start_nt as usize] as usize * p.stride as usize;
+        let start = p.nt_start_row[p.start_nt as usize] as usize;
         let empty_match = rewrite(&bytes, SEC_TRANS, |payload| {
             let mut b = payload.to_vec();
             let stop = crate::compile::encode_stop(StopAction::Match(0));

@@ -8,18 +8,20 @@
 //!
 //! MetaOCaml lets flap splice the residual program together as typed
 //! code and compile it. Rust has no typed run-time staging, so this
-//! crate materializes the same residual program as data: one
-//! [`State`] per indexed function `S_{F_n,k}` (memoized on the pair
-//! of derivative vector and continuation, exactly as §5.4 memoizes
-//! generated functions). The states are then flattened into a single
-//! cache-aligned, alphabet-compressed transition block (exact byte
-//! equivalence classes over the whole automaton, premultiplied row
-//! targets, the stop action stored in slot 0 of each row). The
-//! [`vm`](crate::vm) module executes that program with a loop that
-//! does per character exactly what flap's generated OCaml does: one
-//! class-map load, one table lookup and a jump — no derivative
-//! computation, no token materialization, no allocation. Trailing
-//! skip input goes through the skip DFA's SWAR self-loop fast path.
+//! crate materializes the same residual program as data: one state
+//! per indexed function `S_{F_n,k}` (memoized on the pair of
+//! derivative vector and continuation, exactly as §5.4 memoizes
+//! generated functions), each one row of a single cache-aligned,
+//! alphabet-compressed transition block (exact byte equivalence
+//! classes over the whole automaton, premultiplied row targets, the
+//! stop action stored in slot 0 of each row). That block is the one
+//! table form: the [`vm`](crate::vm) module executes it with a loop
+//! that does per character exactly what flap's generated OCaml does
+//! (one class-map load, one table lookup and a jump; no derivative
+//! computation, no token materialization, no allocation), artifacts
+//! store it, and [`codegen`](crate::codegen) prints it as Rust.
+//! Trailing skip input goes through the skip DFA's SWAR self-loop
+//! fast path.
 //!
 //! What a production does once its token matches is compiled ahead of
 //! time too. Each token production's reduce program is lowered
@@ -30,29 +32,22 @@
 //! generated code (§2.8), the VM then applies each semantic action
 //! directly to its operands: no value-stack rotations and no
 //! per-production program interpreter remain at parse time.
-//!
-//! The [`codegen`](crate::codegen) module additionally prints the
-//! states as genuine Rust source (the §5.5 excerpt), which is what a
-//! build-script user can compile ahead of time.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use flap_fuse::{Expected, FusedGrammar};
 use flap_lex::{Lexer, Token};
-use flap_regex::{AlignedU32s, ByteClasses, ByteSet, ClassCache, FlatDfa, RegexArena, RegexId};
+use flap_regex::{AlignedU32s, ByteClasses, ClassCache, FlatDfa, RegexArena, RegexId};
 
 use crate::cont::Conts;
 
-/// Transition-table entry: `STOP`, or a target state with a *mark*
-/// bit recording that entering the target establishes a new longest
-/// match (the `rs := cs` update of Fig 10).
-///
-/// In [`State::classes`] (kept for code generation) entries are
-/// `(target_state << 1) | mark`; in the VM's flat table they are
-/// `(target_row << 2) | mark` with the row premultiplied by the
-/// stride (bit 1 is unused; the layout mirrors
-/// [`FlatDfa`](flap_regex::FlatDfa), whose bit 1 is the accel flag).
+/// Transition-table entry: `STOP`, or `(target_row << 2) | mark`,
+/// where the target row is premultiplied by the stride and the
+/// *mark* bit records that entering the target establishes a new
+/// longest match (the `rs := cs` update of Fig 10). Bit 1 is unused;
+/// the layout mirrors [`FlatDfa`](flap_regex::FlatDfa), whose bit 1
+/// is the accel flag.
 pub(crate) const STOP: u32 = u32::MAX;
 
 /// Encodes a [`StopAction`] into row slot 0 of the flat table
@@ -79,7 +74,7 @@ pub(crate) fn decode_stop(e: u32) -> StopAction {
 /// byte or end of input) — determined statically by the state's
 /// continuation index `k`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum StopAction {
+pub(crate) enum StopAction {
     /// `k = no`: parsing this nonterminal fails.
     Fail,
     /// `k = back`: take the ε-production of the nonterminal
@@ -90,22 +85,10 @@ pub enum StopAction {
     Match(u32),
 }
 
-/// One compiled state `S_{F_n,k}`.
-#[derive(Clone)]
-pub struct State {
-    /// Behaviour when no transition applies.
-    pub(crate) stop: StopAction,
-    /// The character classes of this state with `(target << 1) |
-    /// mark` entries (kept for code generation and Table 1 metrics;
-    /// the VM runs the flat alphabet-compressed table instead).
-    pub(crate) classes: Vec<(ByteSet, u32)>,
-}
-
 /// A fused grammar compiled to transition tables — flap's "generated
 /// code", executable via [`CompiledParser::parse`] or printable as
 /// Rust source via [`crate::codegen::emit_rust`].
 pub struct CompiledParser<V> {
-    pub(crate) states: Vec<State>,
     /// Byte → 1-based class id; class 0 of every row is the encoded
     /// stop action, so the VM's per-byte index is `row + map[b]`
     /// with no offset arithmetic. `u16` because a pathological
@@ -118,10 +101,8 @@ pub struct CompiledParser<V> {
     /// slot 0 holds [`encode_stop`]`(stop)`, the remaining slots
     /// hold `STOP` or `(target_row << 2) | mark`.
     pub(crate) trans: AlignedU32s,
-    /// Start state per nonterminal (dense `NtId` index; state ids,
-    /// used by code generation and diagnostics).
-    pub(crate) nt_start: Vec<u32>,
-    /// Start *row* per nonterminal (premultiplied, used by the VM).
+    /// Start row per nonterminal (dense `NtId` index; premultiplied,
+    /// so the state is `row / stride`).
     pub(crate) nt_start_row: Vec<u32>,
     /// Per flat production (`StopAction::Match`) and per ε rule
     /// (`StopAction::Eps`): the lowered continuations, one-word
@@ -165,7 +146,8 @@ impl<V> CompiledParser<V> {
         let mut c = Compiler {
             arena: lexer.arena_mut(),
             cache: ClassCache::new(),
-            states: Vec::new(),
+            stops: Vec::new(),
+            rows: Vec::new(),
             memo: HashMap::new(),
             worklist: Vec::new(),
         };
@@ -208,7 +190,7 @@ impl<V> CompiledParser<V> {
         // live derivative vector, in production order. Equal by
         // construction to what the unstaged interpreter's failure
         // replay reports, so staged/unstaged errors stay comparable.
-        let mut state_expected = vec![Expected::none(); c.states.len()];
+        let mut state_expected = vec![Expected::none(); c.stops.len()];
         for ((live, _k), &id) in &c.memo {
             let e = &mut state_expected[id as usize];
             for &(_, prod) in live {
@@ -218,20 +200,12 @@ impl<V> CompiledParser<V> {
             }
         }
 
-        // Flatten for the VM: exact byte equivalence classes over
-        // the whole automaton, then one contiguous aligned table of
-        // compressed rows with premultiplied targets — one class-map
-        // load plus one table load per input byte.
-        let nstates = c.states.len();
-        let mut cols: Vec<Vec<u32>> = vec![vec![STOP; nstates]; 256];
-        for (sid, st) in c.states.iter().enumerate() {
-            for (set, entry) in &st.classes {
-                for b in set.iter() {
-                    cols[b as usize][sid] = *entry;
-                }
-            }
-        }
-        let classes = ByteClasses::from_columns(|b| cols[b as usize].clone());
+        // Flatten: exact byte equivalence classes over the whole
+        // automaton, then one contiguous aligned table of compressed
+        // rows with premultiplied targets — one class-map load plus
+        // one table load per input byte.
+        let classes =
+            ByteClasses::from_columns(|b| c.rows.iter().map(|r| r[b as usize]).collect::<Vec<_>>());
         let ncls = classes.len();
         let stride = (ncls + 1) as u32;
         let mut class_map = Box::new([0u16; 256]);
@@ -241,19 +215,17 @@ impl<V> CompiledParser<V> {
             class_map[b as usize] = (cls + 1) as u16;
             reps[cls] = b;
         }
-        let mut trans = AlignedU32s::filled(nstates * stride as usize, STOP);
+        let mut trans = AlignedU32s::filled(c.rows.len() * stride as usize, STOP);
         {
             let t = trans.as_mut_slice();
-            for (sid, st) in c.states.iter().enumerate() {
+            for (sid, (r, &stop)) in c.rows.iter().zip(&c.stops).enumerate() {
                 let row = sid * stride as usize;
-                t[row] = encode_stop(st.stop);
+                t[row] = encode_stop(stop);
                 for (cls, &rep) in reps.iter().enumerate() {
-                    let e = cols[rep as usize][sid];
-                    if e == STOP {
-                        continue;
+                    let e = r[rep as usize];
+                    if e != STOP {
+                        t[row + 1 + cls] = (((e >> 2) * stride) << 2) | (e & 1);
                     }
-                    let target = (e >> 1) as usize;
-                    t[row + 1 + cls] = ((target as u32 * stride) << 2) | (e & 1);
                 }
             }
         }
@@ -263,11 +235,9 @@ impl<V> CompiledParser<V> {
             .map(|t| t.map(|t| Arc::clone(fused.token_name_arc(t))))
             .collect();
         CompiledParser {
-            states: c.states,
             class_map,
             stride,
             trans,
-            nt_start,
             nt_start_row,
             conts,
             skip,
@@ -283,9 +253,7 @@ impl<V> CompiledParser<V> {
     /// functions" column of Table 1 (flap memoizes one generated
     /// function per `(F_n, k)` pair; so do we).
     ///
-    /// Derived from the flat table rather than the staged state list
-    /// so it also holds for artifact-loaded parsers, which carry the
-    /// tables only (every state owns exactly one row).
+    /// Every state owns exactly one row of the flat table.
     pub fn state_count(&self) -> usize {
         self.trans.len() / self.stride as usize
     }
@@ -329,7 +297,11 @@ impl<V> CompiledParser<V> {
 struct Compiler<'a> {
     arena: &'a mut RegexArena,
     cache: ClassCache,
-    states: Vec<State>,
+    /// Stop action per state.
+    stops: Vec<StopAction>,
+    /// Per state, per byte: `STOP` or a table entry whose target is
+    /// still a state id, premultiplied by the stride on flattening.
+    rows: Vec<[u32; 256]>,
     /// `(live derivative vector, k)` → state id; the memoization that
     /// guarantees termination of generation (§5.4).
     memo: HashMap<(Vec<(RegexId, u32)>, StopAction), u32>,
@@ -341,11 +313,9 @@ impl Compiler<'_> {
         if let Some(&id) = self.memo.get(&(live.clone(), k)) {
             return id;
         }
-        let id = self.states.len() as u32;
-        self.states.push(State {
-            stop: k,
-            classes: Vec::new(),
-        });
+        let id = self.stops.len() as u32;
+        self.stops.push(k);
+        self.rows.push([STOP; 256]);
         self.memo.insert((live.clone(), k), id);
         self.worklist.push((live, id));
         id
@@ -355,7 +325,7 @@ impl Compiler<'_> {
         while let Some((live, id)) = self.worklist.pop() {
             let regexes: Vec<RegexId> = live.iter().map(|&(r, _)| r).collect();
             let part = self.cache.classes_of_vector(self.arena, &regexes);
-            let mut classes = Vec::with_capacity(part.len());
+            let mut row = [STOP; 256];
             for set in part.sets() {
                 let rep = set.min_byte().expect("partition classes are non-empty");
                 // L'_c: the non-⊥ derivatives.
@@ -379,14 +349,15 @@ impl Compiler<'_> {
                             );
                             (StopAction::Match(prod), 1)
                         }
-                        None => (self.states[id as usize].stop, 0),
+                        None => (self.stops[id as usize], 0),
                     };
-                    let target = self.intern(succ, k2);
-                    (target << 1) | mark
+                    (self.intern(succ, k2) << 2) | mark
                 };
-                classes.push((*set, entry));
+                for b in set.iter() {
+                    row[b as usize] = entry;
+                }
             }
-            self.states[id as usize].classes = classes;
+            self.rows[id as usize] = row;
         }
     }
 }

@@ -8,9 +8,11 @@
 //!
 //! * [`CompiledParser::compile`] builds one state per indexed
 //!   function `S_{F_n,k}` of Fig 10 (memoized on the derivative
-//!   vector and continuation), then flattens all states into one
-//!   cache-aligned, alphabet-compressed transition block with a
-//!   statically-known stop action per state;
+//!   vector and continuation) as one row of a cache-aligned,
+//!   alphabet-compressed transition block, with a statically-known
+//!   stop action per row. That block is the parser's one table
+//!   form: the VM runs it, artifacts store it, and code generation
+//!   reads it;
 //! * [`CompiledParser::parse_with`] / [`CompiledParser::recognize`]
 //!   execute the tables with a per-character cost of one class-map
 //!   load, one table load and one jump — the Rust analogue of flap's
@@ -26,8 +28,9 @@
 //!   document from checkpoints, and the `_obs` variants of
 //!   `parse_with`, `feed`, `finish` and the incremental entry points
 //!   report to an [`Observer`];
-//! * [`codegen::emit_rust`] prints the states as compilable Rust
-//!   source, reproducing the generated-code excerpt of §5.5;
+//! * [`codegen::emit_rust`] prints the flat table as a compilable
+//!   Rust recognizer (the generated code of §5.5, as one loop with an
+//!   explicit stack), for compiled and artifact-loaded parsers alike;
 //! * [`measure_pipeline`] collects the Table 1 size columns and the
 //!   Table 2 compilation-time breakdown;
 //! * [`artifact`] serializes compiled tables, and [`Origin`] records
@@ -117,7 +120,7 @@ pub mod origin;
 mod stream;
 mod vm;
 
-pub use compile::{CompiledParser, State, StopAction};
+pub use compile::CompiledParser;
 pub use edit_log::{IncrementalConfig, ReuseStats};
 pub use incremental::IncrementalSession;
 pub use metrics::{measure_pipeline, CompileError, CompileTimes, SizeReport, TableFootprint};

@@ -61,7 +61,9 @@ pub struct SizeReport {
     pub prods: usize,
     /// Productions after fusion (F1 + F2 + F3 rules).
     pub fused_prods: usize,
-    /// Generated functions (compiled states, one per `S_{F_n,k}`).
+    /// Generated states, one per `S_{F_n,k}` (the paper's generated
+    /// functions). In emitted Rust each is one match arm, or a block
+    /// inlined where its predecessors branch to it.
     pub functions: usize,
 }
 

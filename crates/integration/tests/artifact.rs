@@ -209,6 +209,38 @@ fn round_trip_is_observationally_identical_for_every_grammar() {
     assert_round_trip(flap_grammars::arith::def());
 }
 
+/// Code generation reads only the flat table an artifact carries, so
+/// a loaded parser or recognizer emits the compiled parser's source
+/// byte for byte.
+fn assert_loaded_emits_the_same_source<V: 'static>(def: GrammarDef<V>) {
+    let compiled = def.flap_parser();
+    let source = compiled.emit_rust("g");
+    let bytes = compiled.to_artifact();
+    let recognizer =
+        load_recognizer(&Arc::new(AlignedBuf::from_bytes(&bytes))).expect("recognizer loads");
+    assert!(
+        flap_staged::codegen::emit_rust(&recognizer, "g") == source,
+        "{}: a loaded recognizer emits other source",
+        def.name
+    );
+    let loaded = Parser::from_artifact(&bytes, (def.lexer)(), &(def.cfe)()).expect("loads");
+    assert!(
+        loaded.emit_rust("g") == source,
+        "{}: a loaded parser emits other source",
+        def.name
+    );
+}
+
+#[test]
+fn loaded_parsers_emit_the_compiled_source_for_every_grammar() {
+    assert_loaded_emits_the_same_source(flap_grammars::pgn::def());
+    assert_loaded_emits_the_same_source(flap_grammars::ppm::def());
+    assert_loaded_emits_the_same_source(flap_grammars::sexp::def());
+    assert_loaded_emits_the_same_source(flap_grammars::csv::def());
+    assert_loaded_emits_the_same_source(flap_grammars::json::def());
+    assert_loaded_emits_the_same_source(flap_grammars::arith::def());
+}
+
 #[test]
 fn loaded_recognizers_asked_for_a_value_yield_exactly_one() {
     // A recognizer's token productions fold their tails' unit values,
