@@ -18,12 +18,9 @@
 //!   evicted). Tables are behind `Arc`s, so evicting a parser that a
 //!   pool still serves is safe — the pool keeps its clone alive.
 //! * **Counters.** Hits, misses, evictions and in-flight compiles are
-//!   tracked in a shared [`CacheCounters`]. A caller that attaches them
-//!   to a pool with
-//!   [`PoolConfig::cache_counters`](crate::serve::PoolConfig::cache_counters)
-//!   gets them in that pool's metrics, next to queue depth and
-//!   latency. `flap-serve` uses no cache and attaches none, so the
-//!   `cache_*` fields of its `--stats-json` report are always 0.
+//!   tracked in a shared [`CacheCounters`], read through
+//!   [`ParserCache::counters`]. They belong to the cache, not to any
+//!   pool serving its parsers.
 //!
 //! # Sizing guidance
 //!
@@ -31,9 +28,9 @@
 //! request rate: each entry costs one compiled table block (tens of
 //! kilobytes for the paper's grammars — see `table1`'s footprint
 //! report). A capacity a little above the number of concurrently
-//! active tenants makes evictions rare; watch the `cache_evictions`
-//! counter, and grow the capacity if it climbs while `cache_hits`
-//! stalls.
+//! active tenants makes evictions rare; watch
+//! [`CacheCounters::evictions`], and grow the capacity if it climbs
+//! while [`CacheCounters::hits`] stalls.
 //!
 //! # Key caveat
 //!
@@ -79,11 +76,7 @@ use flap_cfe::Cfe;
 use flap_lex::Lexer;
 use flap_staged::CompiledParser;
 
-use crate::serve::{ParsePool, PoolConfig};
-
-/// Shared, lock-free counters for one [`ParserCache`]. Clone the
-/// `Arc` into [`PoolConfig::cache_counters`] to surface these in pool
-/// metrics snapshots.
+/// Shared, lock-free counters for one [`ParserCache`].
 #[derive(Debug, Default)]
 pub struct CacheCounters {
     pub(crate) hits: AtomicU64,
@@ -162,8 +155,7 @@ impl<V> ParserCache<V> {
         }
     }
 
-    /// The cache's counters; clone into
-    /// [`PoolConfig::cache_counters`] to report them in pool metrics.
+    /// The cache's counters.
     pub fn counters(&self) -> Arc<CacheCounters> {
         Arc::clone(&self.counters)
     }
@@ -308,25 +300,6 @@ impl<V> ParserCache<V> {
     }
 }
 
-impl<V: Send + 'static> ParserCache<V> {
-    /// Builds a [`ParsePool`] over the cached parser for `key`,
-    /// compiling it first if absent, with this cache's counters
-    /// attached to the pool's metrics. `config.label` should name the
-    /// grammar so the pool's snapshot identifies the tenant.
-    pub fn pool<E>(
-        &self,
-        key: u64,
-        compile: impl FnOnce() -> Result<Arc<CompiledParser<V>>, E>,
-        config: PoolConfig,
-    ) -> Result<ParsePool<V>, E> {
-        let parser = self.get_or_compile(key, compile)?;
-        Ok(ParsePool::new(
-            parser,
-            config.cache_counters(self.counters()),
-        ))
-    }
-}
-
 /// A stable FNV-1a content hash of a grammar's *shape*: the lexer's
 /// rules (canonical regex structure, token index and name, skip/return
 /// action) and the combinator tree of `grammar`, with `Fix`/`Var`
@@ -345,6 +318,7 @@ pub fn grammar_key<V>(lexer: &Lexer, grammar: &Cfe<V>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{ParsePool, PoolConfig};
     use crate::{LexerBuilder, Parser};
     use std::sync::atomic::AtomicUsize;
     use std::thread;
@@ -384,6 +358,12 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.get(key).is_some());
         assert!(cache.get(key ^ 1).is_none());
+
+        // The cached parser serves a pool; serving is not a lookup.
+        let pool = ParsePool::new(b, PoolConfig::default().workers(1));
+        assert_eq!(pool.submit(&b"a b"[..]).unwrap().wait(), Ok(2));
+        pool.shutdown();
+        assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 
     #[test]
@@ -495,38 +475,5 @@ mod tests {
             grammar_key(&lexer, &inner_outer),
             grammar_key(&lexer, &outer_inner)
         );
-    }
-
-    #[test]
-    fn pool_helper_serves_and_reports_cache_counters() {
-        let lexer = word_lexer();
-        let tok = flap_lex::Token::from_index(0);
-        let g = word_grammar(tok);
-        let key = grammar_key(&lexer, &g);
-        let cache: ParserCache<i64> = ParserCache::new(4);
-
-        let pool = cache
-            .pool::<()>(
-                key,
-                || Ok(compiled(&g)),
-                PoolConfig::default().workers(1).queue_capacity(2),
-            )
-            .unwrap();
-        assert_eq!(pool.submit(&b"a b"[..]).unwrap().wait(), Ok(2));
-
-        // A second pool for the same grammar hits the cache, and both
-        // pools' snapshots expose the shared counters.
-        let pool2 = cache
-            .pool::<()>(
-                key,
-                || panic!("must not recompile"),
-                PoolConfig::default().workers(1).queue_capacity(2),
-            )
-            .unwrap();
-        let snap = pool2.metrics().snapshot();
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.cache_misses, 1);
-        pool.shutdown();
-        pool2.shutdown();
     }
 }

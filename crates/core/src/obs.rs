@@ -1,5 +1,5 @@
-//! Observability: parse-event hooks, a sampling profiler, span
-//! tracing for the serve pool, and periodic metrics export.
+//! Observability: parse-event hooks, a sampling profiler and span
+//! tracing for the serve pool.
 //!
 //! Three layers, all dependency-free:
 //!
@@ -19,23 +19,20 @@
 //!   profile — bytes skipped vs lexed, a token-class histogram,
 //!   reductions by rule, automaton-row heat — with bounded
 //!   allocation; `flap-bench`'s `profile` binary renders it.
-//! * **Tracing & export.** [`TraceRecorder`] collects timed spans
-//!   (queue-wait vs execution per pool job, one lane per worker) and
-//!   writes them as Chrome trace-event JSON readable by Perfetto or
-//!   `chrome://tracing`; [`MetricsEmitter`] snapshots a pool's
-//!   [`Metrics`] on an interval as JSON
-//!   lines. Attach both through
-//!   [`PoolConfig::trace`](crate::serve::PoolConfig::trace) and
-//!   [`MetricsEmitter::start`].
+//! * **Tracing.** [`TraceRecorder`] collects timed spans (a
+//!   queue-wait and a `parse` span per pool job, one lane per worker)
+//!   and writes them as Chrome trace-event JSON readable by Perfetto
+//!   or `chrome://tracing`. Attach one through
+//!   [`PoolConfig::trace`](crate::serve::PoolConfig::trace). A pool's
+//!   [`Metrics`](crate::serve::Metrics) are read with
+//!   [`snapshot`](crate::serve::Metrics::snapshot); the periodic
+//!   JSON-lines exporter, which runs a thread of its own, is
+//!   `flap_serve::MetricsEmitter`.
 
 use std::fmt;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
-
-use crate::serve::Metrics;
+use std::sync::Mutex;
+use std::time::Instant;
 
 pub use flap_staged::{NoopObserver, Observer, ParseProfiler};
 
@@ -164,7 +161,7 @@ impl fmt::Debug for TraceRecorder {
 }
 
 /// JSON string escaping (quotes, backslashes, control characters),
-/// shared with the metrics JSON emitters.
+/// shared with [`MetricsSnapshot::to_json`](crate::serve::MetricsSnapshot::to_json).
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -181,100 +178,10 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
-/// Periodically writes a pool's metrics snapshot as one JSON line per
-/// interval — a scrape loop in a thread, no exporter dependency.
-///
-/// Start one with [`MetricsEmitter::start`] over the `Arc<Metrics>`
-/// from [`ParsePool::metrics_arc`](crate::serve::ParsePool::metrics_arc);
-/// the background thread emits a
-/// [`MetricsSnapshot::to_json`](crate::serve::MetricsSnapshot::to_json)
-/// line every `interval` and one final line on [`MetricsEmitter::stop`]
-/// (also run on drop), so even runs shorter than the interval export a
-/// terminal snapshot.
-pub struct MetricsEmitter {
-    stopped: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<thread::JoinHandle<()>>,
-    finished: AtomicBool,
-}
-
-impl MetricsEmitter {
-    /// Spawns the emitter thread: one JSON line to `w` per
-    /// `interval`, plus a final line at stop.
-    pub fn start<W: Write + Send + 'static>(
-        metrics: Arc<Metrics>,
-        interval: Duration,
-        mut w: W,
-    ) -> MetricsEmitter {
-        let stopped = Arc::new((Mutex::new(false), Condvar::new()));
-        let flag = Arc::clone(&stopped);
-        let handle = thread::Builder::new()
-            .name("flap-metrics".to_string())
-            .spawn(move || {
-                let (lock, cv) = &*flag;
-                let mut stop = lock.lock().unwrap();
-                loop {
-                    if *stop {
-                        break;
-                    }
-                    let (guard, timeout) = cv.wait_timeout(stop, interval).unwrap();
-                    stop = guard;
-                    if !*stop && timeout.timed_out() {
-                        let line = metrics.snapshot().to_json();
-                        if writeln!(w, "{line}").and_then(|()| w.flush()).is_err() {
-                            break;
-                        }
-                    }
-                }
-                // terminal snapshot so short runs still export state
-                let line = metrics.snapshot().to_json();
-                let _ = writeln!(w, "{line}").and_then(|()| w.flush());
-            })
-            .expect("spawn metrics emitter");
-        MetricsEmitter {
-            stopped,
-            handle: Some(handle),
-            finished: AtomicBool::new(false),
-        }
-    }
-
-    /// Stops the emitter: writes one final snapshot line and joins
-    /// the thread. Implied by drop; explicit for visible sequencing.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        if self.finished.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let (lock, cv) = &*self.stopped;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsEmitter {
-    fn drop(&mut self) {
-        self.halt();
-    }
-}
-
-impl fmt::Debug for MetricsEmitter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "MetricsEmitter {{ finished: {} }}",
-            self.finished.load(Ordering::Relaxed)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn chrome_json_shape() {

@@ -16,9 +16,6 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use crate::cache::CacheCounters;
 
 /// Number of latency buckets; bucket `i < BUCKETS-1` counts
 /// completions with latency < 2^i µs, the last bucket catches
@@ -42,20 +39,10 @@ pub struct Metrics {
     queue_depth: AtomicU64,
     queue_high_water: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS],
-    /// Shared compile-cache counters, when the pool was built through
-    /// a [`ParserCache`](crate::cache::ParserCache) (or had counters
-    /// attached via `PoolConfig::cache_counters`). Snapshots report
-    /// zeros when absent.
-    cache: Option<Arc<CacheCounters>>,
 }
 
 impl Metrics {
-    pub(super) fn new(
-        label: &str,
-        workers: usize,
-        queue_capacity: usize,
-        cache: Option<Arc<CacheCounters>>,
-    ) -> Metrics {
+    pub(super) fn new(label: &str, workers: usize, queue_capacity: usize) -> Metrics {
         Metrics {
             label: label.into(),
             workers,
@@ -70,7 +57,6 @@ impl Metrics {
             queue_depth: AtomicU64::new(0),
             queue_high_water: AtomicU64::new(0),
             latency: [const { AtomicU64::new(0) }; LATENCY_BUCKETS],
-            cache,
         }
     }
 
@@ -125,9 +111,6 @@ impl Metrics {
             bytes_parsed: load(&self.bytes_parsed),
             queue_depth: load(&self.queue_depth),
             queue_high_water: load(&self.queue_high_water),
-            cache_hits: self.cache.as_deref().map_or(0, CacheCounters::hits),
-            cache_misses: self.cache.as_deref().map_or(0, CacheCounters::misses),
-            cache_evictions: self.cache.as_deref().map_or(0, CacheCounters::evictions),
             latency_us: LatencyHistogram {
                 buckets: std::array::from_fn(|i| load(&self.latency[i])),
             },
@@ -138,7 +121,7 @@ impl Metrics {
 /// How a job ended, for [`Metrics::job_finished`].
 #[derive(Clone, Copy, Debug)]
 pub(super) enum Outcome {
-    /// Produced a semantic value (or a mid-stream `NeedMore`).
+    /// Produced a semantic value.
     Completed,
     /// The input failed to parse.
     ParseError,
@@ -162,9 +145,9 @@ pub struct MetricsSnapshot {
     pub workers: usize,
     /// Configured submission-queue capacity.
     pub queue_capacity: usize,
-    /// Jobs accepted into the queue (parse jobs and stream feeds).
+    /// Jobs accepted into the queue.
     pub submitted: u64,
-    /// Jobs that produced a value (including mid-stream `NeedMore`).
+    /// Jobs that produced a value.
     pub completed: u64,
     /// Jobs that failed with a parse error.
     pub parse_errors: u64,
@@ -180,14 +163,6 @@ pub struct MetricsSnapshot {
     pub queue_depth: u64,
     /// Deepest the queue has ever been.
     pub queue_high_water: u64,
-    /// Compile-cache lookups served from a ready entry (zero when no
-    /// [`ParserCache`](crate::cache::ParserCache) counters are
-    /// attached to the pool).
-    pub cache_hits: u64,
-    /// Compile-cache lookups that ran a compilation.
-    pub cache_misses: u64,
-    /// Compile-cache entries evicted by the capacity bound.
-    pub cache_evictions: u64,
     /// Submit-to-completion latency histogram.
     pub latency_us: LatencyHistogram,
 }
@@ -205,10 +180,8 @@ impl MetricsSnapshot {
 
     /// One compact JSON object (no trailing newline) with every
     /// counter plus latency percentiles and raw buckets — the line
-    /// format emitted by
-    /// [`MetricsEmitter`](crate::obs::MetricsEmitter) and by
-    /// `flap-serve --stats-json`. Hand-rolled; no serializer
-    /// dependency.
+    /// format `flap_serve::MetricsEmitter` writes and `flap-serve
+    /// --stats-json` dumps. Hand-rolled; no serializer dependency.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(512);
         s.push_str(&format!(
@@ -228,10 +201,6 @@ impl MetricsSnapshot {
             self.bytes_parsed,
             self.queue_depth,
             self.queue_high_water,
-        ));
-        s.push_str(&format!(
-            ",\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{}",
-            self.cache_hits, self.cache_misses, self.cache_evictions,
         ));
         let h = &self.latency_us;
         s.push_str(&format!(
@@ -270,11 +239,6 @@ impl fmt::Display for MetricsSnapshot {
             self.queue_depth, self.queue_high_water
         )?;
         writeln!(f, "  workers  replaced {}", self.workers_replaced)?;
-        writeln!(
-            f,
-            "  cache    hits {}, misses {}, evictions {}",
-            self.cache_hits, self.cache_misses, self.cache_evictions
-        )?;
         writeln!(f, "  volume   {} bytes parsed", self.bytes_parsed)?;
         let h = &self.latency_us;
         if h.count() == 0 {
@@ -371,7 +335,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_upper_bounds() {
-        let m = Metrics::new("t", 1, 4, None);
+        let m = Metrics::new("t", 1, 4);
         // 90 fast completions (~100µs bucket) and 10 slow (~10ms)
         for _ in 0..90 {
             m.job_finished(Outcome::Completed, 10, 100);
@@ -398,7 +362,7 @@ mod tests {
         for k in 0..10u32 {
             let us = 1u64 << k;
             assert_eq!(bucket_of(us), (k + 1) as usize, "2^{k}");
-            let m = Metrics::new("b", 1, 1, None);
+            let m = Metrics::new("b", 1, 1);
             m.job_finished(Outcome::Completed, 0, us);
             assert_eq!(m.snapshot().latency_us.p50_us(), 1u64 << (k + 1), "2^{k}");
         }
@@ -410,7 +374,7 @@ mod tests {
     #[test]
     fn zero_latency_lands_in_bucket_zero() {
         assert_eq!(bucket_of(0), 0);
-        let m = Metrics::new("z", 1, 1, None);
+        let m = Metrics::new("z", 1, 1);
         m.job_finished(Outcome::Completed, 0, 0);
         let h = m.snapshot().latency_us;
         assert_eq!(h.buckets[0], 1);
@@ -421,7 +385,7 @@ mod tests {
 
     #[test]
     fn huge_latencies_saturate_the_last_bucket() {
-        let m = Metrics::new("s", 1, 1, None);
+        let m = Metrics::new("s", 1, 1);
         for us in [u64::MAX, u64::MAX / 2, 1u64 << 40] {
             m.job_finished(Outcome::Completed, 0, us);
         }
@@ -432,14 +396,14 @@ mod tests {
 
     #[test]
     fn empty_histogram_quantiles_are_zero() {
-        let h = Metrics::new("e", 1, 1, None).snapshot().latency_us;
+        let h = Metrics::new("e", 1, 1).snapshot().latency_us;
         assert_eq!(h.count(), 0);
         assert_eq!((h.p50_us(), h.p90_us(), h.p99_us()), (0, 0, 0));
     }
 
     #[test]
     fn snapshot_json_is_complete_and_escaped() {
-        let m = Metrics::new("a\"b", 2, 4, None);
+        let m = Metrics::new("a\"b", 2, 4);
         m.job_submitted();
         m.job_finished(Outcome::Completed, 7, 100);
         let json = m.snapshot().to_json();
@@ -459,45 +423,8 @@ mod tests {
     }
 
     #[test]
-    fn cache_counters_flow_into_snapshot_json_and_display() {
-        // Unattached: the fields exist and are zero — consumers of the
-        // JSON schema see the same keys whether or not a cache is wired.
-        let bare = Metrics::new("bare", 1, 1, None).snapshot();
-        assert_eq!(
-            (bare.cache_hits, bare.cache_misses, bare.cache_evictions),
-            (0, 0, 0)
-        );
-        assert!(bare.to_json().contains("\"cache_hits\":0"));
-
-        // Attached: live counter values appear in snapshot, JSON and
-        // the text report.
-        let counters = Arc::new(CacheCounters::default());
-        counters.hits.store(5, Ordering::Relaxed);
-        counters.misses.store(2, Ordering::Relaxed);
-        counters.evictions.store(1, Ordering::Relaxed);
-        let m = Metrics::new("cached", 1, 1, Some(Arc::clone(&counters)));
-        let s = m.snapshot();
-        assert_eq!((s.cache_hits, s.cache_misses, s.cache_evictions), (5, 2, 1));
-        let json = s.to_json();
-        for needle in [
-            "\"cache_hits\":5",
-            "\"cache_misses\":2",
-            "\"cache_evictions\":1",
-        ] {
-            assert!(json.contains(needle), "missing {needle:?} in {json}");
-        }
-        assert!(json.ends_with("]}}"), "latency stays last: {json}");
-        assert!(
-            s.render()
-                .contains("cache    hits 5, misses 2, evictions 1"),
-            "{}",
-            s.render()
-        );
-    }
-
-    #[test]
     fn snapshot_renders_every_counter() {
-        let m = Metrics::new("json", 4, 8, None);
+        let m = Metrics::new("json", 4, 8);
         m.job_submitted();
         m.job_rejected();
         m.worker_replaced();

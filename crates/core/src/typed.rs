@@ -12,9 +12,9 @@
 //! MetaOCaml erases this typing at staging time. Rust has no typed
 //! staging, so the core pipeline works with a single value type per
 //! grammar; this module recovers the heterogeneous interface by
-//! smuggling values as `Rc<dyn Any>` and downcasting at the
+//! smuggling values as `Box<dyn Any + Send>` and downcasting at the
 //! combinator boundaries. Each value is produced and consumed exactly
-//! once, so the downcasts cannot fail and the `Rc`s are never shared.
+//! once, so the downcasts cannot fail.
 //!
 //! Use this facade for ergonomics; use the uniform [`Cfe<V>`]
 //! interface when you want to shave the `Any`-boxing off the hot
@@ -22,9 +22,9 @@
 //!
 //! User closures must be `Send + Sync` (the core pipeline stores them
 //! as `Arc<dyn Fn … + Send + Sync>` so compiled parsers are
-//! shareable). The *values* smuggled through the facade stay
-//! `Rc<dyn Any>`, so a `TypedParser` itself is single-threaded; the
-//! uniform interface is the one to use for cross-thread parsing.
+//! shareable) and values `Send`, so the untyped parser underneath,
+//! [`TypedParser::inner`], can be served by a
+//! [`ParsePool`](crate::serve::ParsePool) like any other.
 //!
 //! # Examples
 //!
@@ -54,7 +54,6 @@
 
 use std::any::Any;
 use std::marker::PhantomData;
-use std::rc::Rc;
 
 use flap_cfe::Cfe;
 use flap_fuse::FusedParseError;
@@ -64,17 +63,15 @@ use flap_staged::{ByteSource, CompileError, ReadSource, StreamError};
 use crate::parser::Parser;
 
 /// The erased value representation used underneath the facade.
-type Dyn = Rc<dyn Any>;
+type Dyn = Box<dyn Any + Send>;
 
-fn wrap<T: 'static>(v: T) -> Dyn {
-    Rc::new(v)
+fn wrap<T: Send + 'static>(v: T) -> Dyn {
+    Box::new(v)
 }
 
 fn unwrap<T: 'static>(v: Dyn) -> T {
-    let rc = v
-        .downcast::<T>()
-        .expect("typed facade: value of unexpected type");
-    Rc::try_unwrap(rc).unwrap_or_else(|_| panic!("typed facade: value aliased"))
+    *v.downcast::<T>()
+        .expect("typed facade: value of unexpected type")
 }
 
 /// A context-free expression with a typed semantic value, mirroring
@@ -102,7 +99,7 @@ pub fn bot<T>() -> TypedCfe<T> {
 }
 
 /// `ε`, yielding `f()`.
-pub fn eps_with<T: 'static>(f: impl Fn() -> T + Send + Sync + 'static) -> TypedCfe<T> {
+pub fn eps_with<T: Send + 'static>(f: impl Fn() -> T + Send + Sync + 'static) -> TypedCfe<T> {
     TypedCfe {
         inner: Cfe::eps_with(move || wrap(f())),
         _marker: PhantomData,
@@ -116,7 +113,10 @@ pub fn eps<T: Clone + Send + Sync + 'static>(v: T) -> TypedCfe<T> {
 
 /// A token, with its value computed from the lexeme bytes — the
 /// paper's `tok`.
-pub fn tok<T: 'static>(t: Token, f: impl Fn(&[u8]) -> T + Send + Sync + 'static) -> TypedCfe<T> {
+pub fn tok<T: Send + 'static>(
+    t: Token,
+    f: impl Fn(&[u8]) -> T + Send + Sync + 'static,
+) -> TypedCfe<T> {
     TypedCfe {
         inner: Cfe::tok_with(t, move |lx| wrap(f(lx))),
         _marker: PhantomData,
@@ -124,7 +124,7 @@ pub fn tok<T: 'static>(t: Token, f: impl Fn(&[u8]) -> T + Send + Sync + 'static)
 }
 
 /// The least fixed point — the paper's `fix`.
-pub fn fix<T: 'static>(f: impl FnOnce(TypedCfe<T>) -> TypedCfe<T>) -> TypedCfe<T> {
+pub fn fix<T: Send + 'static>(f: impl FnOnce(TypedCfe<T>) -> TypedCfe<T>) -> TypedCfe<T> {
     TypedCfe {
         inner: Cfe::fix(|var| {
             f(TypedCfe {
@@ -137,9 +137,9 @@ pub fn fix<T: 'static>(f: impl FnOnce(TypedCfe<T>) -> TypedCfe<T>) -> TypedCfe<T
     }
 }
 
-impl<T: 'static> TypedCfe<T> {
+impl<T: Send + 'static> TypedCfe<T> {
     /// Sequencing with a pair result — the paper's `>>>`.
-    pub fn then<U: 'static>(self, next: TypedCfe<U>) -> TypedCfe<(T, U)> {
+    pub fn then<U: Send + 'static>(self, next: TypedCfe<U>) -> TypedCfe<(T, U)> {
         TypedCfe {
             inner: self
                 .inner
@@ -157,7 +157,7 @@ impl<T: 'static> TypedCfe<T> {
     }
 
     /// Applies a function to the semantic value.
-    pub fn map<U: 'static>(self, f: impl Fn(T) -> U + Send + Sync + 'static) -> TypedCfe<U> {
+    pub fn map<U: Send + 'static>(self, f: impl Fn(T) -> U + Send + Sync + 'static) -> TypedCfe<U> {
         TypedCfe {
             inner: self.inner.map(move |v| wrap(f(unwrap::<T>(v)))),
             _marker: PhantomData,
@@ -192,7 +192,7 @@ impl<T: 'static> TypedCfe<T> {
 /// Built as `μα. ε ∨ g·α`; element values are prepended, so the cost
 /// is quadratic in the repetition length — acceptable for the
 /// convenience facade, avoidable with the uniform interface.
-pub fn star<T: 'static>(g: TypedCfe<T>) -> TypedCfe<Vec<T>> {
+pub fn star<T: Send + 'static>(g: TypedCfe<T>) -> TypedCfe<Vec<T>> {
     fix(|rest: TypedCfe<Vec<T>>| {
         eps_with(Vec::new).or(g.clone().then(rest).map(|(h, mut t)| {
             t.insert(0, h);
@@ -218,8 +218,7 @@ impl<T: 'static> TypedParser<T> {
     }
 
     /// Parses an entire [`ByteSource`] — the typed face of the
-    /// streaming API. (A `TypedParser` is single-threaded, so the
-    /// session is managed internally.)
+    /// streaming API, on a session of its own.
     ///
     /// # Errors
     ///
@@ -239,7 +238,9 @@ impl<T: 'static> TypedParser<T> {
         self.parse_source(&mut ReadSource::new(reader))
     }
 
-    /// The untyped parser underneath (for metrics and inspection).
+    /// The untyped parser underneath (for metrics, inspection, or a
+    /// [`ParsePool`](crate::serve::ParsePool) whose results the
+    /// caller downcasts to `T`).
     pub fn inner(&self) -> &Parser<Dyn> {
         &self.inner
     }
@@ -356,6 +357,29 @@ mod tests {
                 Sexp::List(vec![]),
             ])
         );
+    }
+
+    #[test]
+    fn typed_values_cross_threads_through_a_pool() {
+        let mut b = LexerBuilder::new();
+        let w = b.token("w", "[a-z]+").unwrap();
+        b.skip(" ").unwrap();
+        let lexer = b.build().unwrap();
+        let words: TypedCfe<Vec<String>> =
+            star(tok(w, |lx| String::from_utf8(lx.to_vec()).unwrap()));
+        let p = words.compile(lexer).unwrap();
+        let pool = p
+            .inner()
+            .serve(crate::serve::PoolConfig::default().workers(2));
+        let handles: Vec<_> = [&b"a bc"[..], b"", b"x y z"]
+            .into_iter()
+            .map(|doc| pool.submit(doc).unwrap())
+            .collect();
+        let got: Vec<Vec<String>> = handles
+            .into_iter()
+            .map(|h| *h.wait().unwrap().downcast::<Vec<String>>().unwrap())
+            .collect();
+        assert_eq!(got, [vec!["a", "bc"], vec![], vec!["x", "y", "z"]]);
     }
 
     #[test]

@@ -23,21 +23,6 @@ use flap_bench::json::{obj, Json};
 use flap_bench::timing::{self, worst_spread_pct, Timing};
 use flap_bench::{all_cases, time_impl, BenchCase};
 
-/// Median flap-row throughput (MB/s) on the 2 MB workload, measured
-/// on the reference machine immediately before the flattened
-/// alphabet-compressed tables landed (interleaved A/B, three rounds).
-/// Recorded in the JSON report as `baseline.flap` so the before/after
-/// effect of the table representation stays visible next to current
-/// numbers.
-const PRE_FLATTEN_FLAP: [(&str, f64); 6] = [
-    ("json", 86.1),
-    ("sexp", 87.8),
-    ("arith", 18.9),
-    ("pgn", 98.8),
-    ("ppm", 70.9),
-    ("csv", 79.8),
-];
-
 /// One measured row: a name and MB/s per grammar, with the timings
 /// they came from.
 struct Row {
@@ -139,27 +124,6 @@ fn report(cases: &[BenchCase], rows: &[Row], target_mb: f64, iters: usize) -> Js
                     grammar_row(cases, &flap_over(rows, "normalized")),
                 ),
                 ("flap/asp", grammar_row(cases, &flap_over(rows, "asp"))),
-            ]),
-        ),
-        (
-            "baseline",
-            obj(vec![
-                (
-                    "note",
-                    Json::Str(
-                        "flap row before the flattened alphabet-compressed tables (same machine)"
-                            .to_string(),
-                    ),
-                ),
-                (
-                    "flap",
-                    Json::Obj(
-                        PRE_FLATTEN_FLAP
-                            .iter()
-                            .map(|(g, v)| (g.to_string(), Json::Num(*v)))
-                            .collect(),
-                    ),
-                ),
             ]),
         ),
     ])

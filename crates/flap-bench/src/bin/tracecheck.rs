@@ -13,7 +13,7 @@
 //! * at least one complete span exists per worker lane (all lanes
 //!   `0..expected-workers` when the count is given);
 //! * the queue-wait vs execution split is present: ≥ 1 `queue-wait`
-//!   span and ≥ 1 execution (`parse`/`feed`/`finish`) span.
+//!   span and ≥ 1 execution (`parse`) span.
 
 use std::process::ExitCode;
 
@@ -69,7 +69,7 @@ fn main() -> ExitCode {
         spans += 1;
         match name {
             "queue-wait" => queue_waits += 1,
-            "parse" | "feed" | "finish" => execs += 1,
+            "parse" => execs += 1,
             _ => {}
         }
         let tid = tid as u64;
@@ -86,7 +86,7 @@ fn main() -> ExitCode {
         return fail("no queue-wait spans: the queue/run split is missing");
     }
     if execs == 0 {
-        return fail("no execution (parse/feed/finish) spans");
+        return fail("no execution (parse) spans");
     }
     if let Some(workers) = expected_workers {
         for tid in 0..workers as u64 {

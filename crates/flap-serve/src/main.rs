@@ -4,7 +4,7 @@
 //! ```text
 //! flap-serve gen <grammar> <doc-bytes> <count> <out|-> [seed]
 //! flap-serve run <grammar> <file|-> [--workers N] [--queue N]
-//!                [--mode block|try|stream] [--check] [--expect-rejections]
+//!                [--mode block|try] [--check] [--expect-rejections]
 //!                [--trace-out <path>] [--stats-json <path>]
 //!                [--metrics-jsonl <path>]
 //!                [--artifact <path>] [--save-artifact <path>]
@@ -14,19 +14,19 @@
 //! roughly `<doc-bytes>` bytes each, framed per [`flap_serve::frame`].
 //! `run` serves it: every frame becomes one pool job (`--mode block`
 //! submits cooperatively, `--mode try` exercises admission control and
-//! sheds to waiting only when `Busy`, `--mode stream` feeds each
-//! document in chunks through a pooled streaming job). `--check`
+//! sheds to waiting only when `Busy`). `--check`
 //! verifies the summed semantic values against the grammar's
 //! independent reference parser; `--expect-rejections` fails the run
 //! unless backpressure actually rejected something (used by CI with a
 //! tiny queue).
 //!
 //! Telemetry: `--trace-out` writes a Chrome trace-event JSON file of
-//! every pool job (queue-wait vs execution spans, one lane per
+//! every pool job (a queue-wait and a `parse` span each, one lane per
 //! worker — open in Perfetto or `chrome://tracing`); `--stats-json`
 //! dumps the final metrics snapshot as one JSON object on exit;
 //! `--metrics-jsonl` appends a periodic JSON-lines feed of metrics
-//! snapshots while the run is in flight.
+//! snapshots ([`flap_serve::MetricsEmitter`]) while the run is in
+//! flight.
 //!
 //! Artifacts: `--save-artifact` writes the parser (tables plus the
 //! provenance of its actions) to a `flap-artifact` container;
@@ -44,10 +44,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use flap::obs::{MetricsEmitter, TraceRecorder};
+use flap::obs::TraceRecorder;
 use flap_grammars::GrammarDef;
 use flap_serve::frame::{write_frame, FrameReader};
-use flap_serve::{JobError, JobHandle, ParsePool, PoolConfig, SubmitError};
+use flap_serve::{JobError, JobHandle, MetricsEmitter, ParsePool, PoolConfig, SubmitError};
 
 fn grammar(name: &str) -> Option<GrammarDef<i64>> {
     Some(match name {
@@ -62,7 +62,7 @@ fn grammar(name: &str) -> Option<GrammarDef<i64>> {
 const USAGE: &str = "usage:
   flap-serve gen <grammar> <doc-bytes> <count> <out|-> [seed]
   flap-serve run <grammar> <file|-> [--workers N] [--queue N]
-                 [--mode block|try|stream] [--check] [--expect-rejections]
+                 [--mode block|try] [--check] [--expect-rejections]
                  [--trace-out <path>] [--stats-json <path>]
                  [--metrics-jsonl <path>]
                  [--artifact <path>] [--save-artifact <path>]
@@ -131,7 +131,6 @@ fn gen(args: &[String]) -> io::Result<ExitCode> {
 enum Mode {
     Block,
     Try,
-    Stream,
 }
 
 struct RunOpts {
@@ -146,9 +145,6 @@ struct RunOpts {
     artifact: Option<String>,
     save_artifact: Option<String>,
 }
-
-/// Streaming jobs feed documents in chunks of this size.
-const STREAM_CHUNK: usize = 1024;
 
 /// Completed-handle backlog bound: drain the oldest once this many
 /// jobs are outstanding, so an arbitrarily long firehose runs in
@@ -182,10 +178,9 @@ fn run(args: &[String]) -> io::Result<ExitCode> {
             "--workers" => opts.workers = parse_num(value("a count")?)?,
             "--queue" => opts.queue = parse_num(value("a capacity")?)?,
             "--mode" => {
-                opts.mode = match value("block|try|stream")?.as_str() {
+                opts.mode = match value("block|try")?.as_str() {
                     "block" => Mode::Block,
                     "try" => Mode::Try,
-                    "stream" => Mode::Stream,
                     other => return Err(io::Error::other(format!("unknown mode {other}"))),
                 }
             }
@@ -291,29 +286,6 @@ fn run(args: &[String]) -> io::Result<ExitCode> {
                     }
                 }
             }
-            Mode::Stream => {
-                let mut stream = pool.open_stream();
-                for chunk in doc.chunks(STREAM_CHUNK) {
-                    let fed = stream
-                        .feed(chunk.to_vec())
-                        .map_err(|e| io::Error::other(e.to_string()))?
-                        .wait();
-                    if let Err(e) = fed {
-                        tally.settle(&def, Err(e));
-                        break;
-                    }
-                }
-                if !stream.is_finished() {
-                    let done = stream
-                        .finish()
-                        .map_err(|e| io::Error::other(e.to_string()))?
-                        .wait();
-                    tally.settle(
-                        &def,
-                        done.map(|status| status.into_value().expect("finish yields a value")),
-                    );
-                }
-            }
         }
     }
     for handle in outstanding {
@@ -341,7 +313,6 @@ fn run(args: &[String]) -> io::Result<ExitCode> {
         match opts.mode {
             Mode::Block => "block",
             Mode::Try => "try",
-            Mode::Stream => "stream",
         },
         tally.docs,
         tally.ok,
@@ -389,9 +360,7 @@ impl Tally {
                 self.sum += (def.finish)(v);
             }
             Err(JobError::Parse(_)) => self.parse_errors += 1,
-            Err(JobError::Panicked(_)) | Err(JobError::Shutdown) | Err(JobError::ResultTaken) => {
-                self.panicked += 1
-            }
+            Err(JobError::Panicked(_)) | Err(JobError::Shutdown) => self.panicked += 1,
         }
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! The pooled serving path (`flap::serve`) runs its hot loop on
 //! worker threads, which a thread-local counter cannot observe; its
-//! steady-state audit lives in `alloc_pool.rs`, a single-test binary
+//! round-trip audit lives in `alloc_pool.rs`, a single-test binary
 //! with a process-global counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -13,11 +13,11 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use flap::obs::{MetricsEmitter, NoopObserver, ParseProfiler, TraceRecorder};
+use flap::obs::{NoopObserver, ParseProfiler, TraceRecorder};
 use flap::{Cfe, LexerBuilder, Parser};
 use flap_bench::json::Json;
 use flap_grammars::GrammarDef;
-use flap_serve::{FeedStatus, PoolConfig};
+use flap_serve::{MetricsEmitter, PoolConfig};
 
 /// One grammar's differential check: the observed entry point must
 /// return byte-for-byte what the unobserved one returns, on valid
@@ -224,17 +224,6 @@ fn pool_trace_exports_valid_chrome_json_with_spans_per_worker() {
     let h2 = pool.submit(&b"slow two"[..]).unwrap();
     assert_eq!(h1.wait(), Ok(2));
     assert_eq!(h2.wait(), Ok(2));
-
-    // A pooled stream contributes feed and finish spans.
-    let mut stream = pool.open_stream();
-    assert_eq!(
-        stream.feed(&b"a b c "[..]).unwrap().wait(),
-        Ok(FeedStatus::NeedMore)
-    );
-    match stream.finish().unwrap().wait() {
-        Ok(FeedStatus::Done(v)) => assert_eq!(v, 3),
-        other => panic!("unexpected final {other:?}"),
-    }
     pool.shutdown();
     assert!(!recorder.is_empty());
 
@@ -249,7 +238,7 @@ fn pool_trace_exports_valid_chrome_json_with_spans_per_worker() {
 
     let mut metadata = 0usize;
     let mut queue_waits = 0usize;
-    let mut by_name: Vec<(String, u64)> = Vec::new(); // (exec name, tid)
+    let mut parse_lanes: Vec<u64> = Vec::new(); // tid of each parse span
     for ev in events {
         match ev.get("ph").and_then(Json::as_str) {
             Some("M") => {
@@ -272,24 +261,21 @@ fn pool_trace_exports_valid_chrome_json_with_spans_per_worker() {
         );
         match name {
             "queue-wait" => queue_waits += 1,
-            "parse" | "feed" | "finish" => by_name.push((name.to_string(), tid)),
+            "parse" => parse_lanes.push(tid),
             other => panic!("unexpected span name {other:?}"),
         }
     }
 
-    let execs = |n: &str| by_name.iter().filter(|(name, _)| name == n).count();
-    assert_eq!(execs("parse"), 2, "one parse span per submitted job");
-    assert_eq!(execs("feed"), 1);
-    assert_eq!(execs("finish"), 1);
+    assert_eq!(parse_lanes.len(), 2, "one parse span per submitted job");
     assert_eq!(
         queue_waits,
-        by_name.len(),
-        "every execution span is paired with its queue-wait"
+        parse_lanes.len(),
+        "every parse span is paired with its queue-wait"
     );
     for lane in 0..2u64 {
         assert!(
-            by_name.iter().any(|&(_, tid)| tid == lane),
-            "worker lane {lane} has no execution span"
+            parse_lanes.contains(&lane),
+            "worker lane {lane} has no parse span"
         );
     }
     assert_eq!(metadata, 2, "one thread_name metadata event per lane");

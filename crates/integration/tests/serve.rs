@@ -1,8 +1,8 @@
 //! End-to-end tests for the `flap::serve` worker pool (re-exported by
 //! `flap-serve`, which is the path exercised here): differential
 //! agreement with one-shot parses, panic isolation and worker
-//! replacement, admission-control backpressure, pooled streaming, and
-//! graceful shutdown.
+//! replacement, admission-control backpressure, and graceful
+//! shutdown.
 
 // FusedParseError inlines its expected-token set (allocation-free
 // error paths, a deliberate workspace-wide tradeoff).
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use flap::{Cfe, LexerBuilder, Parser};
-use flap_serve::{FeedStatus, JobError, ParsePool, PoolConfig, SubmitError};
+use flap_serve::{JobError, ParsePool, PoolConfig, SubmitError};
 
 /// A word-counting grammar whose semantic action has trapdoors: the
 /// lexeme `boom` panics (panic-isolation tests) and the lexeme `slow`
@@ -200,113 +200,6 @@ fn blocking_submit_waits_out_backpressure_instead() {
 }
 
 #[test]
-fn pooled_streaming_matches_one_shot_across_chunk_sizes() {
-    let def = flap_grammars::sexp::def();
-    let parser = def.flap_parser();
-    let pool = parser.serve(PoolConfig::default().workers(2).label("sexp"));
-    let input = (def.generate)(7, 8 * 1024);
-    let expected = parser.parse(&input).unwrap();
-
-    for chunk in [1usize, 7, 512, 64 * 1024] {
-        let mut stream = pool.open_stream();
-        for piece in input.chunks(chunk) {
-            match stream.feed(piece).unwrap().wait() {
-                Ok(FeedStatus::NeedMore) => {}
-                other => panic!("chunk={chunk}: unexpected mid-stream {other:?}"),
-            }
-        }
-        match stream.finish().unwrap().wait() {
-            Ok(FeedStatus::Done(v)) => assert_eq!(v, expected, "chunk={chunk}"),
-            other => panic!("chunk={chunk}: unexpected final {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn stream_error_terminates_the_stream_with_one_shot_error() {
-    let def = flap_grammars::sexp::def();
-    let parser = def.flap_parser();
-    let pool = parser.serve(PoolConfig::default().workers(1));
-    let bad = b"(a b ! c)";
-    let expected_err = parser.parse(bad).unwrap_err();
-
-    let mut stream = pool.open_stream();
-    let mut seen_err = None;
-    for piece in bad.chunks(2) {
-        match stream.feed(piece).unwrap().wait() {
-            Ok(FeedStatus::NeedMore) => {}
-            Err(JobError::Parse(e)) => {
-                seen_err = Some(e);
-                break;
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-    let e = match seen_err {
-        Some(e) => e,
-        // error may only be detectable at finish for some splits
-        None => match stream.finish().unwrap().wait() {
-            Err(JobError::Parse(e)) => e,
-            other => panic!("expected a parse error, got {other:?}"),
-        },
-    };
-    assert_eq!(e, expected_err, "streamed error must equal one-shot");
-    assert!(stream.is_finished());
-    match stream.feed(&b"(x)"[..]) {
-        Err(SubmitError::StreamFinished(_)) => {}
-        other => panic!("finished stream must refuse feeds, got {other:?}"),
-    }
-}
-
-#[test]
-fn stream_panic_breaks_the_stream_but_not_the_pool() {
-    let (_, pool) = trapdoor_pool(PoolConfig::default().workers(1));
-    let mut stream = pool.open_stream();
-    assert_eq!(
-        stream.feed(&b"fine words "[..]).unwrap().wait(),
-        Ok(FeedStatus::NeedMore)
-    );
-    match stream.feed(&b"boom "[..]).unwrap().wait() {
-        Err(JobError::Panicked(_)) => {}
-        other => panic!("expected panic error, got {other:?}"),
-    }
-    assert!(stream.is_finished(), "panic must finish the stream");
-    match stream.finish() {
-        Err(SubmitError::StreamFinished(_)) => {}
-        other => panic!("broken stream must refuse finish, got {other:?}"),
-    }
-    // a stream panic poisons only the stream's parked session — the
-    // worker itself survives (no replacement) and serves new work
-    assert_eq!(pool.submit(&b"still alive"[..]).unwrap().wait(), Ok(2));
-    let m = pool.metrics().snapshot();
-    assert_eq!(m.workers_replaced, 0);
-    assert_eq!(m.panicked, 1);
-}
-
-#[test]
-fn feed_ordering_is_enforced() {
-    let (_, pool) = trapdoor_pool(PoolConfig::default().workers(1));
-    let mut stream = pool.open_stream();
-    // the worker is asleep in the first chunk's action, so the second
-    // feed is reliably attempted while the first is in flight
-    let first = stream.feed(&b"slow "[..]).unwrap();
-    match stream.feed(&b"next "[..]) {
-        Err(SubmitError::FeedInFlight(input)) => assert_eq!(input.as_bytes(), b"next "),
-        other => panic!("expected FeedInFlight, got {other:?}"),
-    }
-    assert_eq!(first.wait(), Ok(FeedStatus::NeedMore));
-    // once settled, feeding resumes
-    assert_eq!(
-        stream.feed(&b"next "[..]).unwrap().wait(),
-        Ok(FeedStatus::NeedMore)
-    );
-    assert_eq!(
-        stream.finish().unwrap().wait().map(FeedStatus::into_value),
-        Ok(Some(2))
-    );
-}
-
-#[test]
 fn dropping_the_pool_drains_in_flight_jobs() {
     let def = flap_grammars::sexp::def();
     let parser = def.flap_parser();
@@ -324,41 +217,4 @@ fn dropping_the_pool_drains_in_flight_jobs() {
     for h in handles {
         assert_eq!(h.wait(), Ok(expected), "accepted jobs outlive the pool");
     }
-}
-
-#[test]
-fn wait_timeout_times_out_then_delivers() {
-    let (_, pool) = trapdoor_pool(PoolConfig::default().workers(1));
-    let mut h = pool.submit(&b"slow done"[..]).unwrap();
-    // far shorter than the 150ms action sleep: must time out
-    assert_eq!(h.wait_timeout(Duration::from_millis(5)), None);
-    assert!(!h.is_done());
-    assert_eq!(h.wait_timeout(Duration::from_secs(30)), Some(Ok(2)));
-    // the result was taken: further waits observe nothing
-    assert_eq!(h.wait_timeout(Duration::from_millis(1)), None);
-}
-
-#[test]
-fn wait_after_take_reports_result_taken_instead_of_panicking() {
-    let (parser, pool) = trapdoor_pool(PoolConfig::default().workers(1));
-    let expected = parser.parse(b"ok done").unwrap();
-
-    let mut h = pool.submit(&b"ok done"[..]).unwrap();
-    // Poll until the result lands, consuming it.
-    loop {
-        match h.try_wait() {
-            Some(r) => {
-                assert_eq!(r, Ok(expected));
-                break;
-            }
-            None => std::thread::yield_now(),
-        }
-    }
-    // PR 4 regression: this used to panic ("job result already taken").
-    assert_eq!(h.wait(), Err(JobError::ResultTaken));
-
-    // Same protocol slip via wait_timeout.
-    let mut h = pool.submit(&b"ok done"[..]).unwrap();
-    assert_eq!(h.wait_timeout(Duration::from_secs(30)), Some(Ok(expected)));
-    assert_eq!(h.wait(), Err(JobError::ResultTaken));
 }
