@@ -139,8 +139,8 @@ impl PoolConfig {
     /// (dequeue to completion) on its worker's lane. Write the
     /// collected spans out with
     /// [`TraceRecorder::write_chrome_json`]. Off by default; the
-    /// untraced path does no timing work beyond the existing latency
-    /// metric.
+    /// untraced path does no timing work beyond the always-on latency,
+    /// queue-wait and service histograms.
     pub fn trace(mut self, recorder: Arc<TraceRecorder>) -> Self {
         self.trace = Some(recorder);
         self
@@ -587,10 +587,10 @@ fn worker_loop<V: Send + 'static>(shared: Arc<Shared<V>>, ix: usize) {
     }
 }
 
-/// Parses one job on worker lane `ix` and fills its slot. When the
-/// pool was configured with a [`TraceRecorder`], the job also emits a
-/// queue-wait span and a `parse` span; the untraced path costs one
-/// `Option` branch per job.
+/// Parses one job on worker lane `ix` and fills its slot, recording
+/// its queue wait and service time. When the pool was configured with
+/// a [`TraceRecorder`], the job also emits a queue-wait span and a
+/// `parse` span; the untraced path costs one `Option` branch per job.
 fn run_job<V: Send + 'static>(
     shared: &Shared<V>,
     session: &mut ParseSession<V>,
@@ -602,16 +602,20 @@ fn run_job<V: Send + 'static>(
         done,
         enqueued,
     } = job;
-    let run_start = shared.trace.as_ref().map(|_| Instant::now());
+    let started = Instant::now();
     let bytes = input.as_bytes().len();
     let result = catch_unwind(AssertUnwindSafe(|| {
         shared.parser.parse_with(session, input.as_bytes())
     }));
-    let latency = enqueued.elapsed().as_micros() as u64;
-    if let (Some(t), Some(rs)) = (&shared.trace, run_start) {
-        let end = Instant::now();
-        t.span("queue-wait", ix as u32, enqueued, rs, 0);
-        t.span("parse", ix as u32, rs, end, bytes as u64);
+    let finished = Instant::now();
+    let latency = (finished - enqueued).as_micros() as u64;
+    shared.metrics.job_timed(
+        (started - enqueued).as_micros() as u64,
+        (finished - started).as_micros() as u64,
+    );
+    if let Some(t) = &shared.trace {
+        t.span("queue-wait", ix as u32, enqueued, started, 0);
+        t.span("parse", ix as u32, started, finished, bytes as u64);
     }
     match result {
         Ok(Ok(v)) => {

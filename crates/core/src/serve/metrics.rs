@@ -1,5 +1,6 @@
-//! Dependency-free service metrics: atomic counters plus a
-//! fixed-bucket latency histogram.
+//! Dependency-free service metrics: atomic counters plus three
+//! fixed-bucket histograms (submit-to-completion latency, and its two
+//! parts: queue wait and service).
 //!
 //! Every [`ParsePool`](super::ParsePool) owns one [`Metrics`]; workers
 //! and submitters update it with relaxed atomics (no locks, no
@@ -38,7 +39,9 @@ pub struct Metrics {
     bytes_parsed: AtomicU64,
     queue_depth: AtomicU64,
     queue_high_water: AtomicU64,
-    latency: [AtomicU64; LATENCY_BUCKETS],
+    latency: Buckets,
+    queue_wait: Buckets,
+    service: Buckets,
 }
 
 impl Metrics {
@@ -56,7 +59,9 @@ impl Metrics {
             bytes_parsed: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             queue_high_water: AtomicU64::new(0),
-            latency: [const { AtomicU64::new(0) }; LATENCY_BUCKETS],
+            latency: Buckets::new(),
+            queue_wait: Buckets::new(),
+            service: Buckets::new(),
         }
     }
 
@@ -92,7 +97,15 @@ impl Metrics {
         }
         .fetch_add(1, Ordering::Relaxed);
         self.bytes_parsed.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.latency[bucket_of(latency_us)].fetch_add(1, Ordering::Relaxed);
+        self.latency.record(latency_us);
+    }
+
+    /// Records the two parts of a job's latency: its queue wait (from
+    /// enqueue until a session picks it up) and its service time (from
+    /// parse start until the result is ready).
+    pub(super) fn job_timed(&self, queue_wait_us: u64, service_us: u64) {
+        self.queue_wait.record(queue_wait_us);
+        self.service.record(service_us);
     }
 
     /// A point-in-time copy of every counter, suitable for reporting.
@@ -111,9 +124,28 @@ impl Metrics {
             bytes_parsed: load(&self.bytes_parsed),
             queue_depth: load(&self.queue_depth),
             queue_high_water: load(&self.queue_high_water),
-            latency_us: LatencyHistogram {
-                buckets: std::array::from_fn(|i| load(&self.latency[i])),
-            },
+            latency_us: self.latency.snapshot(),
+            queue_wait_us: self.queue_wait.snapshot(),
+            service_us: self.service.snapshot(),
+        }
+    }
+}
+
+/// One live histogram: a relaxed counter per latency bucket.
+struct Buckets([AtomicU64; LATENCY_BUCKETS]);
+
+impl Buckets {
+    fn new() -> Buckets {
+        Buckets([const { AtomicU64::new(0) }; LATENCY_BUCKETS])
+    }
+
+    fn record(&self, us: u64) {
+        self.0[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> LatencyHistogram {
+        LatencyHistogram {
+            buckets: std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)),
         }
     }
 }
@@ -165,6 +197,12 @@ pub struct MetricsSnapshot {
     pub queue_high_water: u64,
     /// Submit-to-completion latency histogram.
     pub latency_us: LatencyHistogram,
+    /// Queue-wait histogram: from enqueue until a session picks the
+    /// job up.
+    pub queue_wait_us: LatencyHistogram,
+    /// Service-time histogram: from parse start until the result is
+    /// ready. Latency is queue wait plus service.
+    pub service_us: LatencyHistogram,
 }
 
 impl MetricsSnapshot {
@@ -179,7 +217,8 @@ impl MetricsSnapshot {
     }
 
     /// One compact JSON object (no trailing newline) with every
-    /// counter plus latency percentiles and raw buckets — the line
+    /// counter, then the percentiles and raw buckets of each histogram
+    /// under `"latency"`, `"queue_wait"` and `"service"` — the line
     /// format `flap_serve::MetricsEmitter` writes and `flap-serve
     /// --stats-json` dumps. Hand-rolled; no serializer dependency.
     pub fn to_json(&self) -> String {
@@ -202,21 +241,27 @@ impl MetricsSnapshot {
             self.queue_depth,
             self.queue_high_water,
         ));
-        let h = &self.latency_us;
-        s.push_str(&format!(
-            ",\"latency\":{{\"count\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"buckets\":[",
-            h.count(),
-            h.p50_us(),
-            h.p90_us(),
-            h.p99_us(),
-        ));
-        for (i, b) in h.buckets.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        for (key, h) in [
+            ("latency", &self.latency_us),
+            ("queue_wait", &self.queue_wait_us),
+            ("service", &self.service_us),
+        ] {
+            s.push_str(&format!(
+                ",\"{key}\":{{\"count\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"buckets\":[",
+                h.count(),
+                h.p50_us(),
+                h.p90_us(),
+                h.p99_us(),
+            ));
+            for (i, b) in h.buckets.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                s.push_str(&b.to_string());
             }
-            s.push_str(&b.to_string());
+            s.push_str("]}");
         }
-        s.push_str("]}}");
+        s.push('}');
         s
     }
 }
@@ -240,13 +285,24 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         writeln!(f, "  workers  replaced {}", self.workers_replaced)?;
         writeln!(f, "  volume   {} bytes parsed", self.bytes_parsed)?;
-        let h = &self.latency_us;
+        writeln!(f, "{}", HistogramLine("latency", &self.latency_us))?;
+        writeln!(f, "{}", HistogramLine("wait", &self.queue_wait_us))?;
+        write!(f, "{}", HistogramLine("service", &self.service_us))
+    }
+}
+
+/// One histogram's line of the text report.
+struct HistogramLine<'a>(&'static str, &'a LatencyHistogram);
+
+impl fmt::Display for HistogramLine<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let HistogramLine(name, h) = *self;
         if h.count() == 0 {
-            write!(f, "  latency  no samples")
+            write!(f, "  {name:<8} no samples")
         } else {
             write!(
                 f,
-                "  latency  p50 < {}, p90 < {}, p99 < {} ({} samples)",
+                "  {name:<8} p50 < {}, p90 < {}, p99 < {} ({} samples)",
                 format_us(h.quantile_upper_us(0.50)),
                 format_us(h.quantile_upper_us(0.90)),
                 format_us(h.quantile_upper_us(0.99)),
@@ -256,9 +312,9 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-/// Submit-to-completion latencies in power-of-two microsecond
-/// buckets: `buckets[i]` counts completions with latency < 2^i µs
-/// (and ≥ 2^(i-1) µs for i > 0); the last bucket is a catch-all.
+/// Latencies in power-of-two microsecond buckets: `buckets[i]` counts
+/// samples < 2^i µs (and ≥ 2^(i-1) µs for i > 0); the last bucket is a
+/// catch-all.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// Raw bucket counts.
@@ -420,6 +476,33 @@ mod tests {
             assert!(json.contains(needle), "missing {needle:?} in {json}");
         }
         assert!(json.ends_with("]}}"), "{json}");
+    }
+
+    #[test]
+    fn queue_wait_and_service_split_the_latency() {
+        let m = Metrics::new("split", 1, 1);
+        // a job that waited 20µs and parsed for 100µs: latency 120µs
+        m.job_timed(20, 100);
+        m.job_finished(Outcome::Completed, 3, 120);
+        let s = m.snapshot();
+        assert_eq!(s.queue_wait_us.count(), 1);
+        assert_eq!(s.service_us.count(), 1);
+        assert_eq!(s.queue_wait_us.p50_us(), 32);
+        assert_eq!(s.service_us.p50_us(), 128);
+        assert_eq!(s.latency_us.p50_us(), 128);
+        let json = s.to_json();
+        for needle in [
+            "\"queue_wait\":{\"count\":1,\"p50_us\":32,",
+            "\"service\":{\"count\":1,\"p50_us\":128,",
+        ] {
+            assert!(json.contains(needle), "missing {needle:?} in {json}");
+        }
+        let text = s.render();
+        for needle in ["wait     p50 < 32µs", "service  p50 < 128µs"] {
+            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
+        let empty = Metrics::new("e", 1, 1).snapshot().render();
+        assert!(empty.contains("wait     no samples"), "{empty}");
     }
 
     #[test]
