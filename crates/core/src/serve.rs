@@ -9,10 +9,11 @@
 //! semantic action must kill one request — not the process.
 //! [`ParsePool`] provides exactly that substrate:
 //!
-//! * **Worker pool.** N long-lived worker threads, each owning one
-//!   reusable [`ParseSession`], share the compiled tables behind an
-//!   `Arc`. After warm-up a worker allocates nothing per job — the
-//!   same steady state as
+//! * **Worker pool.** N long-lived worker threads share the compiled
+//!   tables behind an `Arc`. The pool owns N reusable
+//!   [`ParseSession`]s, and a job starts only with an idle one, so at
+//!   most N parses run at once. After warm-up a parse allocates
+//!   nothing — the same steady state as
 //!   [`parse_with`](flap_staged::CompiledParser::parse_with) — and a
 //!   round trip allocates one completion slot (plus a copy of the
 //!   bytes when the input is a borrowed `&[u8]`).
@@ -24,12 +25,16 @@
 //!   visible.
 //! * **One-shot completion.** Submission returns a [`JobHandle`];
 //!   the worker fills its slot once and [`JobHandle::wait`] blocks
-//!   until then and takes the result. Input that arrives in chunks is
-//!   parsed in-process with [`Parser::stream`](crate::Parser::stream).
+//!   until then and takes the result. A caller that waits on the job
+//!   at the queue's front while a session is idle runs that job
+//!   itself instead, exactly as a worker would: a small request then
+//!   costs no thread wake-up on its critical path. Jobs still start in
+//!   submission order. Input that arrives in chunks is parsed
+//!   in-process with [`Parser::stream`](crate::Parser::stream).
 //! * **Panic isolation.** A panicking semantic action fails its own
-//!   job with [`JobError::Panicked`]; the worker whose session the
-//!   unwind poisoned is replaced by a fresh thread. The pool and
-//!   every other job keep going.
+//!   job with [`JobError::Panicked`]; the session the unwind poisoned
+//!   is replaced by a fresh one, and the thread that ran the job keeps
+//!   running. The pool and every other job keep going.
 //! * **Graceful shutdown.** Dropping the pool (or calling
 //!   [`ParsePool::shutdown`]) closes the queue, drains every
 //!   already-accepted job, and joins the workers.
@@ -71,7 +76,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Instant;
 
@@ -136,8 +141,9 @@ impl PoolConfig {
 
     /// Attaches a span recorder: every job the pool runs emits a
     /// queue-wait span (submission to dequeue) and an execution span
-    /// (dequeue to completion) on its worker's lane. Write the
-    /// collected spans out with
+    /// (dequeue to completion) on its worker's lane, or on lane
+    /// `workers` (one past the last worker) when its waiting caller
+    /// ran it. Write the collected spans out with
     /// [`TraceRecorder::write_chrome_json`]. Off by default; the
     /// untraced path does no timing work beyond the always-on latency,
     /// queue-wait and service histograms.
@@ -228,11 +234,9 @@ pub enum JobError {
     /// [`Parser::parse`](crate::Parser::parse) of the same bytes
     /// reports.
     Parse(FusedParseError),
-    /// A semantic action panicked while running this job. The worker
+    /// A semantic action panicked while running this job. The session
     /// that ran it has been replaced; the pool is unaffected.
     Panicked(String),
-    /// The pool was shut down before this job could be accepted.
-    Shutdown,
 }
 
 impl fmt::Display for JobError {
@@ -240,39 +244,33 @@ impl fmt::Display for JobError {
         match self {
             JobError::Parse(e) => write!(f, "{e}"),
             JobError::Panicked(msg) => write!(f, "semantic action panicked: {msg}"),
-            JobError::Shutdown => write!(f, "pool is shut down"),
         }
     }
 }
 
 impl std::error::Error for JobError {}
 
-/// Why a submission was refused. Every variant hands the input back
-/// so the caller can retry (or shed the load) without another copy.
+/// Why a submission was refused. It hands the input back so the
+/// caller can retry (or shed the load) without another copy.
 #[derive(Debug)]
 pub enum SubmitError {
     /// The queue is full ([`ParsePool::try_submit`] only) — the
     /// backpressure signal. Counted in the `rejected` metric.
     Busy(JobInput),
-    /// The pool has been shut down.
-    Closed(JobInput),
 }
 
 impl SubmitError {
     /// Recovers the input that was not submitted.
     pub fn into_input(self) -> JobInput {
-        match self {
-            SubmitError::Busy(i) | SubmitError::Closed(i) => i,
-        }
+        let SubmitError::Busy(input) = self;
+        input
     }
 }
 
 impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SubmitError::Busy(_) => write!(f, "queue full"),
-            SubmitError::Closed(_) => write!(f, "pool is shut down"),
-        }
+        let SubmitError::Busy(_) = self;
+        write!(f, "queue full")
     }
 }
 
@@ -282,7 +280,8 @@ impl std::error::Error for SubmitError {}
 // Jobs, their completion slots and handles
 
 /// Where a worker leaves one job's result: filled once by the worker,
-/// taken once by [`JobHandle::wait`].
+/// taken once by [`JobHandle::wait`]. A job its waiting caller runs
+/// itself bypasses the slot.
 struct Slot<V> {
     result: Mutex<Option<Result<V, JobError>>>,
     filled: Condvar,
@@ -311,11 +310,18 @@ struct Job<V> {
 /// into a slot of this job's own, and [`JobHandle::wait`] takes it.
 pub struct JobHandle<V> {
     slot: Arc<Slot<V>>,
+    shared: Arc<Shared<V>>,
 }
 
 impl<V> JobHandle<V> {
-    /// Blocks until the job finishes and returns its result.
+    /// Returns the job's result once it finishes. If the job is still
+    /// next in line and a session is idle, the calling thread runs it
+    /// itself, exactly as a worker would; otherwise this blocks until
+    /// a worker has run it.
     pub fn wait(self) -> Result<V, JobError> {
+        if let Some(result) = self.shared.run_if_next(&self.slot) {
+            return result;
+        }
         let guard = self.slot.result.lock().expect(SLOT_LOCK);
         let mut result = self
             .slot
@@ -337,7 +343,24 @@ impl<V> fmt::Debug for JobHandle<V> {
 
 struct QueueState<V> {
     jobs: VecDeque<Job<V>>,
+    /// The sessions no job is using. A job starts only with one of
+    /// them, so at most `workers` parses run at once.
+    idle: Vec<ParseSession<V>>,
     open: bool,
+}
+
+impl<V> QueueState<V> {
+    /// Takes the front job together with an idle session, if there
+    /// are both.
+    fn start(&mut self, metrics: &Metrics) -> Option<(Job<V>, ParseSession<V>)> {
+        if self.jobs.is_empty() {
+            return None;
+        }
+        let session = self.idle.pop()?;
+        let job = self.jobs.pop_front()?;
+        metrics.queue_len(self.jobs.len(), false);
+        Some((job, session))
+    }
 }
 
 struct Shared<V> {
@@ -346,12 +369,40 @@ struct Shared<V> {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
+    /// The trace lane of jobs their waiting callers run: one past the
+    /// last worker.
+    caller_lane: usize,
     metrics: Arc<Metrics>,
     trace: Option<Arc<TraceRecorder>>,
-    label: String,
-    /// Every live worker thread, appended by replacements; drained
-    /// (and re-checked) by shutdown.
-    threads: Mutex<Vec<thread::JoinHandle<()>>>,
+}
+
+impl<V> Shared<V> {
+    /// Runs the job behind `slot` on the calling thread if it is at
+    /// the queue's front and a session is idle — the job a worker
+    /// would take next — and returns its result. A waiting caller
+    /// thus skips both thread wake-ups: none for a worker, none for
+    /// itself.
+    fn run_if_next(&self, slot: &Arc<Slot<V>>) -> Option<Result<V, JobError>> {
+        let (job, mut session) = {
+            let mut q = self.queue.lock().unwrap();
+            if !q.jobs.front().is_some_and(|j| Arc::ptr_eq(&j.done, slot)) {
+                return None;
+            }
+            q.start(&self.metrics)?
+        };
+        self.not_full.notify_one();
+        let result = run_job(self, &mut session, &job, self.caller_lane);
+        let queued = {
+            let mut q = self.queue.lock().unwrap();
+            q.idle.push(session);
+            !q.jobs.is_empty()
+        };
+        // a worker may be waiting for this session
+        if queued {
+            self.not_empty.notify_one();
+        }
+        Some(result)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -362,34 +413,39 @@ struct Shared<V> {
 /// See the [module docs](self) for the full story and an example.
 pub struct ParsePool<V> {
     shared: Arc<Shared<V>>,
+    threads: Vec<thread::JoinHandle<()>>,
 }
 
 impl<V: Send + 'static> ParsePool<V> {
-    /// Spawns `config.workers` threads over the shared compiled
-    /// tables. The pool runs until [`ParsePool::shutdown`] or drop.
+    /// Spawns `config.workers` threads and as many sessions over the
+    /// shared compiled tables. The pool runs until
+    /// [`ParsePool::shutdown`] or drop.
     pub fn new(parser: Arc<CompiledParser<V>>, config: PoolConfig) -> ParsePool<V> {
         let (workers, capacity) = config.resolve();
         let shared = Arc::new(Shared {
             parser,
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::with_capacity(capacity),
+                idle: (0..workers).map(|_| ParseSession::new()).collect(),
                 open: true,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
+            caller_lane: workers,
             metrics: Arc::new(Metrics::new(&config.label, workers, capacity)),
             trace: config.trace,
-            label: config.label,
-            threads: Mutex::new(Vec::with_capacity(workers)),
         });
-        {
-            let mut threads = shared.threads.lock().unwrap();
-            for ix in 0..workers {
-                threads.push(spawn_worker(&shared, ix));
-            }
-        }
-        ParsePool { shared }
+        let threads = (0..workers)
+            .map(|lane| {
+                let s = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("flap-serve:{}:{lane}", config.label))
+                    .spawn(move || worker_loop(s, lane))
+                    .expect("spawn parse worker")
+            })
+            .collect();
+        ParsePool { shared, threads }
     }
 
     /// Submits one input, blocking while the queue is full — the
@@ -398,9 +454,10 @@ impl<V: Send + 'static> ParsePool<V> {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Closed`] after shutdown.
+    /// None: a blocking submission always enqueues. The `Result`
+    /// mirrors [`ParsePool::try_submit`].
     pub fn submit(&self, input: impl Into<JobInput>) -> Result<JobHandle<V>, SubmitError> {
-        self.submit_inner(input.into(), true)
+        Ok(self.enqueue(input.into()))
     }
 
     /// Submits one input without blocking: if the queue is full the
@@ -409,29 +466,29 @@ impl<V: Send + 'static> ParsePool<V> {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Busy`] under backpressure,
-    /// [`SubmitError::Closed`] after shutdown; both return the input.
+    /// [`SubmitError::Busy`] under backpressure, returning the input.
     pub fn try_submit(&self, input: impl Into<JobInput>) -> Result<JobHandle<V>, SubmitError> {
-        self.submit_inner(input.into(), false)
+        let input = input.into();
+        let q = self.shared.queue.lock().unwrap();
+        if q.jobs.len() >= self.shared.capacity {
+            drop(q);
+            self.shared.metrics.job_rejected();
+            return Err(SubmitError::Busy(input));
+        }
+        Ok(self.push(q, input))
     }
 
-    fn submit_inner(&self, input: JobInput, blocking: bool) -> Result<JobHandle<V>, SubmitError> {
-        let shared = &*self.shared;
-        let mut q = shared.queue.lock().unwrap();
-        loop {
-            if !q.open {
-                return Err(SubmitError::Closed(input));
-            }
-            if q.jobs.len() < shared.capacity {
-                break;
-            }
-            if !blocking {
-                drop(q);
-                shared.metrics.job_rejected();
-                return Err(SubmitError::Busy(input));
-            }
-            q = shared.not_full.wait(q).unwrap();
+    /// Enqueues `input`, blocking while the queue is full.
+    fn enqueue(&self, input: JobInput) -> JobHandle<V> {
+        let mut q = self.shared.queue.lock().unwrap();
+        while q.jobs.len() >= self.shared.capacity {
+            q = self.shared.not_full.wait(q).unwrap();
         }
+        self.push(q, input)
+    }
+
+    fn push(&self, mut q: MutexGuard<'_, QueueState<V>>, input: JobInput) -> JobHandle<V> {
+        let shared = &*self.shared;
         let slot = Arc::new(Slot {
             result: Mutex::new(None),
             filled: Condvar::new(),
@@ -445,7 +502,10 @@ impl<V: Send + 'static> ParsePool<V> {
         drop(q);
         shared.metrics.job_submitted();
         shared.not_empty.notify_one();
-        Ok(JobHandle { slot })
+        JobHandle {
+            slot,
+            shared: Arc::clone(&self.shared),
+        }
     }
 
     /// Parses a batch through the pool, returning one result per
@@ -459,17 +519,11 @@ impl<V: Send + 'static> ParsePool<V> {
         I: IntoIterator,
         I::Item: Into<JobInput>,
     {
-        let handles: Vec<Option<JobHandle<V>>> = inputs
+        let handles: Vec<JobHandle<V>> = inputs
             .into_iter()
-            .map(|input| self.submit(input).ok())
+            .map(|input| self.enqueue(input.into()))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h {
-                Some(h) => h.wait(),
-                None => Err(JobError::Shutdown),
-            })
-            .collect()
+        handles.into_iter().map(JobHandle::wait).collect()
     }
 
     /// The pool's live metrics; call
@@ -488,163 +542,88 @@ impl<V: Send + 'static> ParsePool<V> {
     /// every already-accepted job, and joins them. Implied by drop;
     /// provided explicitly so call sites can make the drain visible.
     pub fn shutdown(self) {
-        self.close_and_join();
-    }
-}
-
-impl<V> ParsePool<V> {
-    fn close_and_join(&self) {
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            q.open = false;
-        }
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
-        // Replacement workers append to the registry before their
-        // predecessor exits, so re-checking after each join round
-        // cannot miss one.
-        loop {
-            let handles: Vec<_> = {
-                let mut t = self.shared.threads.lock().unwrap();
-                t.drain(..).collect()
-            };
-            if handles.is_empty() {
-                return;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
+        drop(self);
     }
 }
 
 impl<V> Drop for ParsePool<V> {
+    /// Closes the queue and joins the workers once they have drained
+    /// it. Submitting needs `&self`, so nothing can enqueue meanwhile.
     fn drop(&mut self) {
-        self.close_and_join();
+        self.shared.queue.lock().unwrap().open = false;
+        self.shared.not_empty.notify_all();
+        for h in self.threads.drain(..) {
+            let _ = h.join();
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Workers
 
-fn spawn_worker<V: Send + 'static>(shared: &Arc<Shared<V>>, ix: usize) -> thread::JoinHandle<()> {
-    let s = Arc::clone(shared);
-    thread::Builder::new()
-        .name(format!("flap-serve:{}:{ix}", shared.label))
-        .spawn(move || worker_loop(s, ix))
-        .expect("spawn parse worker")
-}
-
-enum AfterJob {
-    Continue,
-    /// The worker's own session was poisoned by an unwind; the
-    /// caller must replace this worker.
-    Replace,
-}
-
-fn worker_loop<V: Send + 'static>(shared: Arc<Shared<V>>, ix: usize) {
-    let mut session: ParseSession<V> = ParseSession::new();
+/// Runs queued jobs on worker lane `lane` until the pool closes and its
+/// queue is drained.
+fn worker_loop<V>(shared: Arc<Shared<V>>, lane: usize) {
+    let mut q = shared.queue.lock().unwrap();
     loop {
-        let job = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    shared.metrics.queue_len(q.jobs.len(), false);
-                    break Some(job);
-                }
-                if !q.open {
-                    break None;
-                }
-                q = shared.not_empty.wait(q).unwrap();
-            }
-        };
-        let Some(job) = job else { return };
-        shared.not_full.notify_one();
-        match run_job(&shared, &mut session, job, ix) {
-            AfterJob::Continue => {}
-            AfterJob::Replace => {
-                match thread::Builder::new()
-                    .name(format!("flap-serve:{}:{ix}", shared.label))
-                    .spawn({
-                        let s = Arc::clone(&shared);
-                        move || worker_loop(s, ix)
-                    }) {
-                    Ok(h) => {
-                        // register before exiting so shutdown's
-                        // re-check sees the replacement
-                        shared.threads.lock().unwrap().push(h);
-                        return;
-                    }
-                    Err(_) => {
-                        // cannot spawn (resource exhaustion): keep
-                        // this thread alive with a fresh session
-                        // rather than losing a worker
-                        session = ParseSession::new();
-                    }
-                }
-            }
+        if let Some((job, mut session)) = q.start(&shared.metrics) {
+            drop(q);
+            shared.not_full.notify_one();
+            let result = run_job(&shared, &mut session, &job, lane);
+            job.done.fill(result);
+            // no wake-up needed: this loop takes the next job itself
+            q = shared.queue.lock().unwrap();
+            q.idle.push(session);
+        } else if q.open || !q.jobs.is_empty() {
+            q = shared.not_empty.wait(q).unwrap();
+        } else {
+            return;
         }
     }
 }
 
-/// Parses one job on worker lane `ix` and fills its slot, recording
-/// its queue wait and service time. When the pool was configured with
-/// a [`TraceRecorder`], the job also emits a queue-wait span and a
+/// Parses one job on trace lane `lane` and returns its result,
+/// recording its metrics first: its outcome, queue wait and service
+/// time. Workers and waiting callers both run jobs through here. A
+/// panicking action replaces `session`, whose stacks the unwind may
+/// have left mid-parse. When the pool was configured with a
+/// [`TraceRecorder`], the job also emits a queue-wait span and a
 /// `parse` span; the untraced path costs one `Option` branch per job.
-fn run_job<V: Send + 'static>(
+fn run_job<V>(
     shared: &Shared<V>,
     session: &mut ParseSession<V>,
-    job: Job<V>,
-    ix: usize,
-) -> AfterJob {
-    let Job {
-        input,
-        done,
-        enqueued,
-    } = job;
+    job: &Job<V>,
+    lane: usize,
+) -> Result<V, JobError> {
     let started = Instant::now();
-    let bytes = input.as_bytes().len();
+    let bytes = job.input.as_bytes().len();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        shared.parser.parse_with(session, input.as_bytes())
+        shared.parser.parse_with(session, job.input.as_bytes())
     }));
     let finished = Instant::now();
-    let latency = (finished - enqueued).as_micros() as u64;
     shared.metrics.job_timed(
-        (started - enqueued).as_micros() as u64,
+        (started - job.enqueued).as_micros() as u64,
         (finished - started).as_micros() as u64,
     );
     if let Some(t) = &shared.trace {
-        t.span("queue-wait", ix as u32, enqueued, started, 0);
-        t.span("parse", ix as u32, started, finished, bytes as u64);
+        t.span("queue-wait", lane as u32, job.enqueued, started, 0);
+        t.span("parse", lane as u32, started, finished, bytes as u64);
     }
-    match result {
-        Ok(Ok(v)) => {
-            shared
-                .metrics
-                .job_finished(Outcome::Completed, bytes, latency);
-            done.fill(Ok(v));
-            AfterJob::Continue
-        }
-        Ok(Err(e)) => {
-            shared
-                .metrics
-                .job_finished(Outcome::ParseError, bytes, latency);
-            done.fill(Err(JobError::Parse(e)));
-            AfterJob::Continue
-        }
+    let (outcome, result) = match result {
+        Ok(Ok(v)) => (Outcome::Completed, Ok(v)),
+        Ok(Err(e)) => (Outcome::ParseError, Err(JobError::Parse(e))),
         Err(payload) => {
-            shared
-                .metrics
-                .job_finished(Outcome::Panicked, bytes, latency);
-            // count the replacement before waking the waiter, so a
-            // metrics read right after wait() sees it
-            shared.metrics.worker_replaced();
-            done.fill(Err(JobError::Panicked(panic_message(payload))));
-            // the unwind may have left the session stacks mid-parse:
-            // discard the worker along with it
-            AfterJob::Replace
+            *session = ParseSession::new();
+            shared.metrics.session_replaced();
+            (
+                Outcome::Panicked,
+                Err(JobError::Panicked(panic_message(payload))),
+            )
         }
-    }
+    };
+    let latency = (finished - job.enqueued).as_micros() as u64;
+    shared.metrics.job_finished(outcome, bytes, latency);
+    result
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -707,20 +686,5 @@ mod tests {
         for h in handles {
             assert_eq!(h.wait(), Ok(2), "accepted jobs must complete before join");
         }
-    }
-
-    #[test]
-    fn submit_after_shutdown_is_closed() {
-        let pool = word_pool(|_| 1, PoolConfig::default().workers(1));
-        let shared = Arc::clone(&pool.shared);
-        pool.shutdown();
-        let pool = ParsePool { shared };
-        match pool.submit(&b"a"[..]) {
-            Err(SubmitError::Closed(input)) => assert_eq!(input.as_bytes(), b"a"),
-            other => panic!("expected Closed, got {other:?}"),
-        }
-        // forget the resurrected wrapper's second drop bookkeeping:
-        // close_and_join is idempotent, so a plain drop is fine
-        drop(pool);
     }
 }

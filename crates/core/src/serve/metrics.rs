@@ -73,7 +73,7 @@ impl Metrics {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(super) fn worker_replaced(&self) {
+    pub(super) fn session_replaced(&self) {
         self.workers_replaced.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -187,7 +187,10 @@ pub struct MetricsSnapshot {
     pub panicked: u64,
     /// `try_submit` calls refused because the queue was full.
     pub rejected: u64,
-    /// Workers replaced after a panic poisoned their session.
+    /// Sessions replaced after a panicking action poisoned them,
+    /// whichever thread ran the job. (The name predates the pool's
+    /// sessions outliving the threads that use them: a panic replaces
+    /// the session, never a worker.)
     pub workers_replaced: u64,
     /// Input bytes handed to finished jobs.
     pub bytes_parsed: u64,
@@ -283,7 +286,7 @@ impl fmt::Display for MetricsSnapshot {
             "  queue    depth {}, high-water {}",
             self.queue_depth, self.queue_high_water
         )?;
-        writeln!(f, "  workers  replaced {}", self.workers_replaced)?;
+        writeln!(f, "  sessions replaced {}", self.workers_replaced)?;
         writeln!(f, "  volume   {} bytes parsed", self.bytes_parsed)?;
         writeln!(f, "{}", HistogramLine("latency", &self.latency_us))?;
         writeln!(f, "{}", HistogramLine("wait", &self.queue_wait_us))?;
@@ -510,7 +513,7 @@ mod tests {
         let m = Metrics::new("json", 4, 8);
         m.job_submitted();
         m.job_rejected();
-        m.worker_replaced();
+        m.session_replaced();
         m.queue_len(3, true);
         m.job_finished(Outcome::Panicked, 5, 2);
         let s = m.snapshot();

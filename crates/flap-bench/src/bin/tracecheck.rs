@@ -11,9 +11,14 @@
 //! * the file parses as JSON with a `traceEvents` array;
 //! * every `ph:"X"` event carries `name`/`tid`/`ts`/`dur`;
 //! * at least one complete span exists per worker lane (all lanes
-//!   `0..expected-workers` when the count is given);
+//!   `0..expected-workers` when the count is given), and no lane lies
+//!   past the caller lane `expected-workers`, where the pool records
+//!   jobs that their waiting callers ran;
 //! * the queue-wait vs execution split is present: ≥ 1 `queue-wait`
-//!   span and ≥ 1 execution (`parse`) span.
+//!   span and ≥ 1 execution (`parse`) span, and on every lane as many
+//!   `queue-wait` as `parse` spans.
+//!
+//! The report names each lane's job count, the caller lane's apart.
 
 use std::process::ExitCode;
 
@@ -49,7 +54,7 @@ fn main() -> ExitCode {
     let mut spans = 0usize;
     let mut queue_waits = 0usize;
     let mut execs = 0usize;
-    let mut lanes: Vec<(u64, usize)> = Vec::new(); // (tid, span count)
+    let mut lanes: Vec<(u64, usize, usize)> = Vec::new(); // (tid, queue-wait, parse)
     for ev in events {
         let ph = ev.get("ph").and_then(Json::as_str).unwrap_or("");
         if ph != "X" {
@@ -67,15 +72,24 @@ fn main() -> ExitCode {
             return fail(&format!("span {name:?} lacks ts/dur"));
         }
         spans += 1;
-        match name {
-            "queue-wait" => queue_waits += 1,
-            "parse" => execs += 1,
-            _ => {}
-        }
         let tid = tid as u64;
-        match lanes.iter_mut().find(|(t, _)| *t == tid) {
-            Some((_, n)) => *n += 1,
-            None => lanes.push((tid, 1)),
+        let lane = match lanes.iter().position(|l| l.0 == tid) {
+            Some(i) => &mut lanes[i],
+            None => {
+                lanes.push((tid, 0, 0));
+                lanes.last_mut().expect("just pushed")
+            }
+        };
+        match name {
+            "queue-wait" => {
+                queue_waits += 1;
+                lane.1 += 1;
+            }
+            "parse" => {
+                execs += 1;
+                lane.2 += 1;
+            }
+            _ => {}
         }
     }
 
@@ -88,18 +102,36 @@ fn main() -> ExitCode {
     if execs == 0 {
         return fail("no execution (parse) spans");
     }
+    for &(tid, waits, parses) in &lanes {
+        if waits != parses {
+            return fail(&format!(
+                "lane {tid} has {waits} queue-wait spans but {parses} parse spans"
+            ));
+        }
+    }
+    let mut caller = None;
     if let Some(workers) = expected_workers {
-        for tid in 0..workers as u64 {
-            if !lanes.iter().any(|&(t, _)| t == tid) {
+        let workers = workers as u64;
+        for tid in 0..workers {
+            if !lanes.iter().any(|l| l.0 == tid) {
                 return fail(&format!("worker lane {tid} has no spans"));
             }
         }
+        if let Some(l) = lanes.iter().find(|l| l.0 > workers) {
+            return fail(&format!("lane {} lies past the caller lane {workers}", l.0));
+        }
+        caller = Some(lanes.iter().find(|l| l.0 == workers).map_or(0, |l| l.2));
+        lanes.retain(|l| l.0 < workers);
     }
     lanes.sort_unstable();
+    let jobs: Vec<(u64, usize)> = lanes.iter().map(|l| (l.0, l.2)).collect();
+    let caller = match (caller, expected_workers) {
+        (Some(n), Some(w)) => format!(", {n} on caller lane {w}"),
+        _ => String::new(),
+    };
     println!(
-        "tracecheck: OK — {spans} spans ({queue_waits} queue-wait, {execs} exec) across {} lanes {:?}",
-        lanes.len(),
-        lanes,
+        "tracecheck: OK — {spans} spans ({queue_waits} queue-wait, {execs} exec); \
+         jobs per worker lane {jobs:?}{caller}",
     );
     ExitCode::SUCCESS
 }

@@ -2,8 +2,12 @@
 //!
 //! The service machinery itself — [`ParsePool`], [`PoolConfig`],
 //! [`JobHandle`], [`Metrics`] — lives in [`flap::serve`] so it is
-//! reachable from the core crate; this crate re-exports it and adds
-//! the server-side trimmings:
+//! reachable from the core crate. The pool owns one parse session per
+//! worker; a caller waiting on the job next in line runs it itself
+//! when a session is idle, and a panicking action replaces only its
+//! session. Its metrics split each job's latency into queue wait and
+//! service. This crate re-exports it and adds the server-side
+//! trimmings:
 //!
 //! * [`frame`] — minimal length-prefixed framing for byte streams, so
 //!   a firehose of parse requests can be carried over any

@@ -22,7 +22,8 @@
 //!
 //! Telemetry: `--trace-out` writes a Chrome trace-event JSON file of
 //! every pool job (a queue-wait and a `parse` span each, one lane per
-//! worker — open in Perfetto or `chrome://tracing`); `--stats-json`
+//! worker plus lane `--workers` for jobs a waiting caller ran — open
+//! in Perfetto or `chrome://tracing`); `--stats-json`
 //! dumps the final metrics snapshot as one JSON object on exit;
 //! `--metrics-jsonl` appends a periodic JSON-lines feed of metrics
 //! snapshots ([`flap_serve::MetricsEmitter`]) while the run is in
@@ -282,7 +283,6 @@ fn run(args: &[String]) -> io::Result<ExitCode> {
                                 None => std::thread::yield_now(),
                             }
                         }
-                        Err(e) => return Err(io::Error::other(e.to_string())),
                     }
                 }
             }
@@ -360,7 +360,7 @@ impl Tally {
                 self.sum += (def.finish)(v);
             }
             Err(JobError::Parse(_)) => self.parse_errors += 1,
-            Err(JobError::Panicked(_)) | Err(JobError::Shutdown) => self.panicked += 1,
+            Err(JobError::Panicked(_)) => self.panicked += 1,
         }
     }
 }

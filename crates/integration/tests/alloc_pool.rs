@@ -1,12 +1,12 @@
 //! Steady-state allocation audit for the pooled serving path: after
 //! warm-up, a `submit(Arc<[u8]>)` → parse → `wait` round trip through
 //! a `flap::serve::ParsePool` allocates exactly once — the job's
-//! completion slot, on the submitting thread — and the worker
-//! allocates nothing.
+//! completion slot, on the submitting thread — and the parse
+//! allocates nothing, whichever thread runs it.
 //!
 //! Unlike `alloc.rs`, whose counter is thread-local (the parse runs on
-//! the calling thread), the pooled hot loop runs on pool worker
-//! threads, so this audit counts allocations *globally*. A global
+//! the calling thread), a pooled job runs on the pool's worker or on
+//! the waiting caller, so this audit counts allocations *globally*. A global
 //! counter cannot tell audited work from concurrent test-harness
 //! work, which is why this file holds exactly one test in its own
 //! test binary: integration test binaries run serially, so during the
@@ -16,7 +16,7 @@
 //! The one-allocation round trip requires each piece to cooperate:
 //! `JobInput::Shared` submissions clone an `Arc`, not bytes; the
 //! bounded queue's `VecDeque` is pre-grown to its capacity; metrics
-//! are plain atomics; and the worker's reused session has the
+//! are plain atomics; and the pool's reused session has the
 //! workload's high-water mark from warm-up. A borrowed `&[u8]` input
 //! costs one more allocation, the copy of its bytes.
 
@@ -59,11 +59,19 @@ fn pooled_round_trip_allocates_only_its_completion_slot() {
     let input: Arc<[u8]> = Arc::from((def.generate)(11, 16 * 1024).as_slice());
     let expected = parser.parse(&input).expect("generated input parses");
 
-    // Warm-up: grow the worker's session stacks to this workload's
+    // Warm-up: grow the session's stacks to this workload's
     // high-water mark, and settle lazy runtime structures
-    // (thread-locals, futexes).
+    // (thread-locals, futexes) on both threads that may parse. A
+    // waiting caller usually runs its own job, so the second job of
+    // each round waits until the worker has dequeued it: the worker
+    // then runs it, and cannot run its first job inside the audit.
     for _ in 0..4 {
         let handle = pool.submit(input.clone()).expect("pool accepts");
+        assert_eq!(handle.wait(), Ok(expected));
+        let handle = pool.submit(input.clone()).expect("pool accepts");
+        while pool.metrics().snapshot().queue_depth > 0 {
+            std::thread::yield_now();
+        }
         assert_eq!(handle.wait(), Ok(expected));
     }
 

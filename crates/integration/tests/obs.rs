@@ -219,9 +219,13 @@ fn pool_trace_exports_valid_chrome_json_with_spans_per_worker() {
 
     // Two sleeping jobs submitted back-to-back: the first pins one
     // worker for 120ms, so the other worker takes the second — both
-    // lanes are guaranteed at least one parse span.
+    // lanes are guaranteed at least one parse span. Waiting only once
+    // both are dequeued keeps a caller from running a job itself.
     let h1 = pool.submit(&b"slow one"[..]).unwrap();
     let h2 = pool.submit(&b"slow two"[..]).unwrap();
+    while pool.metrics().snapshot().queue_depth > 0 {
+        std::thread::yield_now();
+    }
     assert_eq!(h1.wait(), Ok(2));
     assert_eq!(h2.wait(), Ok(2));
     pool.shutdown();

@@ -1,17 +1,21 @@
 //! End-to-end tests for the `flap::serve` worker pool (re-exported by
 //! `flap-serve`, which is the path exercised here): differential
-//! agreement with one-shot parses, panic isolation and worker
-//! replacement, admission-control backpressure, and graceful
-//! shutdown.
+//! agreement with one-shot parses, panic isolation and session
+//! replacement, admission-control backpressure, the bound of
+//! `workers` parses at once whichever thread runs them, FIFO start
+//! order, and graceful shutdown.
 
 // FusedParseError inlines its expected-token set (allocation-free
 // error paths, a deliberate workspace-wide tradeoff).
 #![allow(clippy::result_large_err)]
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use flap::obs::TraceRecorder;
 use flap::{Cfe, LexerBuilder, Parser};
+use flap_bench::json::Json;
 use flap_serve::{JobError, ParsePool, PoolConfig, SubmitError};
 
 /// A word-counting grammar whose semantic action has trapdoors: the
@@ -97,7 +101,7 @@ fn panicking_action_fails_one_job_and_pool_survives() {
     }
 
     // subsequent jobs on the same pool still succeed and still agree
-    // with one-shot parses (the replacement worker has a fresh session)
+    // with one-shot parses (the poisoned session was replaced)
     for doc in [&b"x y"[..], b"one two three four", b""] {
         assert_eq!(
             pool.submit(doc).unwrap().wait().map_err(|e| format!("{e}")),
@@ -125,7 +129,7 @@ fn panicking_action_fails_one_job_and_pool_survives() {
     let m = pool.metrics().snapshot();
     assert_eq!((m.panicked, m.workers_replaced, m.completed), (2, 2, 8));
 
-    // shutdown still joins cleanly with replaced workers in the pool
+    // shutdown still joins cleanly after sessions were replaced
     pool.shutdown();
 }
 
@@ -169,7 +173,6 @@ fn try_submit_rejects_when_queue_is_full() {
             drop(h);
             false
         }
-        Err(other) => panic!("expected Busy, got {other:?}"),
     };
     assert!(rejected, "bounded queue must reject the overflow job");
 
@@ -217,4 +220,185 @@ fn dropping_the_pool_drains_in_flight_jobs() {
     for h in handles {
         assert_eq!(h.wait(), Ok(expected), "accepted jobs outlive the pool");
     }
+}
+
+/// A word grammar whose action sums lexeme lengths and calls `probe`
+/// with each lexeme.
+fn probed_pool(
+    probe: impl Fn(&[u8]) + Send + Sync + 'static,
+    config: PoolConfig,
+) -> (Parser<i64>, ParsePool<i64>) {
+    let mut b = LexerBuilder::new();
+    let word = b.token("word", "[a-z]+").unwrap();
+    b.skip(" ").unwrap();
+    let lexer = b.build().unwrap();
+    let g: Cfe<i64> = Cfe::fix(|x| {
+        Cfe::eps_with(|| 0).or(Cfe::tok_with(word, move |lexeme| {
+            probe(lexeme);
+            lexeme.len() as i64
+        })
+        .then(x, |a, b| a + b))
+    });
+    let parser = Parser::compile(lexer, &g).unwrap();
+    let pool = parser.serve(config);
+    (parser, pool)
+}
+
+#[test]
+fn at_most_workers_parses_run_at_once_whoever_runs_them() {
+    const WORKERS: usize = 2;
+    const CLIENTS: usize = 4;
+    // parses inside an action right now, and the most ever at once
+    let live = Arc::new(AtomicUsize::new(0));
+    let peak = Arc::new(AtomicUsize::new(0));
+    let recorder = Arc::new(TraceRecorder::new());
+    let (parser, pool) = probed_pool(
+        {
+            let (live, peak) = (Arc::clone(&live), Arc::clone(&peak));
+            move |_| {
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_micros(300));
+                live.fetch_sub(1, Ordering::SeqCst);
+            }
+        },
+        PoolConfig::default()
+            .workers(WORKERS)
+            .queue_capacity(4)
+            .trace(Arc::clone(&recorder)),
+    );
+    let words = ["a", "bb", "ccc", "dddd", "eeeee"];
+    let docs: Vec<Vec<u8>> = (0..24)
+        .map(|i| {
+            let n = 1 + i % 4;
+            (0..n)
+                .map(|k| words[(i + k) % words.len()])
+                .collect::<Vec<_>>()
+                .join(" ")
+                .into_bytes()
+        })
+        .collect();
+    let expected: Vec<Result<i64, JobError>> = docs
+        .iter()
+        .map(|d| parser.parse(d).map_err(JobError::Parse))
+        .collect();
+    peak.store(0, Ordering::SeqCst);
+
+    // immediate submit -> wait round trips from more clients than
+    // there are workers: each caller may run its own job
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            let (pool, docs, expected) = (&pool, &docs, &expected);
+            s.spawn(move || {
+                for (i, doc) in docs.iter().enumerate().skip(c).step_by(CLIENTS) {
+                    let got = pool.submit(doc.as_slice()).unwrap().wait();
+                    assert_eq!(got, expected[i], "client {c}, doc {i}");
+                }
+            });
+        }
+    });
+    // a pipelined burst larger than the queue, then a batch
+    let handles: Vec<_> = docs
+        .iter()
+        .map(|d| pool.submit(d.as_slice()).unwrap())
+        .collect();
+    let got: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
+    assert_eq!(got, expected, "pipelined burst");
+    assert_eq!(
+        pool.parse_batch(docs.iter().map(Vec::as_slice)),
+        expected,
+        "batch"
+    );
+
+    let peak = peak.load(Ordering::SeqCst);
+    assert!(
+        (1..=WORKERS).contains(&peak),
+        "{peak} parses ran at once with {WORKERS} workers"
+    );
+    let m = pool.metrics().snapshot();
+    let submitted = 3 * docs.len() as u64;
+    assert_eq!(m.submitted, submitted);
+    assert_eq!(m.finished(), submitted);
+    assert_eq!(m.completed, submitted);
+    for (name, h) in [
+        ("latency", &m.latency_us),
+        ("queue wait", &m.queue_wait_us),
+        ("service", &m.service_us),
+    ] {
+        assert_eq!(h.count(), submitted, "{name} samples");
+    }
+    pool.shutdown();
+
+    // every lane — the workers' and the callers' — pairs each parse
+    // span with its queue-wait span
+    let mut out = Vec::new();
+    recorder.write_chrome_json(&mut out).unwrap();
+    let doc = Json::parse(&String::from_utf8(out).unwrap()).expect("valid trace JSON");
+    let mut lanes: Vec<(u64, usize, usize)> = Vec::new(); // (tid, queue-wait, parse)
+    for ev in doc.get("traceEvents").and_then(Json::as_arr).unwrap() {
+        if ev.get("ph").and_then(Json::as_str) != Some("X") {
+            continue;
+        }
+        let tid = ev.get("tid").and_then(Json::as_num).unwrap() as u64;
+        let name = ev.get("name").and_then(Json::as_str).unwrap();
+        let lane = match lanes.iter().position(|l| l.0 == tid) {
+            Some(i) => &mut lanes[i],
+            None => {
+                lanes.push((tid, 0, 0));
+                lanes.last_mut().unwrap()
+            }
+        };
+        match name {
+            "queue-wait" => lane.1 += 1,
+            "parse" => lane.2 += 1,
+            other => panic!("unexpected span {other:?}"),
+        }
+    }
+    for &(tid, waits, parses) in &lanes {
+        assert!(tid <= WORKERS as u64, "lane {tid} past the caller lane");
+        assert_eq!(waits, parses, "lane {tid}: queue-wait vs parse spans");
+    }
+    let parses: usize = lanes.iter().map(|l| l.2).sum();
+    assert_eq!(parses as u64, submitted, "one parse span per job");
+}
+
+#[test]
+fn waiting_callers_never_start_a_job_out_of_order() {
+    // one worker pinned by a slow first job; the caller then waits on
+    // the last of three queued jobs, which is not next in line, so it
+    // must block while the jobs start in submission order
+    let started = Arc::new(Mutex::new(Vec::new()));
+    let (_, pool) = probed_pool(
+        {
+            let started = Arc::clone(&started);
+            move |lexeme| {
+                if lexeme == b"slow" {
+                    std::thread::sleep(Duration::from_millis(100));
+                } else {
+                    started.lock().unwrap().push(lexeme.to_vec());
+                }
+            }
+        },
+        PoolConfig::default().workers(1).queue_capacity(4),
+    );
+    let first = pool.submit(&b"slow"[..]).unwrap();
+    while pool.metrics().snapshot().queue_depth > 0 {
+        std::thread::yield_now();
+    }
+    let handles: Vec<_> = [&b"one"[..], b"two", b"three"]
+        .into_iter()
+        .map(|d| pool.submit(d).unwrap())
+        .collect();
+    let mut handles = handles.into_iter().rev();
+    assert_eq!(handles.next().unwrap().wait(), Ok(5));
+    assert_eq!(
+        *started.lock().unwrap(),
+        [&b"one"[..], b"two", b"three"],
+        "jobs start in submission order"
+    );
+    assert_eq!(
+        handles.map(|h| h.wait()).collect::<Vec<_>>(),
+        [Ok(3), Ok(3)]
+    );
+    assert_eq!(first.wait(), Ok(4));
 }
