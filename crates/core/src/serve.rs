@@ -379,9 +379,9 @@ struct Shared<V> {
 impl<V> Shared<V> {
     /// Runs the job behind `slot` on the calling thread if it is at
     /// the queue's front and a session is idle — the job a worker
-    /// would take next — and returns its result. A waiting caller
-    /// thus skips both thread wake-ups: none for a worker, none for
-    /// itself.
+    /// would take next — and returns its result. Neither a worker's
+    /// wake-up nor the caller's own then lies on the job's critical
+    /// path.
     fn run_if_next(&self, slot: &Arc<Slot<V>>) -> Option<Result<V, JobError>> {
         let (job, mut session) = {
             let mut q = self.queue.lock().unwrap();

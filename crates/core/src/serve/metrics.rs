@@ -2,18 +2,18 @@
 //! fixed-bucket histograms (submit-to-completion latency, and its two
 //! parts: queue wait and service).
 //!
-//! Every [`ParsePool`](super::ParsePool) owns one [`Metrics`]; workers
-//! and submitters update it with relaxed atomics (no locks, no
-//! allocation — the counters live on the job hot path and must not
-//! disturb the zero-allocation steady state). [`Metrics::snapshot`]
-//! reads a consistent-enough point-in-time copy for reporting, and
-//! [`MetricsSnapshot`] renders as a compact text report via
-//! `Display`.
+//! Every [`ParsePool`](super::ParsePool) owns one [`Metrics`]; the
+//! threads that submit and run jobs update it with relaxed atomics (no
+//! locks, no allocation — the counters live on the job hot path and
+//! must not disturb the zero-allocation steady state).
+//! [`Metrics::snapshot`] reads a consistent-enough point-in-time copy
+//! for reporting, and [`MetricsSnapshot`] renders as a compact text
+//! report via `Display`.
 //!
-//! Latencies are recorded in power-of-two microsecond buckets
-//! (bucket *i* holds completions with latency < 2^*i* µs), which is
-//! coarse but fixed-size: recording is one `fetch_add` on an array
-//! slot, and quantile estimates come out as tight upper bounds.
+//! Times are recorded in power-of-two microsecond buckets (bucket *i*
+//! holds samples < 2^*i* µs), which is coarse but fixed-size:
+//! recording is one `fetch_add` on an array slot, and quantile
+//! estimates come out as tight upper bounds.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -188,9 +188,8 @@ pub struct MetricsSnapshot {
     /// `try_submit` calls refused because the queue was full.
     pub rejected: u64,
     /// Sessions replaced after a panicking action poisoned them,
-    /// whichever thread ran the job. (The name predates the pool's
-    /// sessions outliving the threads that use them: a panic replaces
-    /// the session, never a worker.)
+    /// whichever thread ran the job. The name is kept for its JSON
+    /// key: no worker thread is ever replaced.
     pub workers_replaced: u64,
     /// Input bytes handed to finished jobs.
     pub bytes_parsed: u64,

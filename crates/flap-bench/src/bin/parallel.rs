@@ -8,10 +8,10 @@
 //! `flap_bench::cli`, against `BENCH_parallel.json`).
 //!
 //! One immutable `flap::Parser` per grammar (JSON and s-expressions)
-//! serves a pool whose workers each reuse one `ParseSession`. Each
-//! timed call is one `ParsePool::parse_batch` of the whole batch, as
-//! shared `Arc<[u8]>` documents, so submission clones a pointer, not
-//! the bytes. Every pool's results are first checked against the
+//! serves a pool that owns one reusable `ParseSession` per worker.
+//! Each timed call is one `ParsePool::parse_batch` of the whole batch,
+//! as shared `Arc<[u8]>` documents, so submission clones a pointer,
+//! not the bytes. Every pool's results are first checked against the
 //! independent reference parser. Scaling should track physical
 //! cores; a flat line on a 1-core host is the hardware, not a
 //! regression.

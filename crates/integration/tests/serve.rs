@@ -364,41 +364,38 @@ fn at_most_workers_parses_run_at_once_whoever_runs_them() {
 
 #[test]
 fn waiting_callers_never_start_a_job_out_of_order() {
-    // one worker pinned by a slow first job; the caller then waits on
-    // the last of three queued jobs, which is not next in line, so it
-    // must block while the jobs start in submission order
+    // two workers, one pinned by a slow job: the other session is idle
+    // when the caller waits on the second of two queued jobs, which is
+    // not next in line, so the caller must leave both to start in
+    // submission order
     let started = Arc::new(Mutex::new(Vec::new()));
     let (_, pool) = probed_pool(
         {
             let started = Arc::clone(&started);
             move |lexeme| {
                 if lexeme == b"slow" {
-                    std::thread::sleep(Duration::from_millis(100));
+                    std::thread::sleep(Duration::from_millis(40));
                 } else {
                     started.lock().unwrap().push(lexeme.to_vec());
                 }
             }
         },
-        PoolConfig::default().workers(1).queue_capacity(4),
+        PoolConfig::default().workers(2).queue_capacity(4),
     );
-    let first = pool.submit(&b"slow"[..]).unwrap();
-    while pool.metrics().snapshot().queue_depth > 0 {
-        std::thread::yield_now();
+    for round in 0..4 {
+        let slow = pool.submit(&b"slow"[..]).unwrap();
+        while pool.metrics().snapshot().queue_depth > 0 {
+            std::thread::yield_now();
+        }
+        let one = pool.submit(&b"one"[..]).unwrap();
+        let three = pool.submit(&b"three"[..]).unwrap();
+        assert_eq!(three.wait(), Ok(5));
+        assert_eq!(
+            std::mem::take(&mut *started.lock().unwrap()),
+            [&b"one"[..], b"three"],
+            "round {round}: jobs start in submission order"
+        );
+        assert_eq!(one.wait(), Ok(3));
+        assert_eq!(slow.wait(), Ok(4));
     }
-    let handles: Vec<_> = [&b"one"[..], b"two", b"three"]
-        .into_iter()
-        .map(|d| pool.submit(d).unwrap())
-        .collect();
-    let mut handles = handles.into_iter().rev();
-    assert_eq!(handles.next().unwrap().wait(), Ok(5));
-    assert_eq!(
-        *started.lock().unwrap(),
-        [&b"one"[..], b"two", b"three"],
-        "jobs start in submission order"
-    );
-    assert_eq!(
-        handles.map(|h| h.wait()).collect::<Vec<_>>(),
-        [Ok(3), Ok(3)]
-    );
-    assert_eq!(first.wait(), Ok(4));
 }
