@@ -56,7 +56,8 @@
 //!
 //! let pool = parser.serve(PoolConfig::default().workers(2).queue_capacity(8));
 //!
-//! // submit bytes, wait for the result
+//! // submit bytes, wait for the result: when the job is next in line
+//! // and a session is idle, wait() parses it on this thread
 //! let handle = pool.submit(&b"hello world"[..]).unwrap();
 //! assert_eq!(handle.wait(), Ok(2));
 //!
@@ -487,6 +488,7 @@ impl<V: Send + 'static> ParsePool<V> {
         self.push(q, input)
     }
 
+    /// Appends `input` to the queue `q` guards, then wakes one worker.
     fn push(&self, mut q: MutexGuard<'_, QueueState<V>>, input: JobInput) -> JobHandle<V> {
         let shared = &*self.shared;
         let slot = Arc::new(Slot {
