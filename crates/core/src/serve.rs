@@ -37,7 +37,7 @@
 //!   running. The pool and every other job keep going.
 //! * **Graceful shutdown.** Dropping the pool (or calling
 //!   [`ParsePool::shutdown`]) closes the queue, drains every
-//!   already-accepted job, and joins the workers.
+//!   already-accepted job, joins the workers and frees the sessions.
 //!
 //! # Example
 //!
@@ -395,8 +395,12 @@ impl<V> Shared<V> {
         let result = run_job(self, &mut session, &job, self.caller_lane);
         let queued = {
             let mut q = self.queue.lock().unwrap();
-            q.idle.push(session);
-            !q.jobs.is_empty()
+            let queued = !q.jobs.is_empty();
+            // a closed, drained pool runs no more jobs: free the session
+            if q.open || queued {
+                q.idle.push(session);
+            }
+            queued
         };
         // a worker may be waiting for this session
         if queued {
@@ -551,12 +555,15 @@ impl<V: Send + 'static> ParsePool<V> {
 impl<V> Drop for ParsePool<V> {
     /// Closes the queue and joins the workers once they have drained
     /// it. Submitting needs `&self`, so nothing can enqueue meanwhile.
+    /// Then frees the idle sessions: handles still outstanding keep the
+    /// shared state alive, but not the sessions' stacks.
     fn drop(&mut self) {
         self.shared.queue.lock().unwrap().open = false;
         self.shared.not_empty.notify_all();
         for h in self.threads.drain(..) {
             let _ = h.join();
         }
+        self.shared.queue.lock().unwrap().idle.clear();
     }
 }
 
@@ -579,6 +586,10 @@ fn worker_loop<V>(shared: Arc<Shared<V>>, lane: usize) {
         } else if q.open || !q.jobs.is_empty() {
             q = shared.not_empty.wait(q).unwrap();
         } else {
+            // another worker may still wait for a session to start the
+            // last jobs with; once they have drained, only this wakes it
+            drop(q);
+            shared.not_empty.notify_all();
             return;
         }
     }
@@ -688,5 +699,15 @@ mod tests {
         for h in handles {
             assert_eq!(h.wait(), Ok(2), "accepted jobs must complete before join");
         }
+    }
+
+    #[test]
+    fn shutdown_frees_the_sessions_outstanding_handles_outlive() {
+        let pool = word_pool(|_| 1, PoolConfig::default().workers(2));
+        let handle = pool.submit(&b"a b"[..]).unwrap();
+        let shared = Arc::clone(&handle.shared);
+        pool.shutdown();
+        assert!(shared.queue.lock().unwrap().idle.is_empty());
+        assert_eq!(handle.wait(), Ok(2));
     }
 }

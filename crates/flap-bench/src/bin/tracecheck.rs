@@ -47,53 +47,14 @@ fn main() -> ExitCode {
         Ok(d) => d,
         Err(e) => return fail(&format!("{path} is not valid JSON: {e}")),
     };
-    let Some(events) = doc.get("traceEvents").and_then(Json::as_arr) else {
-        return fail("no traceEvents array");
+    let mut lanes = match flap_bench::trace_lanes(&doc) {
+        Ok(lanes) => lanes,
+        Err(e) => return fail(&e),
     };
+    let queue_waits: usize = lanes.iter().map(|l| l.1).sum();
+    let execs: usize = lanes.iter().map(|l| l.2).sum();
 
-    let mut spans = 0usize;
-    let mut queue_waits = 0usize;
-    let mut execs = 0usize;
-    let mut lanes: Vec<(u64, usize, usize)> = Vec::new(); // (tid, queue-wait, parse)
-    for ev in events {
-        let ph = ev.get("ph").and_then(Json::as_str).unwrap_or("");
-        if ph != "X" {
-            continue;
-        }
-        let Some(name) = ev.get("name").and_then(Json::as_str) else {
-            return fail("complete span without a name");
-        };
-        let Some(tid) = ev.get("tid").and_then(Json::as_num) else {
-            return fail("complete span without a tid");
-        };
-        if ev.get("ts").and_then(Json::as_num).is_none()
-            || ev.get("dur").and_then(Json::as_num).is_none()
-        {
-            return fail(&format!("span {name:?} lacks ts/dur"));
-        }
-        spans += 1;
-        let tid = tid as u64;
-        let lane = match lanes.iter().position(|l| l.0 == tid) {
-            Some(i) => &mut lanes[i],
-            None => {
-                lanes.push((tid, 0, 0));
-                lanes.last_mut().expect("just pushed")
-            }
-        };
-        match name {
-            "queue-wait" => {
-                queue_waits += 1;
-                lane.1 += 1;
-            }
-            "parse" => {
-                execs += 1;
-                lane.2 += 1;
-            }
-            _ => {}
-        }
-    }
-
-    if spans == 0 {
+    if lanes.is_empty() {
         return fail("no complete (ph:X) spans");
     }
     if queue_waits == 0 {
@@ -130,7 +91,7 @@ fn main() -> ExitCode {
         _ => String::new(),
     };
     println!(
-        "tracecheck: OK — {spans} spans ({queue_waits} queue-wait, {execs} exec); \
+        "tracecheck: OK — {queue_waits} queue-wait and {execs} parse spans; \
          jobs per worker lane {jobs:?}{caller}",
     );
     ExitCode::SUCCESS

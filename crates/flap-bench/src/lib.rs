@@ -33,6 +33,7 @@ use std::hint::black_box;
 
 use flap_baselines::{AspParser, Ll1Parser, LrParser, UnfusedParser};
 use flap_grammars::GrammarDef;
+use json::Json;
 use timing::Timing;
 
 /// A boxed parse function: complete input in, reported value out.
@@ -203,6 +204,54 @@ pub fn time_impl(
     timing::time(iters, || {
         run(black_box(input)).expect("benchmark input must parse")
     })
+}
+
+/// Tallies the pool's spans per lane in a Chrome trace-event document
+/// as `flap::obs::TraceRecorder` writes it: `(tid, queue-wait spans,
+/// parse spans)` for every lane holding a complete (`ph:"X"`) span, in
+/// order of first appearance.
+///
+/// # Errors
+///
+/// A message when the document has no `traceEvents` array or a
+/// complete span lacks its `name`, `tid`, `ts` or `dur`.
+pub fn trace_lanes(doc: &Json) -> Result<Vec<(u64, usize, usize)>, String> {
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("no traceEvents array")?;
+    let mut lanes: Vec<(u64, usize, usize)> = Vec::new();
+    for ev in events {
+        if ev.get("ph").and_then(Json::as_str) != Some("X") {
+            continue;
+        }
+        let name = ev
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or("complete span without a name")?;
+        let tid = ev
+            .get("tid")
+            .and_then(Json::as_num)
+            .ok_or("complete span without a tid")? as u64;
+        if ev.get("ts").and_then(Json::as_num).is_none()
+            || ev.get("dur").and_then(Json::as_num).is_none()
+        {
+            return Err(format!("span {name:?} lacks ts/dur"));
+        }
+        let i = match lanes.iter().position(|l| l.0 == tid) {
+            Some(i) => i,
+            None => {
+                lanes.push((tid, 0, 0));
+                lanes.len() - 1
+            }
+        };
+        match name {
+            "queue-wait" => lanes[i].1 += 1,
+            "parse" => lanes[i].2 += 1,
+            _ => {}
+        }
+    }
+    Ok(lanes)
 }
 
 #[cfg(test)]

@@ -18,28 +18,38 @@ use flap::{Cfe, LexerBuilder, Parser};
 use flap_bench::json::Json;
 use flap_serve::{JobError, ParsePool, PoolConfig, SubmitError};
 
-/// A word-counting grammar whose semantic action has trapdoors: the
-/// lexeme `boom` panics (panic-isolation tests) and the lexeme `slow`
-/// sleeps (queue-occupancy tests); anything else counts 1.
-fn trapdoor_pool(config: PoolConfig) -> (Parser<i64>, ParsePool<i64>) {
+/// A word grammar whose value is the sum of `action` over the words'
+/// lexemes.
+fn word_pool(
+    action: impl Fn(&[u8]) -> i64 + Send + Sync + 'static,
+    config: PoolConfig,
+) -> (Parser<i64>, ParsePool<i64>) {
     let mut b = LexerBuilder::new();
     let word = b.token("word", "[a-z]+").unwrap();
     b.skip(" ").unwrap();
     let lexer = b.build().unwrap();
-    let g: Cfe<i64> = Cfe::fix(|x| {
-        Cfe::eps_with(|| 0).or(Cfe::tok_with(word, |lexeme| {
+    let g: Cfe<i64> =
+        Cfe::fix(|x| Cfe::eps_with(|| 0).or(Cfe::tok_with(word, action).then(x, |a, b| a + b)));
+    let parser = Parser::compile(lexer, &g).unwrap();
+    let pool = parser.serve(config);
+    (parser, pool)
+}
+
+/// A word-counting pool whose semantic action has trapdoors: the
+/// lexeme `boom` panics (panic-isolation tests) and the lexeme `slow`
+/// sleeps (queue-occupancy tests); anything else counts 1.
+fn trapdoor_pool(config: PoolConfig) -> (Parser<i64>, ParsePool<i64>) {
+    word_pool(
+        |lexeme| {
             match lexeme {
                 b"boom" => panic!("trapdoor: boom"),
                 b"slow" => std::thread::sleep(Duration::from_millis(150)),
                 _ => {}
             }
             1
-        })
-        .then(x, |a, b| a + b))
-    });
-    let parser = Parser::compile(lexer, &g).unwrap();
-    let pool = parser.serve(config);
-    (parser, pool)
+        },
+        config,
+    )
 }
 
 #[test]
@@ -222,26 +232,82 @@ fn dropping_the_pool_drains_in_flight_jobs() {
     }
 }
 
-/// A word grammar whose action sums lexeme lengths and calls `probe`
-/// with each lexeme.
-fn probed_pool(
-    probe: impl Fn(&[u8]) + Send + Sync + 'static,
-    config: PoolConfig,
-) -> (Parser<i64>, ParsePool<i64>) {
-    let mut b = LexerBuilder::new();
-    let word = b.token("word", "[a-z]+").unwrap();
-    b.skip(" ").unwrap();
-    let lexer = b.build().unwrap();
-    let g: Cfe<i64> = Cfe::fix(|x| {
-        Cfe::eps_with(|| 0).or(Cfe::tok_with(word, move |lexeme| {
-            probe(lexeme);
-            lexeme.len() as i64
-        })
-        .then(x, |a, b| a + b))
-    });
-    let parser = Parser::compile(lexer, &g).unwrap();
-    let pool = parser.serve(config);
-    (parser, pool)
+#[test]
+fn shutdown_wakes_a_worker_left_waiting_for_a_session() {
+    // Two workers, so two sessions: worker A parses `slow` while a
+    // caller parses its own `slower`, and the pool is dropped with one
+    // more job queued. Worker B finds that job but no session, and
+    // waits. A takes the job once `slow` ends; the caller then returns
+    // its session to a drained queue, and A exits. Unless someone wakes
+    // B to see the drained queue, dropping the pool blocks in its join.
+    const NOT_STARTED: usize = 0;
+    const ON_CALLER: usize = 1;
+    const ON_WORKER: usize = 2;
+    for _attempt in 0..10 {
+        let slower_ran = Arc::new(AtomicUsize::new(NOT_STARTED));
+        let (_, pool) = word_pool(
+            {
+                let slower_ran = Arc::clone(&slower_ran);
+                move |lexeme| {
+                    match lexeme {
+                        b"slow" => std::thread::sleep(Duration::from_millis(40)),
+                        b"slower" => {
+                            let name = std::thread::current().name().map(str::to_owned);
+                            let on_worker = name.is_some_and(|n| n.starts_with("flap-serve:"));
+                            slower_ran.store(
+                                if on_worker { ON_WORKER } else { ON_CALLER },
+                                Ordering::SeqCst,
+                            );
+                            std::thread::sleep(Duration::from_millis(120));
+                        }
+                        _ => {}
+                    }
+                    1
+                }
+            },
+            PoolConfig::default().workers(2).queue_capacity(4),
+        );
+        let pool = Arc::new(pool);
+        let slow = pool.submit(&b"slow"[..]).unwrap();
+        while pool.metrics().snapshot().queue_depth > 0 {
+            std::thread::yield_now();
+        }
+        let caller = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                let slower = pool.submit(&b"slower"[..]).unwrap();
+                drop(pool);
+                slower.wait()
+            })
+        };
+        let ran = loop {
+            match slower_ran.load(Ordering::SeqCst) {
+                NOT_STARTED => std::thread::yield_now(),
+                ran => break ran,
+            }
+        };
+        if ran == ON_WORKER {
+            // worker B took `slower` before its caller could: not the
+            // case under test, so try again
+            assert_eq!(caller.join().unwrap(), Ok(1));
+            continue;
+        }
+        let last = pool.submit(&b"last"[..]).unwrap();
+        let dropper = std::thread::spawn(move || drop(pool));
+        let start = std::time::Instant::now();
+        while !dropper.is_finished() {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "dropping the pool did not return: a worker was never woken"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(slow.wait(), Ok(1));
+        assert_eq!(last.wait(), Ok(1));
+        assert_eq!(caller.join().unwrap(), Ok(1));
+        return;
+    }
+    panic!("no caller ran its own job in 10 attempts");
 }
 
 #[test]
@@ -252,14 +318,15 @@ fn at_most_workers_parses_run_at_once_whoever_runs_them() {
     let live = Arc::new(AtomicUsize::new(0));
     let peak = Arc::new(AtomicUsize::new(0));
     let recorder = Arc::new(TraceRecorder::new());
-    let (parser, pool) = probed_pool(
+    let (parser, pool) = word_pool(
         {
             let (live, peak) = (Arc::clone(&live), Arc::clone(&peak));
-            move |_| {
+            move |lexeme| {
                 let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_micros(300));
                 live.fetch_sub(1, Ordering::SeqCst);
+                lexeme.len() as i64
             }
         },
         PoolConfig::default()
@@ -334,26 +401,7 @@ fn at_most_workers_parses_run_at_once_whoever_runs_them() {
     let mut out = Vec::new();
     recorder.write_chrome_json(&mut out).unwrap();
     let doc = Json::parse(&String::from_utf8(out).unwrap()).expect("valid trace JSON");
-    let mut lanes: Vec<(u64, usize, usize)> = Vec::new(); // (tid, queue-wait, parse)
-    for ev in doc.get("traceEvents").and_then(Json::as_arr).unwrap() {
-        if ev.get("ph").and_then(Json::as_str) != Some("X") {
-            continue;
-        }
-        let tid = ev.get("tid").and_then(Json::as_num).unwrap() as u64;
-        let name = ev.get("name").and_then(Json::as_str).unwrap();
-        let lane = match lanes.iter().position(|l| l.0 == tid) {
-            Some(i) => &mut lanes[i],
-            None => {
-                lanes.push((tid, 0, 0));
-                lanes.last_mut().unwrap()
-            }
-        };
-        match name {
-            "queue-wait" => lane.1 += 1,
-            "parse" => lane.2 += 1,
-            other => panic!("unexpected span {other:?}"),
-        }
-    }
+    let lanes = flap_bench::trace_lanes(&doc).expect("well-formed spans");
     for &(tid, waits, parses) in &lanes {
         assert!(tid <= WORKERS as u64, "lane {tid} past the caller lane");
         assert_eq!(waits, parses, "lane {tid}: queue-wait vs parse spans");
@@ -369,7 +417,7 @@ fn waiting_callers_never_start_a_job_out_of_order() {
     // not next in line, so the caller must leave both to start in
     // submission order
     let started = Arc::new(Mutex::new(Vec::new()));
-    let (_, pool) = probed_pool(
+    let (_, pool) = word_pool(
         {
             let started = Arc::clone(&started);
             move |lexeme| {
@@ -378,6 +426,7 @@ fn waiting_callers_never_start_a_job_out_of_order() {
                 } else {
                     started.lock().unwrap().push(lexeme.to_vec());
                 }
+                lexeme.len() as i64
             }
         },
         PoolConfig::default().workers(2).queue_capacity(4),
