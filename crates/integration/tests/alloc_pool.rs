@@ -2,7 +2,9 @@
 //! warm-up, a `submit(Arc<[u8]>)` → parse → `wait` round trip through
 //! a `flap::serve::ParsePool` allocates exactly once — the job's
 //! completion slot, on the submitting thread — and the parse
-//! allocates nothing, whichever thread runs it.
+//! allocates nothing, whichever thread runs it. It audits both: round
+//! trips whose waiting caller usually runs its own job, then round
+//! trips that the worker runs.
 //!
 //! Unlike `alloc.rs`, whose counter is thread-local (the parse runs on
 //! the calling thread), a pooled job runs on the pool's worker or on
@@ -75,6 +77,7 @@ fn pooled_round_trip_allocates_only_its_completion_slot() {
         assert_eq!(handle.wait(), Ok(expected));
     }
 
+    // One job outstanding at a time: the waiting caller usually runs it.
     const ROUND_TRIPS: u64 = 50;
     let before = ALLOCS.load(Ordering::SeqCst);
     let mut ok = true;
@@ -88,5 +91,26 @@ fn pooled_round_trip_allocates_only_its_completion_slot() {
         n, ROUND_TRIPS,
         "each pooled round trip must allocate exactly its completion slot \
          ({n} allocations in {ROUND_TRIPS} submit/wait round trips)"
+    );
+
+    // The same audit over jobs the worker runs. Of two jobs submitted
+    // back to back, the caller waits on the second first: it is never
+    // at the queue's front while the one session is idle, because the
+    // worker takes it as soon as it returns the session from the
+    // first. So the worker runs both, and each wait takes a slot the
+    // worker filled.
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..ROUND_TRIPS / 2 {
+        let first = pool.submit(input.clone()).expect("pool accepts");
+        let second = pool.submit(input.clone()).expect("pool accepts");
+        ok &= second.wait() == Ok(expected);
+        ok &= first.wait() == Ok(expected);
+    }
+    let n = ALLOCS.load(Ordering::SeqCst) - before;
+    assert!(ok, "worker-run parses must stay correct while audited");
+    assert_eq!(
+        n, ROUND_TRIPS,
+        "each worker-run round trip must allocate exactly its completion \
+         slot ({n} allocations in {ROUND_TRIPS} submit/wait round trips)"
     );
 }
