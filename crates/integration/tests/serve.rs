@@ -9,7 +9,7 @@
 // error paths, a deliberate workspace-wide tradeoff).
 #![allow(clippy::result_large_err)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -234,80 +234,95 @@ fn dropping_the_pool_drains_in_flight_jobs() {
 
 #[test]
 fn shutdown_wakes_a_worker_left_waiting_for_a_session() {
-    // Two workers, so two sessions: worker A parses `slow` while a
-    // caller parses its own `slower`, and the pool is dropped with one
-    // more job queued. Worker B finds that job but no session, and
-    // waits. A takes the job once `slow` ends; the caller then returns
-    // its session to a drained queue, and A exits. Unless someone wakes
-    // B to see the drained queue, dropping the pool blocks in its join.
+    // Two workers, so two sessions: worker A holds one parsing `first`,
+    // a caller holds the other parsing its own `second`, and the pool
+    // is dropped with `last` queued. Worker B finds a job but no
+    // session, and waits. A then parses `last` and exits, and the
+    // caller returns its session to the drained queue. Unless someone
+    // wakes B to see the queue drained, the drop blocks in its join.
+    // Gates in the action hold `first` and `second` until released.
     const NOT_STARTED: usize = 0;
     const ON_CALLER: usize = 1;
     const ON_WORKER: usize = 2;
-    for _attempt in 0..10 {
-        let slower_ran = Arc::new(AtomicUsize::new(NOT_STARTED));
-        let (_, pool) = word_pool(
-            {
-                let slower_ran = Arc::clone(&slower_ran);
-                move |lexeme| {
-                    match lexeme {
-                        b"slow" => std::thread::sleep(Duration::from_millis(40)),
-                        b"slower" => {
-                            let name = std::thread::current().name().map(str::to_owned);
-                            let on_worker = name.is_some_and(|n| n.starts_with("flap-serve:"));
-                            slower_ran.store(
-                                if on_worker { ON_WORKER } else { ON_CALLER },
-                                Ordering::SeqCst,
-                            );
-                            std::thread::sleep(Duration::from_millis(120));
-                        }
-                        _ => {}
+    let gates = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
+    let second_ran = Arc::new(AtomicUsize::new(NOT_STARTED));
+    let (_, pool) = word_pool(
+        {
+            let (gates, second_ran) = (Arc::clone(&gates), Arc::clone(&second_ran));
+            move |lexeme| {
+                let gate = match lexeme {
+                    b"first" => &gates[0],
+                    b"second" => {
+                        let on_worker = std::thread::current()
+                            .name()
+                            .is_some_and(|n| n.starts_with("flap-serve:"));
+                        let ran = if on_worker { ON_WORKER } else { ON_CALLER };
+                        second_ran.store(ran, Ordering::SeqCst);
+                        &gates[1]
                     }
-                    1
+                    _ => return 1,
+                };
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
                 }
-            },
-            PoolConfig::default().workers(2).queue_capacity(4),
-        );
-        let pool = Arc::new(pool);
-        let slow = pool.submit(&b"slow"[..]).unwrap();
-        while pool.metrics().snapshot().queue_depth > 0 {
-            std::thread::yield_now();
-        }
-        let caller = {
+                1
+            }
+        },
+        PoolConfig::default().workers(2).queue_capacity(4),
+    );
+    let pool = Arc::new(pool);
+    let first = pool.submit(&b"first"[..]).unwrap();
+    while pool.metrics().snapshot().queue_depth > 0 {
+        std::thread::yield_now();
+    }
+    // The caller races worker B, which its submission wakes, for the
+    // idle session; retry until the caller wins.
+    let mut caller = None;
+    for _attempt in 0..100 {
+        second_ran.store(NOT_STARTED, Ordering::SeqCst);
+        gates[1].store(false, Ordering::SeqCst);
+        let thread = {
             let pool = Arc::clone(&pool);
             std::thread::spawn(move || {
-                let slower = pool.submit(&b"slower"[..]).unwrap();
+                let second = pool.submit(&b"second"[..]).unwrap();
                 drop(pool);
-                slower.wait()
+                second.wait()
             })
         };
         let ran = loop {
-            match slower_ran.load(Ordering::SeqCst) {
+            match second_ran.load(Ordering::SeqCst) {
                 NOT_STARTED => std::thread::yield_now(),
                 ran => break ran,
             }
         };
-        if ran == ON_WORKER {
-            // worker B took `slower` before its caller could: not the
-            // case under test, so try again
-            assert_eq!(caller.join().unwrap(), Ok(1));
-            continue;
+        if ran == ON_CALLER {
+            caller = Some(thread);
+            break;
         }
-        let last = pool.submit(&b"last"[..]).unwrap();
-        let dropper = std::thread::spawn(move || drop(pool));
-        let start = std::time::Instant::now();
-        while !dropper.is_finished() {
-            assert!(
-                start.elapsed() < Duration::from_secs(10),
-                "dropping the pool did not return: a worker was never woken"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(slow.wait(), Ok(1));
-        assert_eq!(last.wait(), Ok(1));
-        assert_eq!(caller.join().unwrap(), Ok(1));
-        return;
+        gates[1].store(true, Ordering::SeqCst);
+        assert_eq!(thread.join().unwrap(), Ok(1));
     }
-    panic!("no caller ran its own job in 10 attempts");
+    let caller = caller.expect("no caller ran its own job in 100 attempts");
+    let last = pool.submit(&b"last"[..]).unwrap();
+    let dropper = std::thread::spawn(move || drop(pool));
+    // Let the drop close the queue before A can take `last`. Were it
+    // still open, no worker would wait for a session and the test
+    // would pass without reaching the case.
+    std::thread::sleep(Duration::from_millis(20));
+    gates[0].store(true, Ordering::SeqCst);
+    assert_eq!(first.wait(), Ok(1));
+    assert_eq!(last.wait(), Ok(1));
+    gates[1].store(true, Ordering::SeqCst);
+    assert_eq!(caller.join().unwrap(), Ok(1));
+    let start = std::time::Instant::now();
+    while !dropper.is_finished() {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "dropping the pool did not return: a worker was never woken"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    dropper.join().unwrap();
 }
 
 #[test]
