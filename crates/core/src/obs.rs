@@ -20,7 +20,8 @@
 //!   reductions by rule, automaton-row heat — with bounded
 //!   allocation; `flap-bench`'s `profile` binary renders it.
 //! * **Tracing.** [`TraceRecorder`] collects timed spans (a
-//!   queue-wait and a `parse` span per pool job, one lane per worker)
+//!   queue-wait and a `parse` span per pool job, one lane per worker
+//!   and one named `caller` for jobs their waiting callers ran)
 //!   and writes them as Chrome trace-event JSON readable by Perfetto
 //!   or `chrome://tracing`. Attach one through
 //!   [`PoolConfig::trace`](crate::serve::PoolConfig::trace). A pool's
@@ -31,16 +32,16 @@
 
 use std::fmt;
 use std::io::{self, Write};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 pub use flap_staged::{NoopObserver, Observer, ParseProfiler};
 
-/// One completed span: a named interval on a worker lane.
+/// One completed span: a named interval on a pool lane.
 #[derive(Clone, Debug)]
 struct Span {
     name: &'static str,
-    /// Lane (Chrome `tid`): the pool worker index.
+    /// Lane (Chrome `tid`): the pool worker index, or the caller lane.
     tid: u32,
     /// Start, µs since the recorder's epoch.
     ts_us: u64,
@@ -62,11 +63,15 @@ struct Span {
 ///
 /// The output is the Chrome trace-event format: a JSON object whose
 /// `traceEvents` array holds one `ph:"X"` (complete) event per span
-/// plus `ph:"M"` thread-name metadata per lane. Open it in Perfetto
-/// (<https://ui.perfetto.dev>) or `chrome://tracing`.
+/// plus `ph:"M"` thread-name metadata per lane: `worker-{tid}`, or
+/// `caller` for the lane of jobs that their waiting callers ran. Open
+/// it in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
 pub struct TraceRecorder {
     epoch: Instant,
     spans: Mutex<Vec<Span>>,
+    /// The pool's caller lane, set by the first pool the recorder is
+    /// attached to.
+    caller_lane: OnceLock<u32>,
 }
 
 impl TraceRecorder {
@@ -75,7 +80,14 @@ impl TraceRecorder {
         TraceRecorder {
             epoch: Instant::now(),
             spans: Mutex::new(Vec::new()),
+            caller_lane: OnceLock::new(),
         }
+    }
+
+    /// Names lane `tid` `caller` in the output: the lane on which a
+    /// pool records the jobs that their waiting callers ran.
+    pub(crate) fn set_caller_lane(&self, tid: u32) {
+        let _ = self.caller_lane.set(tid);
     }
 
     /// Records one completed span on lane `tid` from `start` to
@@ -105,7 +117,7 @@ impl TraceRecorder {
 
     /// Writes everything recorded so far as Chrome trace-event JSON:
     /// `{"traceEvents":[...]}` with one complete (`ph:"X"`) event per
-    /// span and a `thread_name` metadata event per worker lane.
+    /// span and a `thread_name` metadata event per lane.
     ///
     /// # Errors
     ///
@@ -117,15 +129,21 @@ impl TraceRecorder {
         let mut lanes: Vec<u32> = spans.iter().map(|s| s.tid).collect();
         lanes.sort_unstable();
         lanes.dedup();
+        let caller = self.caller_lane.get().copied();
         for tid in lanes {
             if !first {
                 write!(w, ",")?;
             }
             first = false;
+            let name = if caller == Some(tid) {
+                "caller".to_string()
+            } else {
+                format!("worker-{tid}")
+            };
             write!(
                 w,
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"worker-{tid}\"}}}}"
+                 \"args\":{{\"name\":\"{name}\"}}}}"
             )?;
         }
         for s in spans.iter() {
@@ -192,14 +210,23 @@ mod tests {
         t.span("queue-wait", 0, a, b, 0);
         t.span("parse", 0, b, c, 42);
         t.span("parse", 1, a, c, 7);
+        t.set_caller_lane(1);
         assert_eq!(t.len(), 3);
         let mut out = Vec::new();
         t.write_chrome_json(&mut out).unwrap();
         let s = String::from_utf8(out).unwrap();
         assert!(s.starts_with("{\"traceEvents\":["), "{s}");
         assert!(s.ends_with("]}"), "{s}");
-        // one thread_name metadata event per lane
+        // one thread_name metadata event per lane, the caller's named
         assert_eq!(s.matches("\"thread_name\"").count(), 2);
+        assert!(
+            s.contains("\"tid\":0,\"args\":{\"name\":\"worker-0\"}"),
+            "{s}"
+        );
+        assert!(
+            s.contains("\"tid\":1,\"args\":{\"name\":\"caller\"}"),
+            "{s}"
+        );
         assert_eq!(s.matches("\"ph\":\"X\"").count(), 3);
         assert!(s.contains("\"dur\":250"), "{s}");
         assert!(s.contains("\"bytes\":42"), "{s}");

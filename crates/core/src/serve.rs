@@ -27,10 +27,19 @@
 //!   the worker fills its slot once and [`JobHandle::wait`] blocks
 //!   until then and takes the result. A caller that waits on the job
 //!   at the queue's front while a session is idle runs that job
-//!   itself instead, exactly as a worker would: a small request then
-//!   costs no thread wake-up on its critical path. Jobs still start in
+//!   itself instead, exactly as a worker would. Jobs start in
 //!   submission order. Input that arrives in chunks is parsed
 //!   in-process with [`Parser::stream`](crate::Parser::stream).
+//! * **Wake-ups only when needed.** A lone job, the only one queued,
+//!   wakes no worker: it is left to its caller's `wait`, so a small
+//!   request costs no thread wake-up at all. The submission that
+//!   queues a second job wakes two workers, one for each job, and
+//!   every later one wakes one; a submitter that finds the queue full
+//!   wakes one before it blocks or is refused. A lone job on an idle
+//!   pool therefore starts when its caller waits, when another job
+//!   queues, or at shutdown: a caller that submits one job, works,
+//!   and only then waits gets no overlap. [`ParsePool::parse_batch`]
+//!   submits every input before it waits on any.
 //! * **Panic isolation.** A panicking semantic action fails its own
 //!   job with [`JobError::Panicked`]; the session the unwind poisoned
 //!   is replaced by a fresh one, and the thread that ran the job keeps
@@ -143,8 +152,8 @@ impl PoolConfig {
     /// Attaches a span recorder: every job the pool runs emits a
     /// queue-wait span (submission to dequeue) and an execution span
     /// (dequeue to completion) on its worker's lane, or on lane
-    /// `workers` (one past the last worker) when its waiting caller
-    /// ran it. Write the collected spans out with
+    /// `workers` (one past the last worker, named `caller`) when its
+    /// waiting caller ran it. Write the collected spans out with
     /// [`TraceRecorder::write_chrome_json`]. Off by default; the
     /// untraced path does no timing work beyond the always-on latency,
     /// queue-wait and service histograms.
@@ -317,8 +326,9 @@ pub struct JobHandle<V> {
 impl<V> JobHandle<V> {
     /// Returns the job's result once it finishes. If the job is still
     /// next in line and a session is idle, the calling thread runs it
-    /// itself, exactly as a worker would; otherwise this blocks until
-    /// a worker has run it.
+    /// itself, exactly as a worker would; a lone job on an idle pool,
+    /// whose submission woke no worker, runs this way. Otherwise this
+    /// blocks until a worker has run it.
     pub fn wait(self) -> Result<V, JobError> {
         if let Some(result) = self.shared.run_if_next(&self.slot) {
             return result;
@@ -347,20 +357,24 @@ struct QueueState<V> {
     /// The sessions no job is using. A job starts only with one of
     /// them, so at most `workers` parses run at once.
     idle: Vec<ParseSession<V>>,
+    /// Submitters blocked on `not_full`; a job start wakes one only
+    /// when this is non-zero.
+    blocked: usize,
     open: bool,
 }
 
 impl<V> QueueState<V> {
     /// Takes the front job together with an idle session, if there
-    /// are both.
-    fn start(&mut self, metrics: &Metrics) -> Option<(Job<V>, ParseSession<V>)> {
+    /// are both, and says whether a blocked submitter waits for the
+    /// slot this frees.
+    fn start(&mut self, metrics: &Metrics) -> Option<(Job<V>, ParseSession<V>, bool)> {
         if self.jobs.is_empty() {
             return None;
         }
         let session = self.idle.pop()?;
         let job = self.jobs.pop_front()?;
         metrics.queue_len(self.jobs.len(), false);
-        Some((job, session))
+        Some((job, session, self.blocked > 0))
     }
 }
 
@@ -384,14 +398,16 @@ impl<V> Shared<V> {
     /// wake-up nor the caller's own then lies on the job's critical
     /// path.
     fn run_if_next(&self, slot: &Arc<Slot<V>>) -> Option<Result<V, JobError>> {
-        let (job, mut session) = {
+        let (job, mut session, unblock) = {
             let mut q = self.queue.lock().unwrap();
             if !q.jobs.front().is_some_and(|j| Arc::ptr_eq(&j.done, slot)) {
                 return None;
             }
             q.start(&self.metrics)?
         };
-        self.not_full.notify_one();
+        if unblock {
+            self.not_full.notify_one();
+        }
         let result = run_job(self, &mut session, &job, self.caller_lane);
         let queued = {
             let mut q = self.queue.lock().unwrap();
@@ -427,11 +443,15 @@ impl<V: Send + 'static> ParsePool<V> {
     /// [`ParsePool::shutdown`] or drop.
     pub fn new(parser: Arc<CompiledParser<V>>, config: PoolConfig) -> ParsePool<V> {
         let (workers, capacity) = config.resolve();
+        if let Some(t) = &config.trace {
+            t.set_caller_lane(workers as u32);
+        }
         let shared = Arc::new(Shared {
             parser,
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::with_capacity(capacity),
                 idle: (0..workers).map(|_| ParseSession::new()).collect(),
+                blocked: 0,
                 open: true,
             }),
             not_empty: Condvar::new(),
@@ -455,7 +475,10 @@ impl<V: Send + 'static> ParsePool<V> {
 
     /// Submits one input, blocking while the queue is full — the
     /// cooperative entry point for callers that prefer waiting over
-    /// shedding.
+    /// shedding. A job submitted to an idle pool with nothing else
+    /// queued wakes no worker: it starts when its caller waits, when
+    /// another job queues, or at shutdown (see the [module
+    /// docs](self)).
     ///
     /// # Errors
     ///
@@ -467,7 +490,10 @@ impl<V: Send + 'static> ParsePool<V> {
 
     /// Submits one input without blocking: if the queue is full the
     /// job is *rejected* with [`SubmitError::Busy`] (and counted in
-    /// the `rejected` metric) — the admission-control entry point.
+    /// the `rejected` metric) — the admission-control entry point. A
+    /// rejection first wakes a worker, so the queued jobs start even
+    /// if their callers have not waited yet. Jobs start as for
+    /// [`ParsePool::submit`].
     ///
     /// # Errors
     ///
@@ -477,22 +503,33 @@ impl<V: Send + 'static> ParsePool<V> {
         let q = self.shared.queue.lock().unwrap();
         if q.jobs.len() >= self.shared.capacity {
             drop(q);
+            // a full queue may be one lone job whose caller has not
+            // waited yet: a worker must start it
+            self.shared.not_empty.notify_one();
             self.shared.metrics.job_rejected();
             return Err(SubmitError::Busy(input));
         }
         Ok(self.push(q, input))
     }
 
-    /// Enqueues `input`, blocking while the queue is full.
+    /// Enqueues `input`, blocking while the queue is full. Before each
+    /// block it wakes a worker, as `try_submit` does before `Busy`.
     fn enqueue(&self, input: JobInput) -> JobHandle<V> {
         let mut q = self.shared.queue.lock().unwrap();
         while q.jobs.len() >= self.shared.capacity {
+            self.shared.not_empty.notify_one();
+            q.blocked += 1;
             q = self.shared.not_full.wait(q).unwrap();
+            q.blocked -= 1;
         }
         self.push(q, input)
     }
 
-    /// Appends `input` to the queue `q` guards, then wakes one worker.
+    /// Appends `input` to the queue `q` guards. A lone job wakes no
+    /// worker: it is left to its caller's `wait`, to the next worker
+    /// that finishes a job, or to a later push. The push that makes the
+    /// queue two long wakes two workers, one for each job, and every
+    /// later push wakes one.
     fn push(&self, mut q: MutexGuard<'_, QueueState<V>>, input: JobInput) -> JobHandle<V> {
         let shared = &*self.shared;
         let slot = Arc::new(Slot {
@@ -504,10 +541,16 @@ impl<V: Send + 'static> ParsePool<V> {
             done: Arc::clone(&slot),
             enqueued: Instant::now(),
         });
-        shared.metrics.queue_len(q.jobs.len(), true);
+        let queued = q.jobs.len();
+        shared.metrics.queue_len(queued, true);
         drop(q);
         shared.metrics.job_submitted();
-        shared.not_empty.notify_one();
+        if queued > 1 {
+            shared.not_empty.notify_one();
+        }
+        if queued == 2 {
+            shared.not_empty.notify_one();
+        }
         JobHandle {
             slot,
             shared: Arc::clone(&self.shared),
@@ -575,9 +618,11 @@ impl<V> Drop for ParsePool<V> {
 fn worker_loop<V>(shared: Arc<Shared<V>>, lane: usize) {
     let mut q = shared.queue.lock().unwrap();
     loop {
-        if let Some((job, mut session)) = q.start(&shared.metrics) {
+        if let Some((job, mut session, unblock)) = q.start(&shared.metrics) {
             drop(q);
-            shared.not_full.notify_one();
+            if unblock {
+                shared.not_full.notify_one();
+            }
             let result = run_job(&shared, &mut session, &job, lane);
             job.done.fill(result);
             // no wake-up needed: this loop takes the next job itself

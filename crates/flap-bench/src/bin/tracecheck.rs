@@ -16,7 +16,9 @@
 //!   jobs that their waiting callers ran;
 //! * the queue-wait vs execution split is present: ≥ 1 `queue-wait`
 //!   span and ≥ 1 execution (`parse`) span, and on every lane as many
-//!   `queue-wait` as `parse` spans.
+//!   `queue-wait` as `parse` spans;
+//! * every lane carries its `thread_name`: `worker-{tid}` on a worker
+//!   lane, `caller` on the caller lane.
 //!
 //! The report names each lane's job count, the caller lane's apart.
 
@@ -27,6 +29,21 @@ use flap_bench::json::Json;
 fn fail(msg: &str) -> ExitCode {
     eprintln!("tracecheck: {msg}");
     ExitCode::from(1)
+}
+
+/// The `thread_name` metadata of lane `tid`, if the trace has one.
+fn lane_name(doc: &Json, tid: u64) -> Option<&str> {
+    doc.get("traceEvents")?
+        .as_arr()?
+        .iter()
+        .find(|ev| {
+            ev.get("ph").and_then(Json::as_str) == Some("M")
+                && ev.get("name").and_then(Json::as_str) == Some("thread_name")
+                && ev.get("tid").and_then(Json::as_num) == Some(tid as f64)
+        })?
+        .get("args")?
+        .get("name")?
+        .as_str()
 }
 
 fn main() -> ExitCode {
@@ -68,6 +85,19 @@ fn main() -> ExitCode {
             return fail(&format!(
                 "lane {tid} has {waits} queue-wait spans but {parses} parse spans"
             ));
+        }
+    }
+    for &(tid, ..) in &lanes {
+        let worker = format!("worker-{tid}");
+        let name = lane_name(&doc, tid);
+        let named = match expected_workers {
+            Some(w) if w as u64 == tid => name == Some("caller"),
+            Some(_) => name == Some(worker.as_str()),
+            // without a worker count, any lane may be the caller's
+            None => name == Some("caller") || name == Some(worker.as_str()),
+        };
+        if !named {
+            return fail(&format!("lane {tid} is misnamed: thread_name {name:?}"));
         }
     }
     let mut caller = None;

@@ -63,21 +63,20 @@ fn pooled_round_trip_allocates_only_its_completion_slot() {
 
     // Warm-up: grow the session's stacks to this workload's
     // high-water mark, and settle lazy runtime structures
-    // (thread-locals, futexes) on both threads that may parse. A
-    // waiting caller usually runs its own job, so the second job of
-    // each round waits until the worker has dequeued it: the worker
-    // then runs it, and cannot run its first job inside the audit.
+    // (thread-locals, futexes) on both threads that may parse. The
+    // waiting caller runs a lone job itself, so each round also sends
+    // the worker two jobs, as the second audit below does: the worker
+    // cannot run its first job inside an audit.
     for _ in 0..4 {
         let handle = pool.submit(input.clone()).expect("pool accepts");
         assert_eq!(handle.wait(), Ok(expected));
-        let handle = pool.submit(input.clone()).expect("pool accepts");
-        while pool.metrics().snapshot().queue_depth > 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(handle.wait(), Ok(expected));
+        let first = pool.submit(input.clone()).expect("pool accepts");
+        let second = pool.submit(input.clone()).expect("pool accepts");
+        assert_eq!(second.wait(), Ok(expected));
+        assert_eq!(first.wait(), Ok(expected));
     }
 
-    // One job outstanding at a time: the waiting caller usually runs it.
+    // One job outstanding at a time: the waiting caller runs it.
     const ROUND_TRIPS: u64 = 50;
     let before = ALLOCS.load(Ordering::SeqCst);
     let mut ok = true;

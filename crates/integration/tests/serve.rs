@@ -164,11 +164,9 @@ fn try_submit_rejects_when_queue_is_full() {
     let (_, pool) = trapdoor_pool(PoolConfig::default().workers(1).queue_capacity(1));
 
     let h1 = pool.submit(&b"slow a"[..]).unwrap();
-    // wait until the worker has actually dequeued job 1 so the queue
-    // slot is genuinely free for job 2
-    while pool.metrics().snapshot().queue_depth > 0 {
-        std::thread::yield_now();
-    }
+    // job 1 is a lone job, left for its caller's wait; the blocking
+    // submit of job 2 finds the queue full, wakes the worker and
+    // returns only once the worker has dequeued job 1
     let h2 = pool.submit(&b"slow b"[..]).unwrap();
 
     let rejected = match pool.try_submit(&b"c d e"[..]) {
@@ -271,12 +269,18 @@ fn shutdown_wakes_a_worker_left_waiting_for_a_session() {
         PoolConfig::default().workers(2).queue_capacity(4),
     );
     let pool = Arc::new(pool);
+    // A lone job waits for its caller, so `first` is queued with a
+    // filler: the second queued job wakes both workers, and each
+    // takes one.
     let first = pool.submit(&b"first"[..]).unwrap();
+    let filler = pool.submit(&b"filler"[..]).unwrap();
     while pool.metrics().snapshot().queue_depth > 0 {
         std::thread::yield_now();
     }
-    // The caller races worker B, which its submission wakes, for the
-    // idle session; retry until the caller wins.
+    assert_eq!(filler.wait(), Ok(1));
+    // The caller races worker B, which may not yet have returned the
+    // filler's session, for the idle session; retry until the caller
+    // wins.
     let mut caller = None;
     for _attempt in 0..100 {
         second_ran.store(NOT_STARTED, Ordering::SeqCst);
@@ -427,10 +431,10 @@ fn at_most_workers_parses_run_at_once_whoever_runs_them() {
 
 #[test]
 fn waiting_callers_never_start_a_job_out_of_order() {
-    // two workers, one pinned by a slow job: the other session is idle
-    // when the caller waits on the second of two queued jobs, which is
-    // not next in line, so the caller must leave both to start in
-    // submission order
+    // two sessions, one pinned by a slow job that a helper thread's
+    // wait runs: the other session is idle when the caller waits on the
+    // second of two queued jobs, which is not next in line, so the
+    // caller must leave both to start in submission order
     let started = Arc::new(Mutex::new(Vec::new()));
     let (_, pool) = word_pool(
         {
@@ -448,18 +452,127 @@ fn waiting_callers_never_start_a_job_out_of_order() {
     );
     for round in 0..4 {
         let slow = pool.submit(&b"slow"[..]).unwrap();
-        while pool.metrics().snapshot().queue_depth > 0 {
-            std::thread::yield_now();
-        }
-        let one = pool.submit(&b"one"[..]).unwrap();
-        let three = pool.submit(&b"three"[..]).unwrap();
-        assert_eq!(three.wait(), Ok(5));
-        assert_eq!(
-            std::mem::take(&mut *started.lock().unwrap()),
-            [&b"one"[..], b"three"],
-            "round {round}: jobs start in submission order"
-        );
-        assert_eq!(one.wait(), Ok(3));
-        assert_eq!(slow.wait(), Ok(4));
+        std::thread::scope(|s| {
+            let slow = s.spawn(move || slow.wait());
+            while pool.metrics().snapshot().queue_depth > 0 {
+                std::thread::yield_now();
+            }
+            let one = pool.submit(&b"one"[..]).unwrap();
+            let three = pool.submit(&b"three"[..]).unwrap();
+            assert_eq!(three.wait(), Ok(5));
+            assert_eq!(
+                std::mem::take(&mut *started.lock().unwrap()),
+                [&b"one"[..], b"three"],
+                "round {round}: jobs start in submission order"
+            );
+            assert_eq!(one.wait(), Ok(3));
+            assert_eq!(slow.join().unwrap(), Ok(4));
+        });
     }
+}
+
+#[test]
+fn a_lone_job_waits_for_its_caller_and_runs_on_its_thread() {
+    // On an idle pool a lone job wakes no worker: it stays queued until
+    // its caller waits, and the caller then runs it on its own lane.
+    let ran_on = Arc::new(Mutex::new(None));
+    let recorder = Arc::new(TraceRecorder::new());
+    let (_, pool) = word_pool(
+        {
+            let ran_on = Arc::clone(&ran_on);
+            move |_| {
+                *ran_on.lock().unwrap() = Some(std::thread::current().id());
+                1
+            }
+        },
+        PoolConfig::default()
+            .workers(2)
+            .trace(Arc::clone(&recorder)),
+    );
+    // let both workers start and park
+    std::thread::sleep(Duration::from_millis(20));
+    let handle = pool.submit(&b"lone"[..]).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(pool.metrics().snapshot().queue_depth, 1, "a worker took it");
+    assert_eq!(*ran_on.lock().unwrap(), None, "the job ran before its wait");
+    assert_eq!(handle.wait(), Ok(1));
+    assert_eq!(*ran_on.lock().unwrap(), Some(std::thread::current().id()));
+    pool.shutdown();
+
+    let mut out = Vec::new();
+    recorder.write_chrome_json(&mut out).unwrap();
+    let trace = String::from_utf8(out).unwrap();
+    assert!(
+        trace.contains(r#""tid":2,"args":{"name":"caller"}"#),
+        "lane 2 is the caller lane: {trace}"
+    );
+}
+
+#[test]
+fn blocked_submitters_all_get_through_a_one_slot_queue() {
+    // Three threads block-submit through one worker and a one-slot
+    // queue, so two or three submitters are blocked at once; each job
+    // start must wake one of them, and every job must finish.
+    const THREADS: usize = 3;
+    const JOBS: usize = 50;
+    let (_, pool) = word_pool(
+        |lexeme| {
+            std::thread::sleep(Duration::from_micros(100));
+            lexeme.len() as i64
+        },
+        PoolConfig::default().workers(1).queue_capacity(1),
+    );
+    let pool = Arc::new(pool);
+    let threads: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                let doc = vec![b'a'; t + 1];
+                let handles: Vec<_> = (0..JOBS)
+                    .map(|_| pool.submit(doc.as_slice()).unwrap())
+                    .collect();
+                handles.into_iter().all(|h| h.wait() == Ok(t as i64 + 1))
+            })
+        })
+        .collect();
+    let start = std::time::Instant::now();
+    while !threads.iter().all(|t| t.is_finished()) {
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "blocked submitters did not finish"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for t in threads {
+        assert!(t.join().unwrap(), "every job returns its own value");
+    }
+    let m = pool.metrics().snapshot();
+    let jobs = (THREADS * JOBS) as u64;
+    assert_eq!((m.submitted, m.completed, m.rejected), (jobs, jobs, 0));
+}
+
+#[test]
+fn busy_try_submit_starts_the_queued_lone_job() {
+    // The lone job fills a one-slot queue and wakes no worker. A
+    // try_submit that finds the queue full wakes one before it returns
+    // Busy, so the job starts though nobody waits on it.
+    let (_, pool) = word_pool(|_| 1, PoolConfig::default().workers(1).queue_capacity(1));
+    // let the worker start and park
+    std::thread::sleep(Duration::from_millis(20));
+    let handle = pool.submit(&b"lone"[..]).unwrap();
+    assert!(matches!(
+        pool.try_submit(&b"more"[..]),
+        Err(SubmitError::Busy(_))
+    ));
+    let start = std::time::Instant::now();
+    while pool.metrics().snapshot().queue_depth > 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "no worker started the lone job"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(handle.wait(), Ok(1));
+    let m = pool.metrics().snapshot();
+    assert_eq!((m.submitted, m.completed, m.rejected), (1, 1, 1));
 }
