@@ -22,8 +22,8 @@
 //!
 //! Telemetry: `--trace-out` writes a Chrome trace-event JSON file of
 //! every pool job (a queue-wait and a `parse` span each, one lane per
-//! worker plus lane `--workers` for jobs a waiting caller ran — open
-//! in Perfetto or `chrome://tracing`); `--stats-json`
+//! worker plus lane `--workers`, named `caller`, for jobs a waiting
+//! caller ran — open in Perfetto or `chrome://tracing`); `--stats-json`
 //! dumps the final metrics snapshot as one JSON object on exit;
 //! `--metrics-jsonl` appends a periodic JSON-lines feed of metrics
 //! snapshots ([`flap_serve::MetricsEmitter`]) while the run is in

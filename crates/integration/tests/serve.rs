@@ -509,9 +509,46 @@ fn a_lone_job_waits_for_its_caller_and_runs_on_its_thread() {
 }
 
 #[test]
+fn a_second_queued_job_wakes_a_worker_for_each_job() {
+    // Both workers are parked when two jobs queue: the second push
+    // wakes one worker per job, so they run at once on two workers,
+    // with no wait. Woken once, one worker would run both in turn.
+    let ran_on = Arc::new(Mutex::new(Vec::new()));
+    let (_, pool) = word_pool(
+        {
+            let ran_on = Arc::clone(&ran_on);
+            move |_| {
+                ran_on.lock().unwrap().push(std::thread::current().id());
+                std::thread::sleep(Duration::from_millis(50));
+                1
+            }
+        },
+        PoolConfig::default().workers(2),
+    );
+    // let both workers start and park
+    std::thread::sleep(Duration::from_millis(20));
+    let first = pool.submit(&b"first"[..]).unwrap();
+    let second = pool.submit(&b"second"[..]).unwrap();
+    let start = std::time::Instant::now();
+    while pool.metrics().snapshot().queue_depth > 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "no worker started the jobs"
+        );
+        std::thread::yield_now();
+    }
+    assert_eq!(first.wait(), Ok(1));
+    assert_eq!(second.wait(), Ok(1));
+    let ran_on = ran_on.lock().unwrap();
+    assert_eq!(ran_on.len(), 2);
+    assert_ne!(ran_on[0], ran_on[1], "one worker ran both jobs");
+    assert!(!ran_on.contains(&std::thread::current().id()));
+}
+
+#[test]
 fn blocked_submitters_all_get_through_a_one_slot_queue() {
     // Three threads block-submit through one worker and a one-slot
-    // queue, so two or three submitters are blocked at once; each job
+    // queue, so up to three submitters block on it at once; each job
     // start must wake one of them, and every job must finish.
     const THREADS: usize = 3;
     const JOBS: usize = 50;
