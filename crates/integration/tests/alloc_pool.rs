@@ -76,7 +76,7 @@ fn pooled_round_trip_allocates_only_its_completion_slot() {
         assert_eq!(first.wait(), Ok(expected));
     }
 
-    // One job outstanding at a time: the waiting caller runs it.
+    // One job outstanding at a time: the waiting caller usually runs it.
     const ROUND_TRIPS: u64 = 50;
     let before = ALLOCS.load(Ordering::SeqCst);
     let mut ok = true;
