@@ -160,7 +160,6 @@
 // deliberate tradeoff, constructed once per failed parse.
 #![allow(clippy::result_large_err)]
 
-pub mod cache;
 pub mod obs;
 mod parser;
 pub mod serve;
@@ -170,14 +169,23 @@ pub mod typed;
 /// [`Parser::to_artifact`], persist or ship the bytes, and load them
 /// back with [`Parser::from_artifact`] (zero-copy from an aligned
 /// buffer) — running none of the compiler. Re-exports the container
-/// primitives from `flap-artifact` and the loaders from
-/// `flap-staged`.
+/// primitives from `flap-artifact`, and the loaders and
+/// [`grammar_key`](artifact::grammar_key) from `flap-staged`.
+///
+/// An artifact's fingerprint ([`peek_fingerprint`](artifact::peek_fingerprint))
+/// is the [`grammar_key`](artifact::grammar_key) of the lexer and
+/// grammar it was compiled from: a stable content hash of their
+/// shape (token names, canonical regexes, combinator tree, with
+/// `Fix`/`Var` binding by de Bruijn level). Semantic actions are
+/// closures and are not hashed, so two grammars that differ only in
+/// action code share a key.
 pub mod artifact {
     pub use flap_artifact::{
-        fnv1a, AlignedBuf, Artifact, ArtifactError, ArtifactWriter, Fnv64, SectionBuf,
+        checksum, fnv1a, AlignedBuf, Artifact, ArtifactError, ArtifactWriter, Fnv64, SectionBuf,
         SectionReader, ARTIFACT_VERSION,
     };
     pub use flap_staged::artifact::{load_parser, load_recognizer, peek_fingerprint};
+    pub use flap_staged::origin::grammar_key;
 }
 
 pub use flap_cfe::{node_count, type_check, Cfe, Ty, TypeError, VarId};

@@ -13,21 +13,22 @@
 //! This crate knows nothing about parsers. It provides the *container*:
 //!
 //! * [`ArtifactWriter`] — accumulates numbered sections and emits the
-//!   framed file (header, checksummed section table, 64-byte-aligned
-//!   checksummed sections);
+//!   framed file (header, section table, 64-byte-aligned sections)
+//!   sealed by one checksum;
 //! * [`Artifact`] — validates a byte buffer (magic, version, endian
-//!   tag, total length, whole-body checksum, per-section checksums,
-//!   64-byte buffer alignment) and exposes the sections as borrowed
-//!   slices. Validation never panics; every rejection is a typed
-//!   [`ArtifactError`];
+//!   tag, total length, body checksum, 64-byte buffer alignment) and
+//!   exposes the sections as borrowed slices. Validation never
+//!   panics; every rejection is a typed [`ArtifactError`];
 //! * [`AlignedBuf`] — an owned 64-byte-aligned byte buffer, the
 //!   backing store for zero-copy table views (`Arc<AlignedBuf>`
 //!   clones are refcount bumps, so sharing a loaded table block
 //!   across parsers allocates nothing);
 //! * [`SectionBuf`] / [`SectionReader`] — little-endian field
 //!   encode/decode helpers for section payloads;
-//! * [`Fnv64`] — the FNV-1a hash used for every checksum (and, by
-//!   `flap::cache`, for grammar content keys). No dependencies.
+//! * [`checksum`] — the body checksum, which hashes each byte once,
+//!   eight at a time;
+//! * [`Fnv64`] — the FNV-1a hash behind grammar keys
+//!   (`flap::artifact::grammar_key`). No dependencies.
 //!
 //! What the sections *mean* is defined by the writer — for compiled
 //! parsers, by `flap_staged::artifact` (transition block, class map,
@@ -44,10 +45,10 @@
 //! 16      4     section count
 //! 20      4     reserved (zero)
 //! 24      8     total file length
-//! 32      8     body checksum: FNV-1a over bytes[40..]
+//! 32      8     body checksum: checksum(bytes[40..])
 //! 40      24    header padding (zero; covered by the body checksum)
-//! 64      32*n  section table: {id u32, pad u32, offset u64, len u64,
-//!               checksum u64} per section, offsets 64-byte-aligned
+//! 64      24*n  section table: {id u32, pad u32, offset u64, len u64}
+//!               per section, offsets 64-byte-aligned
 //! ...           section payloads, each starting at a 64-byte boundary,
 //!               zero padding between (covered by the body checksum)
 //! ```
@@ -56,10 +57,12 @@
 //! the file*; table-word sections are written in the *writer's*
 //! native order so readers can view them in place, and the endian
 //! tag rejects artifacts that crossed to a foreign-endian host.
-//! Any single-byte corruption anywhere in the file trips
-//! either a structural check (bytes 0–32) or the body checksum
-//! (bytes 32–end), so corrupted artifacts are always rejected rather
-//! than misloaded.
+//! The body checksum covers the section table and every payload, so
+//! a section needs no checksum of its own. Any single-byte
+//! corruption anywhere in the file trips either a structural check
+//! (bytes 0–32; the last section must end the file, which pins the
+//! section count) or the body checksum (bytes 32–end), so corrupted
+//! artifacts are always rejected rather than misloaded.
 
 #![warn(missing_docs)]
 
@@ -68,7 +71,7 @@ use std::fmt;
 /// Current artifact format version. Bump whenever the header, the
 /// section-table entry layout, or any writer's section encoding
 /// changes shape — readers reject artifacts from other versions.
-pub const ARTIFACT_VERSION: u32 = 2;
+pub const ARTIFACT_VERSION: u32 = 3;
 
 /// The artifact magic bytes.
 pub const MAGIC: [u8; 8] = *b"FLAPART\0";
@@ -82,7 +85,7 @@ pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
 pub const HEADER_LEN: usize = 64;
 
 /// Size of one section-table entry.
-pub const SECTION_ENTRY_LEN: usize = 32;
+pub const SECTION_ENTRY_LEN: usize = 24;
 
 /// Required alignment of section offsets and of caller-provided
 /// load buffers: one cache line, so `u32` table sections can be
@@ -119,13 +122,9 @@ pub enum ArtifactError {
     /// zero-copy table views would be misaligned. Copy the bytes
     /// into an [`AlignedBuf`] first.
     Misaligned,
-    /// A checksum does not match: the file was corrupted in transit
-    /// or at rest. `section == u32::MAX` means the whole-body
-    /// checksum; otherwise the id of the failing section.
-    Checksum {
-        /// Failing section id, or `u32::MAX` for the body checksum.
-        section: u32,
-    },
+    /// The body checksum does not match: the file was corrupted in
+    /// transit or at rest.
+    Checksum,
     /// A required section is absent.
     MissingSection {
         /// The absent section's id.
@@ -162,11 +161,8 @@ impl fmt::Display for ArtifactError {
                     "artifact buffer is not 64-byte aligned (copy into AlignedBuf)"
                 )
             }
-            ArtifactError::Checksum { section: u32::MAX } => {
+            ArtifactError::Checksum => {
                 write!(f, "artifact body checksum mismatch (corrupted file)")
-            }
-            ArtifactError::Checksum { section } => {
-                write!(f, "checksum mismatch in artifact section {section}")
             }
             ArtifactError::MissingSection { id } => {
                 write!(f, "artifact is missing required section {id}")
@@ -182,13 +178,45 @@ impl fmt::Display for ArtifactError {
 impl std::error::Error for ArtifactError {}
 
 // ---------------------------------------------------------------------------
-// FNV-1a
+// Checksums
+
+/// Two odd multipliers (2⁶⁴ over the golden ratio, and FxHash's).
+const CHECKSUM_K: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0x517C_C1B7_2722_0A95];
+
+/// The artifact body checksum: folds the bytes in as little-endian
+/// 64-bit words, then a zero-padded last word and the length. The
+/// result does not depend on the host's byte order.
+///
+/// Each word is xored into the state, which is then multiplied,
+/// rotated and multiplied again: a bijection of the state for a fixed
+/// word, and injective in the word for a fixed state. So two inputs
+/// that differ only inside one 8-byte word always hash differently,
+/// and every single-bit flip is caught. The second multiply is there
+/// for changes that span words: a multiply turns a flip of its
+/// input's top bit into a flip of its output's top bit, whatever the
+/// other bits, so with one multiply and a rotation per word, flipping
+/// bit 63 of one word and the bit the rotation moves it to in the
+/// next word would always cancel.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let [k1, k2] = CHECKSUM_K;
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(k1).rotate_left(29).wrapping_mul(k2);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = 0;
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    }
+    let rest = words.remainder();
+    let mut last = [0u8; 8];
+    last[..rest.len()].copy_from_slice(rest);
+    h = step(h, u64::from_le_bytes(last));
+    step(h, bytes.len() as u64)
+}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming 64-bit FNV-1a — the checksum of every artifact section
-/// and the content hash behind `flap::cache` grammar keys.
+/// Streaming 64-bit FNV-1a — the content hash behind grammar keys
+/// (`flap::artifact::grammar_key`).
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv64(u64);
 
@@ -311,9 +339,8 @@ impl AlignedBuf {
 /// Accumulates numbered sections and emits the framed artifact file.
 ///
 /// Section ids are writer-defined (see `flap_staged::artifact` for
-/// the compiled-parser schema); ids must be unique within one
-/// artifact and must not be `u32::MAX` (reserved for the body
-/// checksum's error reporting).
+/// the compiled-parser schema) and must be unique within one
+/// artifact.
 #[derive(Default)]
 pub struct ArtifactWriter {
     sections: Vec<(u32, Vec<u8>)>,
@@ -326,9 +353,8 @@ impl ArtifactWriter {
     }
 
     /// Appends a section. Panics (writer-side programming error, not
-    /// input validation) on a duplicate or reserved id.
+    /// input validation) on a duplicate id.
     pub fn add_section(&mut self, id: u32, payload: Vec<u8>) {
-        assert_ne!(id, u32::MAX, "section id u32::MAX is reserved");
         assert!(
             self.sections.iter().all(|&(existing, _)| existing != id),
             "duplicate artifact section id {id}"
@@ -336,17 +362,17 @@ impl ArtifactWriter {
         self.sections.push((id, payload));
     }
 
-    /// Emits the artifact bytes: header, checksummed section table,
-    /// 64-byte-aligned checksummed sections.
+    /// Emits the artifact bytes: header, section table,
+    /// 64-byte-aligned sections, then the body checksum over them.
     pub fn finish(self) -> Vec<u8> {
         let table_len = self.sections.len() * SECTION_ENTRY_LEN;
         let mut cursor = align_up(HEADER_LEN + table_len, ALIGN);
         let mut entries = Vec::with_capacity(self.sections.len());
         for (id, payload) in &self.sections {
-            entries.push((*id, cursor as u64, payload.len() as u64, fnv1a(payload)));
+            entries.push((*id, cursor as u64, payload.len() as u64));
             cursor = align_up(cursor + payload.len(), ALIGN);
         }
-        let total_len = if let Some((_, off, len, _)) = entries.last() {
+        let total_len = if let Some((_, off, len)) = entries.last() {
             // the file ends at the last payload byte, unpadded
             (*off + *len) as usize
         } else {
@@ -365,18 +391,17 @@ impl ArtifactWriter {
         out[24..32].copy_from_slice(&(total_len as u64).to_le_bytes());
         // body checksum written last, over bytes 40..
 
-        for (i, (id, off, len, sum)) in entries.iter().enumerate() {
+        for (i, (id, off, len)) in entries.iter().enumerate() {
             let e = HEADER_LEN + i * SECTION_ENTRY_LEN;
             out[e..e + 4].copy_from_slice(&id.to_le_bytes());
             // bytes e+4..e+8 pad (zero)
             out[e + 8..e + 16].copy_from_slice(&off.to_le_bytes());
             out[e + 16..e + 24].copy_from_slice(&len.to_le_bytes());
-            out[e + 24..e + 32].copy_from_slice(&sum.to_le_bytes());
         }
-        for ((_, payload), (_, off, len, _)) in self.sections.iter().zip(&entries) {
+        for ((_, payload), (_, off, len)) in self.sections.iter().zip(&entries) {
             out[*off as usize..(*off + *len) as usize].copy_from_slice(payload);
         }
-        let body = fnv1a(&out[40..]);
+        let body = checksum(&out[40..]);
         out[32..40].copy_from_slice(&body.to_le_bytes());
         out
     }
@@ -392,10 +417,10 @@ fn align_up(n: usize, align: usize) -> usize {
 /// A validated view of an artifact byte buffer.
 ///
 /// [`Artifact::load`] performs *all* validation up front — alignment,
-/// magic, version, endianness, length, body checksum, section-table
-/// sanity (in-bounds, aligned, non-overlapping offsets) and every
-/// per-section checksum — so section accessors afterwards are
-/// infallible lookups. The view borrows the caller's buffer; for
+/// magic, version, endianness, length, body checksum and
+/// section-table sanity (in-bounds, aligned, non-overlapping
+/// offsets, the last section ending the file) — so section accessors
+/// afterwards are infallible lookups. The view borrows the caller's buffer; for
 /// owned, shareable zero-copy loading wrap the bytes in
 /// `Arc<`[`AlignedBuf`]`>` and load from `buf.as_slice()`.
 pub struct Artifact<'a> {
@@ -451,8 +476,8 @@ impl<'a> Artifact<'a> {
                 have: data.len(),
             });
         }
-        if fnv1a(&data[40..]) != u64_at(32) {
-            return Err(ArtifactError::Checksum { section: u32::MAX });
+        if checksum(&data[40..]) != u64_at(32) {
+            return Err(ArtifactError::Checksum);
         }
         let table_end = HEADER_LEN
             .checked_add(
@@ -472,12 +497,8 @@ impl<'a> Artifact<'a> {
         for i in 0..count {
             let e = HEADER_LEN + i * SECTION_ENTRY_LEN;
             let id = u32_at(e);
-            if id == u32::MAX {
-                return Err(ArtifactError::Malformed("reserved section id"));
-            }
             let off = u64_at(e + 8) as usize;
             let len = u64_at(e + 16) as usize;
-            let sum = u64_at(e + 24);
             if off % ALIGN != 0 {
                 return Err(ArtifactError::Malformed("unaligned section offset"));
             }
@@ -496,11 +517,14 @@ impl<'a> Artifact<'a> {
             if sections.iter().any(|&(other, _, _)| other == id) {
                 return Err(ArtifactError::Malformed("duplicate section id"));
             }
-            if fnv1a(&data[off..end]) != sum {
-                return Err(ArtifactError::Checksum { section: id });
-            }
             sections.push((id, off, len));
             prev_end = end;
+        }
+        // The writer ends the file with the last section. Without this
+        // check a lowered section count would drop sections unnoticed:
+        // the count lies outside the checksummed body.
+        if prev_end != data.len() {
+            return Err(ArtifactError::Malformed("bytes after the last section"));
         }
         Ok(Artifact { data, sections })
     }
@@ -790,7 +814,7 @@ mod tests {
         let mut bytes = sample();
         bytes[12..16].copy_from_slice(&ENDIAN_TAG.swap_bytes().to_ne_bytes());
         // re-seal the body checksum so the endian check is what fires
-        let sum = fnv1a(&bytes[40..]);
+        let sum = checksum(&bytes[40..]);
         bytes[32..40].copy_from_slice(&sum.to_le_bytes());
         let buf = AlignedBuf::from_bytes(&bytes);
         assert_eq!(
@@ -799,11 +823,86 @@ mod tests {
         );
     }
 
+    /// `sections` framed as format version 2 wrote them: 32-byte
+    /// table entries that end in a per-section FNV-1a, and an FNV-1a
+    /// body checksum.
+    fn version_2(sections: &[(u32, &[u8])]) -> Vec<u8> {
+        let mut cursor = align_up(HEADER_LEN + sections.len() * 32, ALIGN);
+        let mut entries = Vec::new();
+        for (id, payload) in sections {
+            entries.push((*id, cursor, *payload));
+            cursor = align_up(cursor + payload.len(), ALIGN);
+        }
+        let total = entries
+            .last()
+            .map_or(HEADER_LEN, |(_, off, p)| off + p.len());
+        let mut out = vec![0u8; total];
+        out[0..8].copy_from_slice(&MAGIC);
+        out[8..12].copy_from_slice(&2u32.to_le_bytes());
+        out[12..16].copy_from_slice(&ENDIAN_TAG.to_ne_bytes());
+        out[16..20].copy_from_slice(&(sections.len() as u32).to_le_bytes());
+        out[24..32].copy_from_slice(&(total as u64).to_le_bytes());
+        for (i, (id, off, payload)) in entries.iter().enumerate() {
+            let e = HEADER_LEN + i * 32;
+            out[e..e + 4].copy_from_slice(&id.to_le_bytes());
+            out[e + 8..e + 16].copy_from_slice(&(*off as u64).to_le_bytes());
+            out[e + 16..e + 24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+            out[e + 24..e + 32].copy_from_slice(&fnv1a(payload).to_le_bytes());
+            out[*off..off + payload.len()].copy_from_slice(payload);
+        }
+        let body = fnv1a(&out[40..]);
+        out[32..40].copy_from_slice(&body.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn version_2_artifacts_are_rejected() {
+        for bytes in [version_2(&[]), version_2(&[(1, b"hello"), (7, &[9; 160])])] {
+            let buf = AlignedBuf::from_bytes(&bytes);
+            assert_eq!(
+                Artifact::load(buf.as_slice()).err(),
+                Some(ArtifactError::BadVersion {
+                    found: 2,
+                    expected: ARTIFACT_VERSION
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn checksum_catches_bit_flips() {
+        let base: Vec<u8> = (0u8..=200).collect();
+        let sum = checksum(&base);
+        for at in 0..base.len() {
+            for bit in 0..8 {
+                let mut flipped = base.clone();
+                flipped[at] ^= 1 << bit;
+                assert_ne!(checksum(&flipped), sum, "flip of bit {bit} at byte {at}");
+            }
+        }
+        // a word's top bit, flipped with any bit of the next word
+        for word in 0..base.len() / 8 - 1 {
+            for bit in 0..64 {
+                let mut two = base.clone();
+                two[word * 8 + 7] ^= 0x80;
+                two[(word + 1) * 8 + bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(
+                    checksum(&two),
+                    sum,
+                    "word {word}'s top bit and bit {bit} of the next"
+                );
+            }
+        }
+        // length is part of the sum: trailing zeros are not free
+        assert_ne!(checksum(&[0; 8]), checksum(&[0; 9]));
+        assert_ne!(checksum(&[]), checksum(&[0]));
+    }
+
     #[test]
     fn version_drift_is_rejected() {
         let mut bytes = sample();
         bytes[8..12].copy_from_slice(&(ARTIFACT_VERSION + 1).to_le_bytes());
-        let sum = fnv1a(&bytes[40..]);
+        let sum = checksum(&bytes[40..]);
         bytes[32..40].copy_from_slice(&sum.to_le_bytes());
         let buf = AlignedBuf::from_bytes(&bytes);
         assert_eq!(

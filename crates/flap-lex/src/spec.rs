@@ -21,7 +21,7 @@
 
 use std::fmt;
 
-use flap_regex::{is_empty_lang, RegexArena, RegexId, RegexParseError};
+use flap_regex::{EmptinessCheck, RegexArena, RegexId, RegexParseError};
 
 use crate::token::Token;
 
@@ -201,11 +201,26 @@ impl LexerBuilder {
     /// Canonicalizes the accumulated rules into a [`Lexer`] (§4 of the
     /// paper).
     ///
+    /// Every canonical regex is built before any rule is checked, so
+    /// the lexer's regexes, and with them `grammar_key` and an
+    /// artifact's shape check, depend only on the declarations. Then
+    /// each rule is checked for shadowing in declaration order:
+    ///
+    /// * a literal rule (one byte string) is shadowed iff an earlier
+    ///   rule matches its bytes: an earlier literal when it is the
+    ///   same string, any other rule when its derivative along the
+    ///   bytes is nullable;
+    /// * any other rule is shadowed iff its canonical regex denotes
+    ///   the empty language, decided by one [`EmptinessCheck`] for the
+    ///   whole build.
+    ///
     /// # Errors
     ///
     /// Fails if any rule is nullable, or if a rule is completely
     /// shadowed by earlier rules (its canonicalized regex denotes the
-    /// empty language).
+    /// empty language). The first nullable rule in declaration order
+    /// is reported before any shadowed one, and the first shadowed
+    /// rule before any later one.
     pub fn build(mut self) -> Result<Lexer, LexBuildError> {
         let n_tokens = self.token_names.len();
         // 1. Enforce non-nullability up front.
@@ -218,28 +233,45 @@ impl LexerBuilder {
         }
         // 2. Left-disjointness: subtract all earlier rules from each
         //    rule, in declaration priority order.
-        let mut seen = RegexArena::EMPTY; // union of earlier regexes
-        let mut disjoint: Vec<(RegexId, LexAction)> = Vec::with_capacity(self.raw_rules.len());
         let raw = std::mem::take(&mut self.raw_rules);
-        for (r, action) in raw {
-            let canon = self.arena.minus(r, seen);
-            if is_empty_lang(&mut self.arena, canon) {
-                return Err(LexBuildError::ShadowedRule {
-                    name: self.rule_name(action),
-                });
-            }
-            seen = self.arena.alt(seen, r);
-            disjoint.push((canon, action));
-        }
+        let mut seen = RegexArena::EMPTY; // union of earlier regexes
+        let canon: Vec<RegexId> = raw
+            .iter()
+            .map(|&(r, _)| {
+                let canon = self.arena.minus(r, seen);
+                seen = self.arena.alt(seen, r);
+                canon
+            })
+            .collect();
         // 3. Right-disjointness: one regex per token, one skip regex.
         let mut per_token: Vec<RegexId> = vec![RegexArena::EMPTY; n_tokens];
         let mut skip = RegexArena::EMPTY;
-        for (r, action) in disjoint {
+        for (&(_, action), &r) in raw.iter().zip(&canon) {
             match action {
                 LexAction::Return(t) => {
                     per_token[t.index()] = self.arena.alt(per_token[t.index()], r);
                 }
                 LexAction::Skip => skip = self.arena.alt(skip, r),
+            }
+        }
+        // 4. No rule may be shadowed by earlier ones.
+        let literals: Vec<Option<Vec<u8>>> = raw
+            .iter()
+            .map(|&(r, _)| self.arena.literal_bytes(r))
+            .collect();
+        let mut emptiness = EmptinessCheck::new();
+        for (i, (&(_, action), &canon)) in raw.iter().zip(&canon).enumerate() {
+            let shadowed = match &literals[i] {
+                Some(lit) => (0..i).any(|j| match &literals[j] {
+                    Some(earlier) => earlier == lit,
+                    None => self.arena.matches(raw[j].0, lit),
+                }),
+                None => emptiness.is_empty(&mut self.arena, canon),
+            };
+            if shadowed {
+                return Err(LexBuildError::ShadowedRule {
+                    name: self.rule_name(action),
+                });
             }
         }
         let mut rules: Vec<Rule> = per_token
@@ -347,8 +379,12 @@ impl Lexer {
 }
 
 #[cfg(test)]
+mod differential;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use flap_regex::is_empty_lang;
 
     fn sexp_lexer() -> (Lexer, Token, Token, Token) {
         let mut b = LexerBuilder::new();

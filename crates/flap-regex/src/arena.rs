@@ -10,10 +10,10 @@
 //! finite and small — the property that makes derivative-based DFA
 //! construction practical (§2.3 of the flap paper).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::byteset::ByteSet;
+use crate::hash::IdMap;
 
 /// Identifier of an interned regular expression within a
 /// [`RegexArena`].
@@ -96,8 +96,8 @@ pub enum Node {
 pub struct RegexArena {
     nodes: Vec<Node>,
     nullable: Vec<bool>,
-    interned: HashMap<Node, RegexId>,
-    deriv_memo: HashMap<(RegexId, u8), RegexId>,
+    interned: IdMap<Node, RegexId>,
+    deriv_memo: IdMap<(RegexId, u8), RegexId>,
 }
 
 impl RegexArena {
@@ -106,8 +106,8 @@ impl RegexArena {
         let mut arena = RegexArena {
             nodes: Vec::new(),
             nullable: Vec::new(),
-            interned: HashMap::new(),
-            deriv_memo: HashMap::new(),
+            interned: IdMap::default(),
+            deriv_memo: IdMap::default(),
         };
         let empty = arena.intern(Node::Empty);
         let eps = arena.intern(Node::Eps);
@@ -203,6 +203,28 @@ impl RegexArena {
             acc = self.seq(c, acc);
         }
         acc
+    }
+
+    /// The bytes of `id` when it is a non-empty literal as
+    /// [`RegexArena::literal`] builds one: a single-byte class, or a
+    /// right-nested chain of them. `None` for every other shape.
+    pub fn literal_bytes(&self, id: RegexId) -> Option<Vec<u8>> {
+        let mut bytes = Vec::new();
+        let mut at = id;
+        loop {
+            let (head, rest) = match *self.node(at) {
+                Node::Seq(head, rest) => (head, Some(rest)),
+                _ => (at, None),
+            };
+            match self.node(head) {
+                Node::Class(set) if set.len() == 1 => bytes.push(set.min_byte()?),
+                _ => return None,
+            }
+            match rest {
+                Some(rest) => at = rest,
+                None => return Some(bytes),
+            }
+        }
     }
 
     /// Concatenation `a·b`, right-nested and with `ε`/`⊥` simplified
@@ -552,6 +574,23 @@ mod tests {
         assert!(!a.matches(lit, b""));
         let e = a.literal(b"");
         assert_eq!(e, RegexArena::EPS);
+    }
+
+    #[test]
+    fn literal_bytes_reads_back_literals_only() {
+        let mut a = ar();
+        let abc = a.literal(b"abc");
+        assert_eq!(a.literal_bytes(abc), Some(b"abc".to_vec()));
+        let x = a.byte(b'x');
+        assert_eq!(a.literal_bytes(x), Some(b"x".to_vec()));
+        assert_eq!(a.literal_bytes(RegexArena::EPS), None);
+        assert_eq!(a.literal_bytes(RegexArena::EMPTY), None);
+        let xy = a.class(ByteSet::from_bytes(b"xy"));
+        let tail = a.seq(x, xy);
+        assert_eq!(a.literal_bytes(tail), None, "a two-byte class ends it");
+        let xs = a.star(x);
+        let starred = a.seq(x, xs);
+        assert_eq!(a.literal_bytes(starred), None);
     }
 
     #[test]

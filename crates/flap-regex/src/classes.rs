@@ -12,10 +12,9 @@
 //! equivalence but never coarser, so using one representative per
 //! class is always sound.
 
-use std::collections::HashMap;
-
 use crate::arena::{Node, RegexArena, RegexId};
 use crate::byteset::ByteSet;
+use crate::hash::IdMap;
 
 /// A partition of the byte alphabet into disjoint, covering,
 /// non-empty [`ByteSet`]s.
@@ -109,7 +108,7 @@ impl Partition {
 /// cache to a compilation session.
 #[derive(Default, Debug)]
 pub struct ClassCache {
-    memo: HashMap<RegexId, Partition>,
+    memo: IdMap<RegexId, Partition>,
 }
 
 impl ClassCache {

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 
 use crate::arena::{RegexArena, RegexId};
 use crate::classes::ClassCache;
+use crate::hash::IdSet;
 
 /// A dense deterministic finite automaton for a single regex.
 ///
@@ -140,28 +141,56 @@ impl Dfa {
 /// Explores the derivative closure of `r`; the language is empty
 /// exactly when no nullable derivative is reachable. Needed by lexer
 /// canonicalization, where subtraction (`r & ¬s`) can produce regexes
-/// that are empty as languages without being the canonical `⊥`.
+/// that are empty as languages without being the canonical `⊥`. For
+/// many queries against one arena, reuse one [`EmptinessCheck`].
 pub fn is_empty_lang(ar: &mut RegexArena, r: RegexId) -> bool {
-    let mut cache = ClassCache::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut stack = vec![r];
-    while let Some(x) = stack.pop() {
-        if !seen.insert(x) {
-            continue;
-        }
-        if ar.nullable(x) {
-            return false;
-        }
-        let part = cache.classes(ar, x);
-        for set in part.sets() {
-            let rep = set.min_byte().expect("partition classes are non-empty");
-            let d = ar.deriv(x, rep);
-            if d != RegexArena::EMPTY {
-                stack.push(d);
+    EmptinessCheck::new().is_empty(ar, r)
+}
+
+/// Scratch state for a run of [`is_empty_lang`] queries against one
+/// arena: one derivative-class memo, so each regex's classes are
+/// computed once across all queries, and one visited set and work
+/// stack, whose allocations are reused.
+///
+/// The visited set is cleared per query: a query that finds a
+/// nullable derivative stops early and leaves states on it whose
+/// languages were never decided.
+#[derive(Debug, Default)]
+pub struct EmptinessCheck {
+    cache: ClassCache,
+    seen: IdSet<RegexId>,
+    stack: Vec<RegexId>,
+}
+
+impl EmptinessCheck {
+    /// A check with an empty class memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether `r` denotes the empty language, as [`is_empty_lang`].
+    /// `ar` must be the arena of every earlier query.
+    pub fn is_empty(&mut self, ar: &mut RegexArena, r: RegexId) -> bool {
+        self.seen.clear();
+        self.stack.clear();
+        self.stack.push(r);
+        while let Some(x) = self.stack.pop() {
+            if !self.seen.insert(x) {
+                continue;
+            }
+            if ar.nullable(x) {
+                return false;
+            }
+            for set in self.cache.classes(ar, x).sets() {
+                let rep = set.min_byte().expect("partition classes are non-empty");
+                let d = ar.deriv(x, rep);
+                if d != RegexArena::EMPTY {
+                    self.stack.push(d);
+                }
             }
         }
+        true
     }
-    true
 }
 
 /// Decides language equivalence of two regexes by exploring the

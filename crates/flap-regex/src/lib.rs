@@ -41,12 +41,13 @@ mod classes;
 mod dfa;
 mod display;
 mod flatdfa;
+mod hash;
 pub mod parse;
 
 pub use arena::{Node, RegexArena, RegexId};
 pub use byteset::ByteSet;
 pub use classes::{ClassCache, Partition};
-pub use dfa::{equivalent, is_empty_lang, Dfa, DfaState};
+pub use dfa::{equivalent, is_empty_lang, Dfa, DfaState, EmptinessCheck};
 pub use display::DisplayRegex;
 pub use flatdfa::{AlignedU32s, ByteClasses, FastLoop, FlatDfa};
 pub use parse::RegexParseError;

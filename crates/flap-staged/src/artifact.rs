@@ -767,9 +767,9 @@ mod tests {
     /// out of scope — readers reject other versions wholesale).
     #[test]
     fn format_version_guards_section_layout() {
-        assert_eq!(flap_artifact::ARTIFACT_VERSION, 2);
+        assert_eq!(flap_artifact::ARTIFACT_VERSION, 3);
         assert_eq!(flap_artifact::HEADER_LEN, 64);
-        assert_eq!(flap_artifact::SECTION_ENTRY_LEN, 32);
+        assert_eq!(flap_artifact::SECTION_ENTRY_LEN, 24);
         let all = [
             SEC_META,
             SEC_CLASS_MAP,

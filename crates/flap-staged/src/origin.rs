@@ -425,3 +425,63 @@ fn pick<V, T>(
         })
         .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flap_lex::{LexerBuilder, Token};
+
+    fn word_lexer() -> Lexer {
+        let mut lx = LexerBuilder::new();
+        lx.token("atom", "[a-z]+").unwrap();
+        lx.skip(" ").unwrap();
+        lx.build().unwrap()
+    }
+
+    fn word_grammar(tok: Token) -> Cfe<i64> {
+        Cfe::fix(move |x| Cfe::eps_with(|| 0).or(Cfe::tok_val(tok, 1).then(x, |a, b| a + b)))
+    }
+
+    #[test]
+    fn grammar_key_is_stable_and_discriminating() {
+        let lexer = word_lexer();
+        let tok = Token::from_index(0);
+
+        // Stability: two independent constructions of the same grammar
+        // (fresh VarIds each time) produce the same key.
+        let k1 = grammar_key(&lexer, &word_grammar(tok));
+        let k2 = grammar_key(&lexer, &word_grammar(tok));
+        assert_eq!(k1, k2, "key independent of VarId allocation");
+        assert_eq!(k1, grammar_key(&word_lexer(), &word_grammar(tok)));
+
+        // Shape discrimination.
+        let flipped: Cfe<i64> = Cfe::fix(move |x| {
+            Cfe::tok_val(tok, 1)
+                .then(x, |a, b| a + b)
+                .or(Cfe::eps_with(|| 0))
+        });
+        assert_ne!(k1, grammar_key(&lexer, &flipped), "alt order matters");
+
+        // Lexer discrimination: same grammar, different token regex.
+        let mut lx = LexerBuilder::new();
+        lx.token("atom", "[a-z]+[0-9]*").unwrap();
+        lx.skip(" ").unwrap();
+        let other_lexer = lx.build().unwrap();
+        assert_ne!(k1, grammar_key(&other_lexer, &word_grammar(tok)));
+    }
+
+    #[test]
+    fn nested_fix_hashes_by_de_bruijn_level() {
+        let lexer = word_lexer();
+        // μx. μy. y·x  vs  μx. μy. x·y — distinguishable only through
+        // the Var levels.
+        let inner_outer: Cfe<i64> =
+            Cfe::fix(|x| Cfe::fix(move |y| y.then(x, |a, b| a + b).or(Cfe::eps_with(|| 0))));
+        let outer_inner: Cfe<i64> =
+            Cfe::fix(|x| Cfe::fix(move |y| x.then(y, |a, b| a + b).or(Cfe::eps_with(|| 0))));
+        assert_ne!(
+            grammar_key(&lexer, &inner_outer),
+            grammar_key(&lexer, &outer_inner)
+        );
+    }
+}

@@ -18,8 +18,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use flap::artifact::{load_recognizer, peek_fingerprint, AlignedBuf, ArtifactError};
-use flap::cache::grammar_key;
+use flap::artifact::{
+    grammar_key, load_recognizer, peek_fingerprint, AlignedBuf, Artifact, ArtifactError,
+    ArtifactWriter,
+};
 use flap::{IncrementalConfig, Lexer, LexerBuilder, ParseSession, Parser, SliceChunks, Step};
 use flap_grammars::GrammarDef;
 use rand::rngs::StdRng;
@@ -525,6 +527,29 @@ fn corrupted_artifacts_error_out_and_never_panic_or_misparse() {
     corruption_is_detected(flap_grammars::pgn::def(), &mut rng);
     corruption_is_detected(flap_grammars::ppm::def(), &mut rng);
     corruption_is_detected(flap_grammars::csv::def(), &mut rng);
+}
+
+/// Every single-bit flip of every byte of a small two-section
+/// container fails to load: the header's structural checks catch
+/// bytes 0–32, and the body checksum the rest.
+#[test]
+fn every_single_bit_flip_of_a_container_is_rejected() {
+    let mut w = ArtifactWriter::new();
+    w.add_section(1, b"hello".to_vec());
+    w.add_section(7, (0u32..40).flat_map(|v| v.to_le_bytes()).collect());
+    let bytes = w.finish();
+    assert!(Artifact::load(AlignedBuf::from_bytes(&bytes).as_slice()).is_ok());
+    for at in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut evil = bytes.clone();
+            evil[at] ^= 1 << bit;
+            let buf = AlignedBuf::from_bytes(&evil);
+            assert!(
+                Artifact::load(buf.as_slice()).is_err(),
+                "flip of bit {bit} at byte {at} was accepted"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
