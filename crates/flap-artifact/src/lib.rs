@@ -823,52 +823,6 @@ mod tests {
         );
     }
 
-    /// `sections` framed as format version 2 wrote them: 32-byte
-    /// table entries that end in a per-section FNV-1a, and an FNV-1a
-    /// body checksum.
-    fn version_2(sections: &[(u32, &[u8])]) -> Vec<u8> {
-        let mut cursor = align_up(HEADER_LEN + sections.len() * 32, ALIGN);
-        let mut entries = Vec::new();
-        for (id, payload) in sections {
-            entries.push((*id, cursor, *payload));
-            cursor = align_up(cursor + payload.len(), ALIGN);
-        }
-        let total = entries
-            .last()
-            .map_or(HEADER_LEN, |(_, off, p)| off + p.len());
-        let mut out = vec![0u8; total];
-        out[0..8].copy_from_slice(&MAGIC);
-        out[8..12].copy_from_slice(&2u32.to_le_bytes());
-        out[12..16].copy_from_slice(&ENDIAN_TAG.to_ne_bytes());
-        out[16..20].copy_from_slice(&(sections.len() as u32).to_le_bytes());
-        out[24..32].copy_from_slice(&(total as u64).to_le_bytes());
-        for (i, (id, off, payload)) in entries.iter().enumerate() {
-            let e = HEADER_LEN + i * 32;
-            out[e..e + 4].copy_from_slice(&id.to_le_bytes());
-            out[e + 8..e + 16].copy_from_slice(&(*off as u64).to_le_bytes());
-            out[e + 16..e + 24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-            out[e + 24..e + 32].copy_from_slice(&fnv1a(payload).to_le_bytes());
-            out[*off..off + payload.len()].copy_from_slice(payload);
-        }
-        let body = fnv1a(&out[40..]);
-        out[32..40].copy_from_slice(&body.to_le_bytes());
-        out
-    }
-
-    #[test]
-    fn version_2_artifacts_are_rejected() {
-        for bytes in [version_2(&[]), version_2(&[(1, b"hello"), (7, &[9; 160])])] {
-            let buf = AlignedBuf::from_bytes(&bytes);
-            assert_eq!(
-                Artifact::load(buf.as_slice()).err(),
-                Some(ArtifactError::BadVersion {
-                    found: 2,
-                    expected: ARTIFACT_VERSION
-                })
-            );
-        }
-    }
-
     #[test]
     fn checksum_catches_bit_flips() {
         let base: Vec<u8> = (0u8..=200).collect();
@@ -900,18 +854,22 @@ mod tests {
 
     #[test]
     fn version_drift_is_rejected() {
-        let mut bytes = sample();
-        bytes[8..12].copy_from_slice(&(ARTIFACT_VERSION + 1).to_le_bytes());
-        let sum = checksum(&bytes[40..]);
-        bytes[32..40].copy_from_slice(&sum.to_le_bytes());
-        let buf = AlignedBuf::from_bytes(&bytes);
-        assert_eq!(
-            Artifact::load(buf.as_slice()).err(),
-            Some(ArtifactError::BadVersion {
-                found: ARTIFACT_VERSION + 1,
-                expected: ARTIFACT_VERSION
-            })
-        );
+        // version 2 (per-section FNV-1a checksums) and a future one;
+        // the version is read before anything its layout decides
+        for version in [2, ARTIFACT_VERSION + 1] {
+            let mut bytes = sample();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let sum = checksum(&bytes[40..]);
+            bytes[32..40].copy_from_slice(&sum.to_le_bytes());
+            let buf = AlignedBuf::from_bytes(&bytes);
+            assert_eq!(
+                Artifact::load(buf.as_slice()).err(),
+                Some(ArtifactError::BadVersion {
+                    found: version,
+                    expected: ARTIFACT_VERSION
+                })
+            );
+        }
     }
 
     #[test]
