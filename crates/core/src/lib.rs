@@ -112,10 +112,11 @@
 //! per-parse mutable state lives in a caller-owned [`ParseSession`].
 //! Share one parser across any number of threads and give each
 //! thread its own session (allocation-free steady state), or hand a
-//! batch to a [`Parser::serve`] pool: persistent workers, a bounded
-//! submission queue with backpressure, panic isolation and built-in
-//! metrics (see the [`serve`] module). The pool is the only place
-//! the library spawns threads.
+//! batch to a [`Parser::serve`] pool: persistent workers, started on
+//! demand, a bounded submission queue with backpressure, panic
+//! isolation and built-in metrics (see the [`serve`] module). The pool
+//! is the only place the library spawns threads, and a pool whose
+//! callers wait on one job at a time spawns none.
 //!
 //! ```
 //! # use flap::{Cfe, LexerBuilder, Parser};

@@ -385,9 +385,10 @@ impl<V: 'static> Parser<V> {
 }
 
 impl<V: Send + 'static> Parser<V> {
-    /// Spawns a persistent worker pool serving this parser: long-lived
-    /// workers with reusable sessions, a bounded submission queue with
-    /// explicit backpressure, panic isolation and built-in metrics.
+    /// Creates a persistent worker pool serving this parser: worker
+    /// threads started on demand, up to `workers`, and then kept; one
+    /// reusable session per worker; a bounded submission queue with
+    /// explicit backpressure; panic isolation and built-in metrics.
     /// The pool shares the compiled tables via [`Parser::compiled_arc`]
     /// and outlives this `Parser` if need be.
     ///

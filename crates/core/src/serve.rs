@@ -9,8 +9,11 @@
 //! semantic action must kill one request — not the process.
 //! [`ParsePool`] provides exactly that substrate:
 //!
-//! * **Worker pool.** N long-lived worker threads share the compiled
-//!   tables behind an `Arc`. The pool owns N reusable
+//! * **Worker pool.** Up to N long-lived worker threads share the
+//!   compiled tables behind an `Arc`. No thread exists at first: a
+//!   wake-up (below) starts one while fewer than N have started, so a
+//!   pool whose callers submit one job at a time and wait never starts
+//!   any, and overlapping load grows it to N. The pool owns N reusable
 //!   [`ParseSession`]s, and a job starts only with an idle one, so at
 //!   most N parses run at once. After warm-up a parse allocates
 //!   nothing — the same steady state as
@@ -46,7 +49,9 @@
 //!   running. The pool and every other job keep going.
 //! * **Graceful shutdown.** Dropping the pool (or calling
 //!   [`ParsePool::shutdown`]) closes the queue, drains every
-//!   already-accepted job, joins the workers and frees the sessions.
+//!   already-accepted job, joins the started workers and frees the
+//!   sessions. If no worker ever started, the dropping thread runs the
+//!   queued jobs itself.
 //!
 //! # Example
 //!
@@ -85,8 +90,9 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -125,8 +131,11 @@ impl Default for PoolConfig {
 }
 
 impl PoolConfig {
-    /// Number of worker threads; `0` (the default) selects
-    /// [`std::thread::available_parallelism`].
+    /// The most worker threads the pool starts, and its number of
+    /// parse sessions; `0` (the default) selects
+    /// [`std::thread::available_parallelism`]. Threads start on demand
+    /// (see the [module docs](self)), so a pool whose callers wait on
+    /// each job in turn starts none.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
         self
@@ -360,6 +369,11 @@ struct QueueState<V> {
     /// Submitters blocked on `not_full`; a job start wakes one only
     /// when this is non-zero.
     blocked: usize,
+    /// The lanes of the workers not started yet, `started..workers`.
+    /// A wake-up takes the next one under this lock, so two submitters
+    /// never start more than `workers` threads, and starts that worker
+    /// instead of notifying `not_empty`.
+    unstarted: Range<usize>,
     open: bool,
 }
 
@@ -434,12 +448,15 @@ impl<V> Shared<V> {
 /// See the [module docs](self) for the full story and an example.
 pub struct ParsePool<V> {
     shared: Arc<Shared<V>>,
-    threads: Vec<thread::JoinHandle<()>>,
+    /// The workers started so far.
+    threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
 impl<V: Send + 'static> ParsePool<V> {
-    /// Spawns `config.workers` threads and as many sessions over the
-    /// shared compiled tables. The pool runs until
+    /// Creates `config.workers` sessions over the shared compiled
+    /// tables, but no thread: a worker starts only when a wake-up
+    /// needs one, so a pool whose callers submit one job at a time and
+    /// wait never starts any. The pool runs until
     /// [`ParsePool::shutdown`] or drop.
     pub fn new(parser: Arc<CompiledParser<V>>, config: PoolConfig) -> ParsePool<V> {
         let (workers, capacity) = config.resolve();
@@ -452,6 +469,7 @@ impl<V: Send + 'static> ParsePool<V> {
                 jobs: VecDeque::with_capacity(capacity),
                 idle: (0..workers).map(|_| ParseSession::new()).collect(),
                 blocked: 0,
+                unstarted: 0..workers,
                 open: true,
             }),
             not_empty: Condvar::new(),
@@ -461,16 +479,34 @@ impl<V: Send + 'static> ParsePool<V> {
             metrics: Arc::new(Metrics::new(&config.label, workers, capacity)),
             trace: config.trace,
         });
-        let threads = (0..workers)
-            .map(|lane| {
-                let s = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("flap-serve:{}:{lane}", config.label))
-                    .spawn(move || worker_loop(s, lane))
-                    .expect("spawn parse worker")
-            })
-            .collect();
-        ParsePool { shared, threads }
+        ParsePool {
+            shared,
+            threads: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Carries out a wake-up decided under the queue lock, after it
+    /// is released: starts the worker for `lane`, or notifies a
+    /// parked one.
+    fn wake(&self, lane: Option<usize>) {
+        match lane {
+            Some(lane) => self.start_worker(lane),
+            None => self.shared.not_empty.notify_one(),
+        }
+    }
+
+    /// Starts the worker thread for `lane`, which a wake-up claimed.
+    fn start_worker(&self, lane: usize) {
+        let s = Arc::clone(&self.shared);
+        let worker = thread::Builder::new()
+            .name(format!("flap-serve:{}:{lane}", self.shared.metrics.label))
+            .spawn(move || worker_loop(&s, lane))
+            .expect("spawn parse worker");
+        // nothing panics while holding this lock
+        self.threads
+            .lock()
+            .expect("worker list lock poisoned")
+            .push(worker);
     }
 
     /// Submits one input, blocking while the queue is full — the
@@ -500,12 +536,13 @@ impl<V: Send + 'static> ParsePool<V> {
     /// [`SubmitError::Busy`] under backpressure, returning the input.
     pub fn try_submit(&self, input: impl Into<JobInput>) -> Result<JobHandle<V>, SubmitError> {
         let input = input.into();
-        let q = self.shared.queue.lock().unwrap();
+        let mut q = self.shared.queue.lock().unwrap();
         if q.jobs.len() >= self.shared.capacity {
-            drop(q);
             // a full queue may be one lone job whose caller has not
             // waited yet: a worker must start it
-            self.shared.not_empty.notify_one();
+            let lane = q.unstarted.next();
+            drop(q);
+            self.wake(lane);
             self.shared.metrics.job_rejected();
             return Err(SubmitError::Busy(input));
         }
@@ -517,7 +554,18 @@ impl<V: Send + 'static> ParsePool<V> {
     fn enqueue(&self, input: JobInput) -> JobHandle<V> {
         let mut q = self.shared.queue.lock().unwrap();
         while q.jobs.len() >= self.shared.capacity {
-            self.shared.not_empty.notify_one();
+            if let Some(lane) = q.unstarted.next() {
+                drop(q);
+                self.start_worker(lane);
+                // the new worker may have started a job before this
+                // submitter was counted as blocked: look again
+                q = self.shared.queue.lock().unwrap();
+                if q.jobs.len() < self.shared.capacity {
+                    break;
+                }
+            } else {
+                self.shared.not_empty.notify_one();
+            }
             q.blocked += 1;
             q = self.shared.not_full.wait(q).unwrap();
             q.blocked -= 1;
@@ -529,7 +577,8 @@ impl<V: Send + 'static> ParsePool<V> {
     /// worker: it is left to its caller's `wait`, to the next worker
     /// that finishes a job, or to a later push. The push that makes the
     /// queue two long wakes two workers, one for each job, and every
-    /// later push wakes one.
+    /// later push wakes one; a wake-up starts a worker while fewer than
+    /// `workers` have started.
     fn push(&self, mut q: MutexGuard<'_, QueueState<V>>, input: JobInput) -> JobHandle<V> {
         let shared = &*self.shared;
         let slot = Arc::new(Slot {
@@ -543,13 +592,11 @@ impl<V: Send + 'static> ParsePool<V> {
         });
         let queued = q.jobs.len();
         shared.metrics.queue_len(queued, true);
+        let wakes = [queued > 1, queued == 2].map(|w| w.then(|| q.unstarted.next()));
         drop(q);
         shared.metrics.job_submitted();
-        if queued > 1 {
-            shared.not_empty.notify_one();
-        }
-        if queued == 2 {
-            shared.not_empty.notify_one();
+        for lane in wakes.into_iter().flatten() {
+            self.wake(lane);
         }
         JobHandle {
             slot,
@@ -597,14 +644,24 @@ impl<V: Send + 'static> ParsePool<V> {
 
 impl<V> Drop for ParsePool<V> {
     /// Closes the queue and joins the workers once they have drained
-    /// it. Submitting needs `&self`, so nothing can enqueue meanwhile.
-    /// Then frees the idle sessions: handles still outstanding keep the
-    /// shared state alive, but not the sessions' stacks.
+    /// it; if no worker ever started, this thread drains it itself, on
+    /// the caller lane. Submitting needs `&self`, so nothing can enqueue
+    /// or start a worker meanwhile. Then frees the idle sessions:
+    /// handles still outstanding keep the shared state alive, but not
+    /// the sessions' stacks.
     fn drop(&mut self) {
         self.shared.queue.lock().unwrap().open = false;
-        self.shared.not_empty.notify_all();
-        for h in self.threads.drain(..) {
-            let _ = h.join();
+        let threads = self
+            .threads
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        if threads.is_empty() {
+            worker_loop(&self.shared, self.shared.caller_lane);
+        } else {
+            self.shared.not_empty.notify_all();
+            for h in threads.drain(..) {
+                let _ = h.join();
+            }
         }
         self.shared.queue.lock().unwrap().idle.clear();
     }
@@ -613,9 +670,9 @@ impl<V> Drop for ParsePool<V> {
 // ---------------------------------------------------------------------------
 // Workers
 
-/// Runs queued jobs on worker lane `lane` until the pool closes and its
+/// Runs queued jobs on trace lane `lane` until the pool closes and its
 /// queue is drained.
-fn worker_loop<V>(shared: Arc<Shared<V>>, lane: usize) {
+fn worker_loop<V>(shared: &Shared<V>, lane: usize) {
     let mut q = shared.queue.lock().unwrap();
     loop {
         if let Some((job, mut session, unblock)) = q.start(&shared.metrics) {
@@ -623,7 +680,7 @@ fn worker_loop<V>(shared: Arc<Shared<V>>, lane: usize) {
             if unblock {
                 shared.not_full.notify_one();
             }
-            let result = run_job(&shared, &mut session, &job, lane);
+            let result = run_job(shared, &mut session, &job, lane);
             job.done.fill(result);
             // no wake-up needed: this loop takes the next job itself
             q = shared.queue.lock().unwrap();
@@ -744,6 +801,52 @@ mod tests {
         for h in handles {
             assert_eq!(h.wait(), Ok(2), "accepted jobs must complete before join");
         }
+    }
+
+    /// The worker threads `pool` has started, checked against the
+    /// lanes its wake-ups claimed.
+    fn started(pool: &ParsePool<i64>) -> usize {
+        let threads = pool.threads.lock().unwrap().len();
+        assert_eq!(threads, pool.shared.queue.lock().unwrap().unstarted.start);
+        threads
+    }
+
+    fn words(n: usize) -> Vec<u8> {
+        "a ".repeat(n).into_bytes()
+    }
+
+    #[test]
+    fn callers_that_wait_start_no_thread() {
+        let pool = word_pool(|_| 1, PoolConfig::default().workers(2));
+        for n in 0..200 {
+            assert_eq!(
+                pool.submit(words(n % 7)).unwrap().wait(),
+                Ok((n % 7) as i64)
+            );
+        }
+        assert_eq!(started(&pool), 0, "a lone job started a worker");
+        assert_eq!(pool.metrics().snapshot().completed, 200);
+    }
+
+    #[test]
+    fn a_batch_starts_at_most_workers_threads() {
+        let pool = word_pool(|_| 1, PoolConfig::default().workers(2));
+        for _ in 0..3 {
+            let results = pool.parse_batch((0..64).map(|n| words(n % 5)));
+            let expected: Vec<_> = (0..64).map(|n| Ok((n % 5) as i64)).collect();
+            assert_eq!(results, expected);
+            assert_eq!(started(&pool), 2);
+        }
+    }
+
+    #[test]
+    fn shutdown_runs_a_lone_job_when_no_worker_started() {
+        let pool = word_pool(|_| 1, PoolConfig::default().workers(2));
+        drop(pool.submit(&b"a b"[..]).unwrap());
+        assert_eq!(started(&pool), 0);
+        let metrics = pool.metrics_arc();
+        pool.shutdown();
+        assert_eq!(metrics.snapshot().completed, 1, "shutdown dropped the job");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub const LATENCY_BUCKETS: usize = 32;
 /// are relaxed atomics; read a coherent view with
 /// [`Metrics::snapshot`].
 pub struct Metrics {
-    label: Box<str>,
+    pub(super) label: Box<str>,
     workers: usize,
     queue_capacity: usize,
     submitted: AtomicU64,

@@ -3,9 +3,9 @@
 //! The service machinery itself — [`ParsePool`], [`PoolConfig`],
 //! [`JobHandle`], [`Metrics`] — lives in [`flap::serve`] so it is
 //! reachable from the core crate. The pool owns one parse session per
-//! worker; a caller waiting on the job next in line runs it itself
-//! when a session is idle, and a panicking action replaces only its
-//! session. Its metrics split each job's latency into queue wait and
+//! worker and starts a worker thread only when a wake-up needs one; a
+//! caller waiting on the job next in line runs it itself when a
+//! session is idle, and a panicking action replaces only its session. Its metrics split each job's latency into queue wait and
 //! service. This crate re-exports it and adds the server-side
 //! trimmings:
 //!

@@ -473,8 +473,9 @@ fn waiting_callers_never_start_a_job_out_of_order() {
 
 #[test]
 fn a_lone_job_waits_for_its_caller_and_runs_on_its_thread() {
-    // On an idle pool a lone job wakes no worker: it stays queued until
-    // its caller waits, and the caller then runs it on its own lane.
+    // A lone job wakes no worker, so no worker starts: it stays queued
+    // until its caller waits, and the caller then runs it on its own
+    // lane.
     let ran_on = Arc::new(Mutex::new(None));
     let recorder = Arc::new(TraceRecorder::new());
     let (_, pool) = word_pool(
@@ -489,8 +490,6 @@ fn a_lone_job_waits_for_its_caller_and_runs_on_its_thread() {
             .workers(2)
             .trace(Arc::clone(&recorder)),
     );
-    // let both workers start and park
-    std::thread::sleep(Duration::from_millis(20));
     let handle = pool.submit(&b"lone"[..]).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(pool.metrics().snapshot().queue_depth, 1, "a worker took it");
@@ -510,7 +509,7 @@ fn a_lone_job_waits_for_its_caller_and_runs_on_its_thread() {
 
 #[test]
 fn a_second_queued_job_wakes_a_worker_for_each_job() {
-    // Both workers are parked when two jobs queue: the second push
+    // No worker has started when two jobs queue: the second push
     // wakes one worker per job, so they run at once on two workers,
     // with no wait. Woken once, one worker would run both in turn.
     let ran_on = Arc::new(Mutex::new(Vec::new()));
@@ -525,8 +524,6 @@ fn a_second_queued_job_wakes_a_worker_for_each_job() {
         },
         PoolConfig::default().workers(2),
     );
-    // let both workers start and park
-    std::thread::sleep(Duration::from_millis(20));
     let first = pool.submit(&b"first"[..]).unwrap();
     let second = pool.submit(&b"second"[..]).unwrap();
     let start = std::time::Instant::now();
@@ -590,12 +587,11 @@ fn blocked_submitters_all_get_through_a_one_slot_queue() {
 
 #[test]
 fn busy_try_submit_starts_the_queued_lone_job() {
-    // The lone job fills a one-slot queue and wakes no worker. A
-    // try_submit that finds the queue full wakes one before it returns
-    // Busy, so the job starts though nobody waits on it.
+    // The lone job fills a one-slot queue and wakes no worker, so none
+    // starts. A try_submit that finds the queue full wakes (starts) one
+    // before it returns Busy, so the job starts though nobody waits on
+    // it.
     let (_, pool) = word_pool(|_| 1, PoolConfig::default().workers(1).queue_capacity(1));
-    // let the worker start and park
-    std::thread::sleep(Duration::from_millis(20));
     let handle = pool.submit(&b"lone"[..]).unwrap();
     assert!(matches!(
         pool.try_submit(&b"more"[..]),
