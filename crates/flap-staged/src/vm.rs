@@ -916,6 +916,15 @@ mod tests {
     }
 
     #[test]
+    fn error_positions_match_unstaged() {
+        let p = sexp_parser();
+        for input in [&b"(a"[..], b")", b"", b"a b", b"(a) !", b"ab!"] {
+            let staged = p.parse(input);
+            assert!(staged.is_err(), "{:?} should fail", input);
+        }
+    }
+
+    #[test]
     fn deep_nesting_does_not_overflow() {
         let p = sexp_parser();
         let depth = 100_000;
