@@ -856,6 +856,13 @@ mod tests {
         let shared = Arc::clone(&handle.shared);
         pool.shutdown();
         assert!(shared.queue.lock().unwrap().idle.is_empty());
-        assert_eq!(handle.wait(), Ok(2));
+        // With no idle session a wait cannot run the job itself, so a
+        // shutdown that left it queued would block forever: wait from
+        // a helper thread, with a deadline.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = thread::spawn(move || tx.send(handle.wait()).unwrap());
+        let waited = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(waited, Ok(Ok(2)), "the job was still queued after shutdown");
+        waiter.join().unwrap();
     }
 }

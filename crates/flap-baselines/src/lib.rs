@@ -7,8 +7,9 @@
 //! architecture:
 //!
 //! * [`UnfusedParser`] — implementation (g), "normalized": flap's
-//!   DGNF grammar run by the Fig 8 algorithm over tokens. The gap
-//!   between this and flap isolates the value of *fusion*.
+//!   DGNF grammar and lowered actions run by the Fig 8 machine
+//!   ([`flap_dgnf::DgnfParser`]) over tokens. The gap between this
+//!   and flap isolates the value of *fusion*.
 //! * [`AspParser`] — implementation (e): Krishnaswami–Yallop typed
 //!   combinators with precomputed First-set dispatch.
 //! * [`Ll1Parser`] — stand-in for the table-driven parser generators
@@ -17,6 +18,10 @@
 //! * [`LrParser`] — stand-in for the code/table LR tools
 //!   (implementations (a)/(c)): an SLR(1) shift/reduce parser
 //!   generated from the same BNF.
+//!
+//! The LL(1) and SLR parsers run the normalized grammar's unlowered
+//! [`Reduce`](flap_dgnf::Reduce) programs, so they double as oracles
+//! for the lowering that flap and [`UnfusedParser`] share.
 
 #![warn(missing_docs)]
 

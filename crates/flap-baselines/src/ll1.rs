@@ -3,11 +3,12 @@
 //! `menhir --table` architecture).
 //!
 //! Unlike the [`UnfusedParser`](crate::UnfusedParser) baseline (which
-//! runs the Fig 8 algorithm), this is an *independent* construction:
-//! the grammar is treated as plain BNF, FIRST/FOLLOW sets are
-//! computed from scratch, a predictive parse table is built, and
-//! parsing runs the textbook stack automaton that pushes terminals
-//! and nonterminals alike. Tokens are materialized by the shared
+//! runs the Fig 8 machine on lowered continuations), this is an
+//! *independent* construction: the grammar is treated as plain BNF,
+//! FIRST/FOLLOW sets are computed from scratch, a predictive parse
+//! table is built, and parsing runs the textbook stack automaton that
+//! pushes terminals and nonterminals alike, folding values with the
+//! unlowered `Reduce` programs. Tokens are materialized by the shared
 //! compiled lexer.
 //!
 //! Where a nullable nonterminal's FIRST and FOLLOW overlap (possible:

@@ -1,16 +1,17 @@
-//! The materialized token stream shared by every baseline.
+//! The materialized token stream of the asp, LL(1) and SLR baselines.
 //!
 //! This is precisely the interface whose cost flap eliminates (§2.2):
 //! a lexer runs ahead of the parser, materializing one token at a
 //! time; the parser branches on the token tag. The stream is lazy
 //! (one token of lookahead), mirroring the OCaml `Stream` connection
-//! used by the paper's "normalized" baseline.
+//! used by the paper's "normalized" baseline, which pulls the same
+//! lexemes from [`CompiledLexer::lexemes`].
 
 use std::fmt;
 
 use flap_lex::{CompiledLexer, LexError, Lexeme};
 
-/// Parse failure for the token-stream baselines.
+/// Parse failure for the asp, LL(1) and SLR baselines.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BaselineError {
     /// Lexing failed.

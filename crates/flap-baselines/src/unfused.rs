@@ -3,136 +3,47 @@
 //! rather than fused.
 //!
 //! This is the crucial ablation baseline: it shares the DGNF
-//! normalization and the compiled DFA lexer with flap, differing
-//! *only* in the lexer/parser interface. The throughput gap between
-//! this and flap is the paper's headline claim (Fig 11: fusion buys
-//! another 1.7–7.4× on top of normalization).
+//! normalization, the compiled DFA lexer and the lowered semantic
+//! actions ([`flap_dgnf::cont`]) with flap, differing *only* in the
+//! lexer/parser interface. The throughput gap between this and flap
+//! is the paper's headline claim (Fig 11: fusion buys another
+//! 1.7–7.4× on top of normalization).
 
-use flap_cfe::{Cfe, TokAction};
-use flap_dgnf::{normalize, Grammar, Lead, NtId, Reduce};
-use flap_lex::{CompiledLexer, Lexer, Token};
+use flap_cfe::Cfe;
+use flap_dgnf::{normalize, DgnfParseError, DgnfParser};
+use flap_lex::{CompiledLexer, Lexer};
 
-use crate::stream::{BaselineError, TokenStream};
-
-struct IndexedProd<V> {
-    tail: Vec<NtId>,
-    tok_action: TokAction<V>,
-    reduce: Reduce<V>,
-}
-
-struct IndexedNt<V> {
-    /// `dispatch[token] → production`, dense over the token universe.
-    dispatch: Vec<Option<u32>>,
-    eps: Option<Reduce<V>>,
-}
-
-/// The "normalized but unfused" parser: Fig 8 over a lazy token
-/// stream, with O(1) per-token dispatch tables.
+/// The "normalized but unfused" parser: a compiled lexer handing
+/// lexemes one at a time to the indexed Fig 8 machine
+/// [`DgnfParser`].
 pub struct UnfusedParser<V> {
     lexer: CompiledLexer,
-    prods: Vec<IndexedProd<V>>,
-    nts: Vec<IndexedNt<V>>,
-    start: NtId,
+    parser: DgnfParser<V>,
 }
 
 impl<V: 'static> UnfusedParser<V> {
-    /// Normalizes `cfe` and compiles the lexer, building per-token
-    /// dispatch tables.
+    /// Normalizes `cfe`, lowers its actions and compiles the lexer.
     ///
     /// # Errors
     ///
     /// A message if the grammar is ill-typed.
     pub fn build(mut lexer: Lexer, cfe: &Cfe<V>) -> Result<Self, String> {
         flap_cfe::type_check(cfe).map_err(|e| e.to_string())?;
-        let grammar: Grammar<V> = normalize(cfe).map_err(|e| e.to_string())?;
+        let grammar = normalize(cfe).map_err(|e| e.to_string())?;
         grammar.check_dgnf().map_err(|e| e.to_string())?;
-        let compiled = CompiledLexer::build(&mut lexer);
-        let token_count = lexer.token_count();
-        let mut prods = Vec::new();
-        let mut nts = Vec::with_capacity(grammar.nt_count());
-        for nt in grammar.nts() {
-            let entry = grammar.entry(nt);
-            let mut dispatch = vec![None; token_count];
-            for p in &entry.prods {
-                let Lead::Tok(t) = p.lead else {
-                    return Err("residual variable in DGNF grammar".into());
-                };
-                let id = prods.len() as u32;
-                prods.push(IndexedProd {
-                    tail: p.tail.clone(),
-                    tok_action: p
-                        .tok_action
-                        .clone()
-                        .expect("token-led production has an action"),
-                    reduce: p.reduce.clone(),
-                });
-                dispatch[t.index()] = Some(id);
-            }
-            nts.push(IndexedNt {
-                dispatch,
-                eps: entry.eps.first().cloned(),
-            });
-        }
         Ok(UnfusedParser {
-            lexer: compiled,
-            prods,
-            nts,
-            start: grammar.start(),
+            lexer: CompiledLexer::build(&mut lexer),
+            parser: DgnfParser::new(&grammar),
         })
     }
 
-    /// Parses a complete input, materializing tokens on the way.
+    /// Parses a complete input, lexing it one token ahead of the
+    /// parse.
     ///
     /// # Errors
     ///
-    /// [`BaselineError`] on lexing or parsing failure.
-    pub fn parse(&self, input: &[u8]) -> Result<V, BaselineError> {
-        enum Ctl {
-            Nt(NtId),
-            Reduce(u32),
-        }
-        let mut stream = TokenStream::new(&self.lexer, input)?;
-        let mut control = vec![Ctl::Nt(self.start)];
-        let mut values: Vec<V> = Vec::new();
-        while let Some(ctl) = control.pop() {
-            match ctl {
-                Ctl::Reduce(p) => self.prods[p as usize].reduce.run(&mut values),
-                Ctl::Nt(n) => {
-                    let entry = &self.nts[n.index()];
-                    let headed = stream
-                        .peek()
-                        .and_then(|lx| entry.dispatch.get(lx.token.index()).copied().flatten());
-                    match headed {
-                        Some(pid) => {
-                            let lx = stream.advance()?;
-                            let p = &self.prods[pid as usize];
-                            values.push((p.tok_action)(lx.bytes(input)));
-                            control.push(Ctl::Reduce(pid));
-                            for &m in p.tail.iter().rev() {
-                                control.push(Ctl::Nt(m));
-                            }
-                        }
-                        None => match &entry.eps {
-                            Some(e) => e.run(&mut values),
-                            None => {
-                                return Err(BaselineError::Parse {
-                                    pos: stream.error_pos(),
-                                });
-                            }
-                        },
-                    }
-                }
-            }
-        }
-        if let Some(lx) = stream.peek() {
-            return Err(BaselineError::Trailing { pos: lx.start });
-        }
-        debug_assert_eq!(values.len(), 1);
-        Ok(values.pop().expect("parse produced no value"))
-    }
-
-    /// The underlying token universe size (for tests).
-    pub fn token_for_test(&self, i: usize) -> Token {
-        Token::from_index(i)
+    /// [`DgnfParseError`] on lexing or parsing failure.
+    pub fn parse(&self, input: &[u8]) -> Result<V, DgnfParseError> {
+        self.parser.parse(input, self.lexer.lexemes(input))
     }
 }

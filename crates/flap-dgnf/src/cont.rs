@@ -1,13 +1,15 @@
-//! Lowered continuations: what the VM does after committing a token.
+//! Lowered continuations: what a parser does after committing a
+//! token.
 //!
 //! Every token production's reduce program is lowered ahead of time
-//! ([`flap_dgnf::Reduce::lower`]) into post-order action steps
-//! interleaved with its tail nonterminals, and stored *pre-reversed*
-//! in one flat pool of one-word [`Ctl`] entries. Committing a token
-//! then pushes the token's value and copies the production's slice
-//! onto the control stack in one `extend_from_slice`; popping an
-//! action word applies the action to the topmost values. No value is
-//! ever rotated, and no per-production program is interpreted.
+//! ([`Reduce::lower`](crate::Reduce::lower)) into post-order action
+//! steps interleaved with its tail nonterminals, and stored
+//! *pre-reversed* in one flat pool of one-word [`Ctl`] entries.
+//! Committing a token then pushes the token's value and copies the
+//! production's slice onto the control stack in one
+//! `extend_from_slice`; popping an action word applies the action to
+//! the topmost values. No value is ever rotated, and no per-production
+//! program is interpreted.
 //!
 //! Each production also owns a second slice holding only its tail
 //! nonterminals, which is all that action-free recognition and
@@ -15,6 +17,8 @@
 //! the same way but are stored in execution order: they run inline
 //! at the ε stop and never touch the control stack.
 //!
+//! Two engines run these pools: the staged VM of `flap-staged`, and
+//! the token-level Fig 8 machine [`DgnfParser`](crate::DgnfParser).
 //! An artifact stores the pool's words and spans as a [`Layout`];
 //! [`Conts::assemble`] binds a validated layout to one closure per
 //! action slot, so a loader never lowers a program.
@@ -22,15 +26,13 @@
 use std::sync::Arc;
 
 use flap_cfe::{EpsAction, MapAction, SeqAction, TokAction};
-use flap_dgnf::ContOp;
-use flap_fuse::{FusedNt, FusedProd};
 
-use crate::obs::Observer;
+use crate::ContOp;
 
 /// A control-stack word: a 2-bit tag and a 30-bit payload — a
 /// nonterminal to parse, or an index into one of the action tables.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Ctl(u32);
+pub struct Ctl(u32);
 
 impl Ctl {
     const NT: u32 = 0;
@@ -47,18 +49,18 @@ impl Ctl {
     }
 
     /// Parse nonterminal `nt` (dense index).
-    pub(crate) fn nt(nt: u32) -> Ctl {
+    pub fn nt(nt: u32) -> Ctl {
         Ctl::new(Ctl::NT, nt as usize)
     }
 
     /// A stored word, unchecked: [`Layout::validate`] range-checks
     /// it before any engine runs it.
-    pub(crate) fn from_word(w: u32) -> Ctl {
+    pub fn from_word(w: u32) -> Ctl {
         Ctl(w)
     }
 
     /// The word as stored.
-    pub(crate) fn word(self) -> u32 {
+    pub fn word(self) -> u32 {
         self.0
     }
 
@@ -68,57 +70,63 @@ impl Ctl {
 
     /// Whether this word names a nonterminal rather than an action.
     #[inline(always)]
-    pub(crate) fn is_nt(self) -> bool {
+    pub fn is_nt(self) -> bool {
         self.0 & 3 == Ctl::NT
     }
 
     /// The nonterminal or action-table index.
     #[inline(always)]
-    pub(crate) fn payload(self) -> u32 {
+    pub fn payload(self) -> u32 {
         self.0 >> 2
     }
 }
 
 /// A `start..end` range of the pool.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct Span {
-    pub(crate) start: u32,
-    pub(crate) end: u32,
+pub struct Span {
+    /// First word.
+    pub start: u32,
+    /// One past the last word.
+    pub end: u32,
 }
 
 /// Action-table marker: this step completes no production.
 const NO_PROD: u32 = u32::MAX;
 
 /// A flat production's entry into the pool.
-pub(crate) struct Head<V> {
+pub struct Head<V> {
     /// Lead-value action; `None` for an F2 skip self-loop.
-    pub(crate) tok_action: Option<TokAction<V>>,
+    pub tok_action: Option<TokAction<V>>,
     /// The lowered continuation, pre-reversed: its last word runs
     /// first.
-    pub(crate) cont: Span,
+    pub cont: Span,
     /// The tail nonterminals alone, pre-reversed.
-    pub(crate) nts: Span,
+    pub nts: Span,
 }
 
 /// Every production's continuation plus the actions its words name.
-pub(crate) struct Conts<V> {
-    /// Per flat production (`StopAction::Match` indexes it).
-    pub(crate) heads: Vec<Head<V>>,
-    /// ε program per nonterminal in execution order (`StopAction::Eps`
-    /// indexes it); `None` without an ε rule.
-    pub(crate) eps: Vec<Option<Span>>,
-    pub(crate) pool: Vec<Ctl>,
+///
+/// Every span lies inside the pool, and every action word indexes its
+/// table: the `push_` methods keep that true, and
+/// [`Conts::assemble`] relies on [`Layout::validate`] for it.
+pub struct Conts<V> {
+    /// Per flat production, in the order they were pushed.
+    heads: Vec<Head<V>>,
+    /// ε program per nonterminal in execution order; `None` without
+    /// an ε rule.
+    eps: Vec<Option<Span>>,
+    pool: Vec<Ctl>,
     /// Binary actions, each with the flat production whose
-    /// continuation it completes (or `NO_PROD`), for
-    /// [`Observer::reduce`].
+    /// continuation it completes (or `NO_PROD`), for the reduce hook
+    /// of [`Conts::run`].
     user: Vec<(SeqAction<V>, u32)>,
     /// Map actions, with completion markers as for `user`.
     map: Vec<(MapAction<V>, u32)>,
     eps_actions: Vec<EpsAction<V>>,
 }
 
-impl<V> Conts<V> {
-    pub(crate) fn new() -> Self {
+impl<V> Default for Conts<V> {
+    fn default() -> Self {
         Conts {
             heads: Vec::new(),
             eps: Vec::new(),
@@ -128,11 +136,13 @@ impl<V> Conts<V> {
             eps_actions: Vec::new(),
         }
     }
+}
 
+impl<V> Conts<V> {
     /// Rebuilds a pool from its stored `layout`, already checked by
     /// [`Layout::validate`], binding `actions`, whose
     /// [`Actions::counts`] must equal the layout's.
-    pub(crate) fn assemble(layout: Layout, actions: Actions<V>) -> Conts<V> {
+    pub fn assemble(layout: Layout, actions: Actions<V>) -> Conts<V> {
         let mut tok = actions.tok.into_iter();
         let heads: Vec<Head<V>> = layout
             .heads
@@ -180,15 +190,33 @@ impl<V> Conts<V> {
         }
     }
 
+    /// Per flat production, in the order they were pushed.
+    #[inline(always)]
+    pub fn heads(&self) -> &[Head<V>] {
+        &self.heads
+    }
+
+    /// ε program per nonterminal, in execution order; `None` without
+    /// an ε rule.
+    #[inline(always)]
+    pub fn eps(&self) -> &[Option<Span>] {
+        &self.eps
+    }
+
+    /// The words every [`Span`] indexes.
+    pub fn pool(&self) -> &[Ctl] {
+        &self.pool
+    }
+
     /// Lengths of the binary, map and ε action tables.
-    pub(crate) fn table_lens(&self) -> [usize; 3] {
+    pub fn table_lens(&self) -> [usize; 3] {
         [self.user.len(), self.map.len(), self.eps_actions.len()]
     }
 
     /// The address of every action's closure, in [`Actions`] order:
     /// token productions' lead actions, then the binary, map and ε
     /// tables.
-    pub(crate) fn closure_addrs(&self) -> [Vec<usize>; 4] {
+    pub fn closure_addrs(&self) -> [Vec<usize>; 4] {
         [
             self.heads
                 .iter()
@@ -202,28 +230,12 @@ impl<V> Conts<V> {
 
     /// The words of `span`.
     #[inline(always)]
-    pub(crate) fn slice(&self, span: Span) -> &[Ctl] {
+    pub fn slice(&self, span: Span) -> &[Ctl] {
         &self.pool[span.start as usize..span.end as usize]
     }
 
-    /// Appends a fused production, lowering its reduce program.
-    pub(crate) fn push_fused(&mut self, p: &FusedProd<V>) {
-        match &p.token {
-            None => self.push_skip(),
-            Some(t) => {
-                let tail: Vec<u32> = t.tail.iter().map(|m| m.index() as u32).collect();
-                self.push_token(Arc::clone(&t.tok_action), &tail, t.reduce.lower());
-            }
-        }
-    }
-
-    /// Appends a fused nonterminal's ε rule (lowered), if any.
-    pub(crate) fn push_fused_eps(&mut self, nt: &FusedNt<V>) {
-        self.push_eps(nt.eps.as_ref().map(|(_, e)| e.lower()));
-    }
-
     /// Appends an F2 skip production.
-    pub(crate) fn push_skip(&mut self) {
+    pub fn push_skip(&mut self) {
         self.heads.push(Head {
             tok_action: None,
             cont: Span::default(),
@@ -238,12 +250,7 @@ impl<V> Conts<V> {
     ///
     /// If `ops` does not parse exactly the tail — a reduce arity that
     /// is not one more than the tail length.
-    pub(crate) fn push_token(
-        &mut self,
-        tok_action: TokAction<V>,
-        tail: &[u32],
-        ops: Vec<ContOp<V>>,
-    ) {
+    pub fn push_token(&mut self, tok_action: TokAction<V>, tail: &[u32], ops: Vec<ContOp<V>>) {
         let prod = u32::try_from(self.heads.len()).expect("production index overflow");
         assert_eq!(
             ops.iter()
@@ -272,7 +279,7 @@ impl<V> Conts<V> {
     }
 
     /// Appends the next nonterminal's ε program (lowered), if any.
-    pub(crate) fn push_eps(&mut self, ops: Option<Vec<ContOp<V>>>) {
+    pub fn push_eps(&mut self, ops: Option<Vec<ContOp<V>>>) {
         let span = ops.map(|ops| {
             let words: Vec<Ctl> = ops.into_iter().map(|op| self.action(op, NO_PROD)).collect();
             self.extend(words.into_iter())
@@ -314,13 +321,13 @@ impl<V> Conts<V> {
     }
 
     /// Whether flat production `p` is an F2 skip self-loop.
-    pub(crate) fn is_skip(&self, p: usize) -> bool {
+    pub fn is_skip(&self, p: usize) -> bool {
         self.heads[p].tok_action.is_none()
     }
 
     /// The tail nonterminals of flat production `p`, in order (empty
     /// for skip productions).
-    pub(crate) fn tail(&self, p: usize) -> Vec<u32> {
+    pub fn tail(&self, p: usize) -> Vec<u32> {
         self.slice(self.heads[p].nts)
             .iter()
             .rev()
@@ -328,10 +335,10 @@ impl<V> Conts<V> {
             .collect()
     }
 
-    /// Runs action word `w` on the top of the value stack, reporting
-    /// the production it completes (if any) to `obs`.
+    /// Runs action word `w` on the top of the value stack, passing
+    /// the flat production it completes (if any) to `reduce`.
     #[inline(always)]
-    pub(crate) fn run<O: Observer>(&self, w: Ctl, values: &mut Vec<V>, obs: &mut O) {
+    pub fn run(&self, w: Ctl, values: &mut Vec<V>, mut reduce: impl FnMut(u32)) {
         let i = w.payload() as usize;
         match w.0 & 3 {
             Ctl::USER => {
@@ -340,7 +347,7 @@ impl<V> Conts<V> {
                 let a = values.pop().expect("value stack underflow");
                 values.push(f(a, b));
                 if *done != NO_PROD {
-                    obs.reduce(*done);
+                    reduce(*done);
                 }
             }
             Ctl::MAP => {
@@ -348,7 +355,7 @@ impl<V> Conts<V> {
                 let v = values.pop().expect("value stack underflow");
                 values.push(f(v));
                 if *done != NO_PROD {
-                    obs.reduce(*done);
+                    reduce(*done);
                 }
             }
             Ctl::EPS => values.push((self.eps_actions[i])()),
@@ -358,22 +365,25 @@ impl<V> Conts<V> {
 }
 
 /// The address of the closure behind an action: its identity.
-pub(crate) fn closure_addr<T: ?Sized>(f: &Arc<T>) -> usize {
+pub fn closure_addr<T: ?Sized>(f: &Arc<T>) -> usize {
     Arc::as_ptr(f) as *const () as usize
 }
 
 /// One closure per action slot of a pool.
-pub(crate) struct Actions<V> {
+pub struct Actions<V> {
     /// The lead action of each token production, in production order.
-    pub(crate) tok: Vec<TokAction<V>>,
-    pub(crate) user: Vec<SeqAction<V>>,
-    pub(crate) map: Vec<MapAction<V>>,
-    pub(crate) eps: Vec<EpsAction<V>>,
+    pub tok: Vec<TokAction<V>>,
+    /// The binary action table.
+    pub user: Vec<SeqAction<V>>,
+    /// The map action table.
+    pub map: Vec<MapAction<V>>,
+    /// The ε action table.
+    pub eps: Vec<EpsAction<V>>,
 }
 
 impl<V> Actions<V> {
     /// Token productions, then binary, map and ε slots.
-    pub(crate) fn counts(&self) -> [usize; 4] {
+    pub fn counts(&self) -> [usize; 4] {
         [
             self.tok.len(),
             self.user.len(),
@@ -385,20 +395,21 @@ impl<V> Actions<V> {
 
 /// A pool as an artifact stores it: its words and spans, without
 /// actions.
-pub(crate) struct Layout {
-    pub(crate) pool: Vec<Ctl>,
+pub struct Layout {
+    /// The words, as [`Conts::pool`].
+    pub pool: Vec<Ctl>,
     /// Per flat production: `None` for a skip production, else its
     /// continuation and tail spans.
-    pub(crate) heads: Vec<Option<(Span, Span)>>,
+    pub heads: Vec<Option<(Span, Span)>>,
     /// Per nonterminal: its ε program, if any.
-    pub(crate) eps: Vec<Option<Span>>,
+    pub eps: Vec<Option<Span>>,
     /// Lengths of the binary, map and ε action tables.
-    pub(crate) tables: [usize; 3],
+    pub tables: [usize; 3],
 }
 
 impl Layout {
     /// As [`Actions::counts`]: the slots an [`Actions`] must fill.
-    pub(crate) fn counts(&self) -> [usize; 4] {
+    pub fn counts(&self) -> [usize; 4] {
         let [user, map, eps] = self.tables;
         [self.heads.iter().flatten().count(), user, map, eps]
     }
@@ -415,7 +426,7 @@ impl Layout {
     ///   continuation's nonterminals, in order;
     /// * an ε program parses no nonterminal and leaves exactly one
     ///   value.
-    pub(crate) fn validate(&self, nt_count: usize) -> Result<(), &'static str> {
+    pub fn validate(&self, nt_count: usize) -> Result<(), &'static str> {
         let [user, map, eps] = self.tables;
         for w in &self.pool {
             let bound = match w.tag() {

@@ -185,9 +185,10 @@ impl<V> Reduce<V> {
     }
 
     /// Runs the program over the value stack — the interpreter behind
-    /// [`crate::parse_tokens`], flap-fuse's Fig 9 parser and the
-    /// baselines. The staged VM runs [`Reduce::lower`]ed programs
-    /// instead.
+    /// flap-fuse's Fig 9 parser and the LL(1) and SLR baselines, which
+    /// stay unlowered as oracles for lowering. The staged VM and
+    /// [`DgnfParser`](crate::DgnfParser) run [`Reduce::lower`]ed
+    /// programs instead.
     #[inline]
     pub fn run(&self, st: &mut Vec<V>) {
         for op in self.ops.iter() {
@@ -580,11 +581,6 @@ impl<V> Grammar<V> {
     /// Whether `nt` has an ε-production.
     pub fn nullable(&self, nt: NtId) -> bool {
         !self.entry(nt).eps.is_empty()
-    }
-
-    /// Looks up the unique production of `nt` beginning with `t`.
-    pub fn prod_for(&self, nt: NtId, t: Token) -> Option<&Prod<V>> {
-        self.entry(nt).prods.iter().find(|p| p.lead == Lead::Tok(t))
     }
 
     /// Checks Definition 2: every production is `n → t n̄` or

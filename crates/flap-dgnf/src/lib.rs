@@ -13,8 +13,11 @@
 //!   the appendix's alias-elimination optimization;
 //! * [`Grammar::check_dgnf`] — Definition 2 (determinism and guarded
 //!   ε-productions);
-//! * [`parse_tokens`] — the DGNF parsing algorithm of Fig 8 over a
-//!   token stream;
+//! * [`cont`] — lowered reduce programs as one flat pool of
+//!   continuations, the action format that the staged VM and
+//!   [`DgnfParser`] run;
+//! * [`DgnfParser`] — the DGNF parsing algorithm of Fig 8 over a
+//!   lexeme stream, running those continuations;
 //! * [`expand_words`] — the expansion relation of Definition 1,
 //!   bounded, for soundness testing (Theorem 3.8).
 //!
@@ -22,7 +25,7 @@
 //!
 //! ```
 //! use flap_cfe::Cfe;
-//! use flap_dgnf::{normalize, parse_tokens};
+//! use flap_dgnf::{normalize, DgnfParser};
 //! use flap_lex::{CompiledLexer, LexerBuilder};
 //!
 //! let mut b = LexerBuilder::new();
@@ -37,14 +40,15 @@
 //! let grammar = normalize(&g)?;
 //! grammar.check_dgnf()?;
 //!
+//! let parser = DgnfParser::new(&grammar);
 //! let input = b"aaaz";
-//! let lexemes = clex.tokenize(input)?;
-//! assert_eq!(parse_tokens(&grammar, input, &lexemes)?, 3);
+//! assert_eq!(parser.parse(input, clex.lexemes(input))?, 3);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
 
+pub mod cont;
 mod expand;
 mod grammar;
 mod normalize;
@@ -55,4 +59,4 @@ pub use grammar::{
     trim, ContOp, DgnfError, DisplayGrammar, Grammar, Lead, NtEntry, NtId, Prod, Reduce, ReduceOp,
 };
 pub use normalize::{normalize, normalize_untrimmed, NormalizeError};
-pub use parse::{parse_tokens, DgnfParseError};
+pub use parse::{DgnfParseError, DgnfParser};

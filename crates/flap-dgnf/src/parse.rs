@@ -1,19 +1,22 @@
-//! The DGNF parsing algorithm of Fig 8, over a materialized token
-//! sequence.
+//! The DGNF parsing algorithm of Fig 8, over a lexeme stream.
 //!
 //! `P` (parse one nonterminal) and `Q` (parse a sequence of
-//! nonterminals) become one loop over an explicit control stack;
-//! semantic values accumulate on a value stack that the productions'
-//! [`Reduce`](crate::Reduce) actions fold. This is both the executable
-//! specification for the fused/staged parsers downstream and the
-//! parsing half of the "normalized but unfused" baseline of §6
+//! nonterminals) become one loop over an explicit control stack of
+//! [`Ctl`] words. Each nonterminal dispatches on the lookahead token
+//! through a dense `nt × token` table; committing a production pushes
+//! the token's value and its lowered continuation
+//! ([`crate::cont`]), the same words the staged VM runs. This is the
+//! token-level oracle for the fused parsers downstream and the parsing
+//! half of the "normalized but unfused" baseline of §6
 //! (implementation (g)).
 
 use std::fmt;
+use std::sync::Arc;
 
 use flap_lex::{LexError, Lexeme, Token};
 
-use crate::grammar::{Grammar, NtId, Reduce};
+use crate::cont::{Conts, Ctl};
+use crate::grammar::{Grammar, Lead, NtId};
 
 /// Parse failure for the token-level DGNF parser.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,75 +74,117 @@ impl From<LexError> for DgnfParseError {
     }
 }
 
-enum Ctl<'g, V> {
-    Nt(NtId),
-    Reduce(&'g Reduce<V>),
-}
-
-/// Parses `lexemes` (with lexeme bytes drawn from `input`) according
-/// to `g`, returning the semantic value.
+/// Fig 8 over a stream of lexemes, built once from a DGNF grammar.
 ///
-/// Implements Fig 8 directly: for each pending nonterminal, commit to
-/// the unique production headed by the next token; fall back to the
+/// For each pending nonterminal the parser commits to the unique
+/// production headed by the next token, and falls back to the
 /// ε-production only when no headed production applies (DGNF's
 /// guarded-ε condition makes this deterministic).
-///
-/// # Errors
-///
-/// [`DgnfParseError`] on token mismatch, premature end of input, or
-/// trailing tokens.
-pub fn parse_tokens<V>(
-    g: &Grammar<V>,
-    input: &[u8],
-    lexemes: &[Lexeme],
-) -> Result<V, DgnfParseError> {
-    let mut control: Vec<Ctl<'_, V>> = vec![Ctl::Nt(g.start())];
-    let mut values: Vec<V> = Vec::new();
-    let mut idx = 0usize;
-    while let Some(ctl) = control.pop() {
-        match ctl {
-            Ctl::Reduce(r) => r.run(&mut values),
-            Ctl::Nt(n) => {
-                let entry = g.entry(n);
-                let next = lexemes.get(idx);
-                let headed = next.and_then(|lx| g.prod_for(n, lx.token));
-                match (headed, next) {
-                    (Some(p), Some(lx)) => {
-                        let act = p
-                            .tok_action
-                            .as_ref()
-                            .expect("token-led production carries a token action");
-                        values.push(act(lx.bytes(input)));
-                        control.push(Ctl::Reduce(&p.reduce));
-                        for &m in p.tail.iter().rev() {
-                            control.push(Ctl::Nt(m));
-                        }
-                        idx += 1;
+pub struct DgnfParser<V> {
+    /// `table[nt * width + token]`: the production (an index into
+    /// `conts`) that `nt` commits to on `token`; `width` is one past
+    /// the largest head token.
+    table: Vec<Option<u32>>,
+    width: usize,
+    conts: Conts<V>,
+    start: u32,
+}
+
+impl<V> DgnfParser<V> {
+    /// Lowers every production of `g` into a continuation and indexes
+    /// it by nonterminal and head token. `g` should satisfy
+    /// [`Grammar::check_dgnf`]; of two productions with one head, the
+    /// first is taken.
+    ///
+    /// # Panics
+    ///
+    /// If a production still leads with a μ-variable, which
+    /// `check_dgnf` rejects.
+    pub fn new(g: &Grammar<V>) -> DgnfParser<V> {
+        let mut conts = Conts::default();
+        let mut heads = Vec::new();
+        for nt in g.nts() {
+            let e = g.entry(nt);
+            for p in &e.prods {
+                let (Lead::Tok(t), Some(act)) = (p.lead, &p.tok_action) else {
+                    panic!("a production of {nt:?} leads with a variable: not DGNF");
+                };
+                heads.push((nt.index(), t.index()));
+                let tail: Vec<u32> = p.tail.iter().map(|m| m.index() as u32).collect();
+                conts.push_token(Arc::clone(act), &tail, p.reduce.lower());
+            }
+            conts.push_eps(e.eps.first().map(|r| r.lower()));
+        }
+        let width = heads.iter().map(|&(_, t)| t + 1).max().unwrap_or(0);
+        let mut table = vec![None; g.nt_count() * width];
+        for (p, &(nt, t)) in heads.iter().enumerate().rev() {
+            table[nt * width + t] = Some(p as u32);
+        }
+        DgnfParser {
+            table,
+            width,
+            conts,
+            start: g.start().index() as u32,
+        }
+    }
+
+    /// Parses `lexemes`, whose bytes are drawn from `input`, returning
+    /// the start symbol's value. Lexemes are pulled one at a time, one
+    /// ahead of the parse, so a lazy lexer such as
+    /// [`flap_lex::CompiledLexer::lexemes`] runs in step with it.
+    ///
+    /// # Errors
+    ///
+    /// [`DgnfParseError`] on a lexing failure, token mismatch,
+    /// premature end of input, or trailing tokens.
+    pub fn parse(
+        &self,
+        input: &[u8],
+        lexemes: impl IntoIterator<Item = Result<Lexeme, LexError>>,
+    ) -> Result<V, DgnfParseError> {
+        let mut lexemes = lexemes.into_iter();
+        let mut next = lexemes.next().transpose()?;
+        let mut control = vec![Ctl::nt(self.start)];
+        let mut values: Vec<V> = Vec::new();
+        while let Some(w) = control.pop() {
+            if !w.is_nt() {
+                self.conts.run(w, &mut values, |_| {});
+                continue;
+            }
+            let nt = w.payload() as usize;
+            let row = &self.table[nt * self.width..(nt + 1) * self.width];
+            match next.map(|lx| (lx, row.get(lx.token.index()).copied().flatten())) {
+                Some((lx, Some(p))) => {
+                    let head = &self.conts.heads()[p as usize];
+                    let act = head.tok_action.as_ref().expect("a token production");
+                    values.push(act(lx.bytes(input)));
+                    control.extend_from_slice(self.conts.slice(head.cont));
+                    next = lexemes.next().transpose()?;
+                }
+                _ => {
+                    let Some(eps) = self.conts.eps()[nt] else {
+                        let nt = NtId::from_index(nt);
+                        return Err(match next {
+                            Some(lx) => DgnfParseError::UnexpectedToken {
+                                token: lx.token,
+                                pos: lx.start,
+                                nt,
+                            },
+                            None => DgnfParseError::UnexpectedEof { nt },
+                        });
+                    };
+                    for &w in self.conts.slice(eps) {
+                        self.conts.run(w, &mut values, |_| {});
                     }
-                    _ => match entry.eps.first() {
-                        Some(e) => e.run(&mut values),
-                        None => {
-                            return Err(match next {
-                                Some(lx) => DgnfParseError::UnexpectedToken {
-                                    token: lx.token,
-                                    pos: lx.start,
-                                    nt: n,
-                                },
-                                None => DgnfParseError::UnexpectedEof { nt: n },
-                            });
-                        }
-                    },
                 }
             }
         }
+        if let Some(lx) = next {
+            return Err(DgnfParseError::TrailingInput { pos: lx.start });
+        }
+        debug_assert_eq!(values.len(), 1, "parse must produce exactly one value");
+        Ok(values.pop().expect("parse produced no value"))
     }
-    if idx != lexemes.len() {
-        return Err(DgnfParseError::TrailingInput {
-            pos: lexemes[idx].start,
-        });
-    }
-    debug_assert_eq!(values.len(), 1, "parse must produce exactly one value");
-    Ok(values.pop().expect("parse produced no value"))
 }
 
 #[cfg(test)]
@@ -172,8 +217,7 @@ mod tests {
 
     fn count_atoms(input: &[u8]) -> Result<i64, DgnfParseError> {
         let (_, clex, g) = sexp_setup();
-        let lexemes = clex.tokenize(input)?;
-        parse_tokens(&g, input, &lexemes)
+        DgnfParser::new(&g).parse(input, clex.lexemes(input))
     }
 
     #[test]
@@ -226,8 +270,8 @@ mod tests {
         let g = normalize(&expr).unwrap();
         g.check_dgnf().unwrap();
         let input = b"1+20+300";
-        let lexemes = clex.tokenize(input).unwrap();
-        assert_eq!(parse_tokens(&g, input, &lexemes).unwrap(), 321);
+        let parser = DgnfParser::new(&g);
+        assert_eq!(parser.parse(input, clex.lexemes(input)).unwrap(), 321);
     }
 
     #[test]
@@ -241,8 +285,8 @@ mod tests {
                 .map(|v| v * 10);
         let g = normalize(&expr).unwrap();
         let input = b"7";
-        let lexemes = clex.tokenize(input).unwrap();
-        assert_eq!(parse_tokens(&g, input, &lexemes).unwrap(), 70);
+        let parser = DgnfParser::new(&g);
+        assert_eq!(parser.parse(input, clex.lexemes(input)).unwrap(), 70);
     }
 
     #[test]
@@ -263,8 +307,8 @@ mod tests {
         gram.check_dgnf().unwrap();
         // "aab" → 2*(2*100+1)+1 = 403
         let input = b"aab";
-        let lexemes = clex.tokenize(input).unwrap();
-        assert_eq!(parse_tokens(&gram, input, &lexemes).unwrap(), 403);
+        let parser = DgnfParser::new(&gram);
+        assert_eq!(parser.parse(input, clex.lexemes(input)).unwrap(), 403);
     }
 
     #[test]
@@ -297,9 +341,9 @@ mod tests {
         });
         let g = normalize(&sexp).unwrap();
         let input = b"(foo (bar  baz) ())";
-        let lexemes = clex.tokenize(input).unwrap();
+        let parser = DgnfParser::new(&g);
         assert_eq!(
-            parse_tokens(&g, input, &lexemes).unwrap(),
+            parser.parse(input, clex.lexemes(input)).unwrap(),
             "(foo (bar baz) ())"
         );
     }

@@ -720,7 +720,7 @@ mod tests {
                 .then(Cfe::tok_val(rpar, 0), |n, _| n)
                 .or(Cfe::tok_val(atom, 1))
         });
-        let g = normalize(&sexp).unwrap();
+        let machine = flap_dgnf::DgnfParser::new(&normalize(&sexp).unwrap());
         for input in [
             &b"a"[..],
             b"()",
@@ -732,10 +732,7 @@ mod tests {
             b"a b",
         ] {
             let fused_res = parse_fused(&fused, lexer.arena_mut(), input);
-            let tok_res = clex
-                .tokenize(input)
-                .map_err(|e| e.pos)
-                .and_then(|lx| flap_dgnf::parse_tokens(&g, input, &lx).map_err(|_| usize::MAX));
+            let tok_res = machine.parse(input, clex.lexemes(input));
             assert_eq!(
                 fused_res.is_ok(),
                 tok_res.is_ok(),

@@ -40,12 +40,12 @@ use flap_artifact::{
     AlignedBuf, Artifact, ArtifactError, ArtifactWriter, SectionBuf, SectionReader,
 };
 use flap_cfe::{Cfe, EpsAction, MapAction, SeqAction, TokAction};
+use flap_dgnf::cont::{Actions, Conts, Ctl, Layout, Span};
 use flap_fuse::Expected;
 use flap_lex::Lexer;
 use flap_regex::{AlignedU32s, FlatDfa};
 
 use crate::compile::{decode_stop, CompiledParser, StopAction, STOP};
-use crate::cont::{Actions, Conts, Ctl, Layout, Span};
 use crate::origin::Origin;
 
 /// Scalar header fields: stride, state count, counts, grammar key.
@@ -114,7 +114,7 @@ impl<V> CompiledParser<V> {
         // order (stable, independent of expected-set iteration).
         let mut prods = SectionBuf::new();
         prods.put_u32(self.prod_count() as u32);
-        for (i, head) in self.conts.heads.iter().enumerate() {
+        for (i, head) in self.conts.heads().iter().enumerate() {
             prods.put_u8(u8::from(head.tok_action.is_some()));
             prods.put_u32(self.prod_owner[i]);
             let name_id = match &self.prod_names[i] {
@@ -139,7 +139,7 @@ impl<V> CompiledParser<V> {
 
         let mut nt = SectionBuf::new();
         nt.put_u32(self.nt_start_row.len() as u32);
-        for (&row, eps) in self.nt_start_row.iter().zip(&self.conts.eps) {
+        for (&row, eps) in self.nt_start_row.iter().zip(self.conts.eps()) {
             nt.put_u32(row / self.stride);
             nt.put_u8(u8::from(eps.is_some()));
             if let Some(eps) = eps {
@@ -151,8 +151,8 @@ impl<V> CompiledParser<V> {
         for len in self.conts.table_lens() {
             conts.put_u32(len as u32);
         }
-        conts.put_u32(self.conts.pool.len() as u32);
-        for w in &self.conts.pool {
+        conts.put_u32(self.conts.pool().len() as u32);
+        for w in self.conts.pool() {
             conts.put_u32(w.word());
         }
 

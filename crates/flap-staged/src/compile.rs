@@ -28,7 +28,7 @@
 //! ([`flap_dgnf::Reduce::lower`]) into post-order action steps
 //! interleaved with its tail nonterminals, and every continuation is
 //! stored pre-reversed in one flat pool of one-word control entries
-//! (see [`crate::cont`]); ε programs lower the same way. Like flap's
+//! (see [`flap_dgnf::cont`]); ε programs lower the same way. Like flap's
 //! generated code (§2.8), the VM then applies each semantic action
 //! directly to its operands: no value-stack rotations and no
 //! per-production program interpreter remain at parse time.
@@ -36,11 +36,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use flap_dgnf::cont::Conts;
 use flap_fuse::{Expected, FusedGrammar};
 use flap_lex::{Lexer, Token};
 use flap_regex::{AlignedU32s, ByteClasses, ClassCache, FlatDfa, RegexArena, RegexId};
-
-use crate::cont::Conts;
 
 /// Transition-table entry: `STOP`, or `(target_row << 2) | mark`,
 /// where the target row is premultiplied by the stride and the
@@ -106,7 +105,7 @@ pub struct CompiledParser<V> {
     pub(crate) nt_start_row: Vec<u32>,
     /// Per flat production (`StopAction::Match`) and per ε rule
     /// (`StopAction::Eps`): the lowered continuations, one-word
-    /// control entries in one flat pool (see [`crate::cont`]).
+    /// control entries in one flat pool (see [`flap_dgnf::cont`]).
     pub(crate) conts: Conts<V>,
     /// Flattened DFA for the skip regex (sink precomputed as the
     /// `DEAD` sentinel), used to consume trailing skippable input;
@@ -155,7 +154,7 @@ impl<V> CompiledParser<V> {
         // Flatten productions, lowering each reduce program into its
         // continuation, and pre-allocate per-NT tables.
         let nt_count = fused.nt_count();
-        let mut conts = Conts::new();
+        let mut conts = Conts::default();
         let mut prod_token: Vec<Option<Token>> = Vec::new();
         let mut prod_owner: Vec<u32> = Vec::new();
         let mut per_nt_prods: Vec<Vec<(RegexId, u32)>> = Vec::with_capacity(nt_count);
@@ -163,19 +162,25 @@ impl<V> CompiledParser<V> {
             let entry = fused.entry(nt);
             let mut list = Vec::with_capacity(entry.prods.len());
             for p in &entry.prods {
-                let flat = conts.heads.len() as u32;
-                conts.push_fused(p);
+                let flat = conts.heads().len() as u32;
+                match &p.token {
+                    None => conts.push_skip(),
+                    Some(t) => {
+                        let tail: Vec<u32> = t.tail.iter().map(|m| m.index() as u32).collect();
+                        conts.push_token(Arc::clone(&t.tok_action), &tail, t.reduce.lower());
+                    }
+                }
                 prod_token.push(p.token.as_ref().map(|t| t.token));
                 prod_owner.push(nt.index() as u32);
                 list.push((p.regex, flat));
             }
             per_nt_prods.push(list);
-            conts.push_fused_eps(entry);
+            conts.push_eps(entry.eps.as_ref().map(|(_, e)| e.lower()));
         }
 
         // One start state per nonterminal: k = back iff it has ε.
         let mut nt_start = Vec::with_capacity(nt_count);
-        for (nt, (live, eps)) in per_nt_prods.iter().zip(&conts.eps).enumerate() {
+        for (nt, (live, eps)) in per_nt_prods.iter().zip(conts.eps()).enumerate() {
             let k = if eps.is_some() {
                 StopAction::Eps(nt as u32)
             } else {
@@ -262,7 +267,7 @@ impl<V> CompiledParser<V> {
     /// `class`/`rule` identifiers this parser's engine reports to an
     /// [`Observer`](crate::Observer).
     pub fn prod_count(&self) -> usize {
-        self.conts.heads.len()
+        self.conts.heads().len()
     }
 
     /// Token name of flat production `p`, or `None` for F2 skip

@@ -33,10 +33,10 @@
 use std::mem::size_of;
 use std::ops::Range;
 
+use flap_dgnf::cont::Ctl;
 use flap_fuse::FusedParseError;
 
 use crate::compile::CompiledParser;
-use crate::cont::Ctl;
 use crate::edit_log::{Ckpt, EditLog, IncrementalConfig, ReuseStats};
 use crate::obs::{NoopObserver, Observer};
 use crate::vm::{Flow, ParseSession, Resume};

@@ -111,7 +111,6 @@
 pub mod artifact;
 pub mod codegen;
 mod compile;
-mod cont;
 mod edit_log;
 mod incremental;
 mod metrics;

@@ -41,11 +41,11 @@ use std::sync::Arc;
 
 use flap_artifact::{ArtifactError, Fnv64, SectionBuf, SectionReader};
 use flap_cfe::{Cfe, CfeNode, VarId};
+use flap_dgnf::cont::{closure_addr as addr, Actions};
 use flap_lex::{LexAction, Lexer};
 use flap_regex::{Node, RegexId};
 
 use crate::compile::CompiledParser;
-use crate::cont::{closure_addr as addr, Actions};
 use crate::metrics::SizeReport;
 
 /// Version tag at the head of every encoding.

@@ -16,7 +16,7 @@
 //! Nested calls become an explicit stack of one-word entries, so
 //! deeply nested inputs cannot overflow the machine stack. Each entry
 //! is a nonterminal to parse or an action to apply (see
-//! [`crate::cont`]). Committing a token production pushes the token's
+//! [`flap_dgnf::cont`]). Committing a token production pushes the token's
 //! value and copies the production's pre-reversed continuation — its
 //! tail nonterminals interleaved with its lowered reduce actions —
 //! onto the control stack with one `extend_from_slice`; when the
@@ -69,10 +69,10 @@
 //! allocates a fresh session per call; servers and benchmarks should
 //! hold one session per worker thread and reuse it.
 
+use flap_dgnf::cont::Ctl;
 use flap_fuse::{line_col, FusedParseError};
 
 use crate::compile::{decode_stop, CompiledParser, StopAction, STOP};
-use crate::cont::Ctl;
 use crate::obs::{NoopObserver, Observer};
 use crate::stream::{ByteSource, Step, StreamError, StreamState};
 
@@ -279,7 +279,7 @@ impl<V> CompiledParser<V> {
                             break (nt, pos, row as usize, pos, pos);
                         }
                         if ACTIONS {
-                            conts.run(w, values, obs);
+                            conts.run(w, values, |p| obs.reduce(p));
                         }
                     },
                 };
@@ -332,10 +332,10 @@ impl<V> CompiledParser<V> {
                         }
                         StopAction::Eps(n) => {
                             if ACTIONS {
-                                let eps = conts.eps[n as usize]
+                                let eps = conts.eps()[n as usize]
                                     .expect("Eps stop action implies an ε rule");
                                 for &w in conts.slice(eps) {
-                                    conts.run(w, values, obs);
+                                    conts.run(w, values, |p| obs.reduce(p));
                                 }
                             }
                             obs.eps_reduce();
@@ -344,7 +344,7 @@ impl<V> CompiledParser<V> {
                         }
                         StopAction::Match(p) => {
                             pos = rs;
-                            let head = &conts.heads[p as usize];
+                            let head = &conts.heads()[p as usize];
                             let cont = match &head.tok_action {
                                 None => {
                                     obs.skipped(pos - tok_start);

@@ -14,13 +14,16 @@
 //! unlowered `Reduce` programs: values and errors alike. So must the
 //! same parser saved as an artifact and loaded back over a freshly
 //! built grammar, whose actions are re-bound by provenance: one wrong
-//! closure shows up in the formatted value.
+//! closure shows up in the formatted value. Lex-then-parse, the
+//! token-level Fig 8 machine running the same lowered continuations,
+//! must compute the same values.
 
 // Errors inline their expected-token set (allocation-free); the
 // larger Err variant is deliberate.
 #![allow(clippy::result_large_err)]
 
-use flap::flap_dgnf::{Grammar, ReduceOp};
+use flap::flap_dgnf::{DgnfParser, Grammar, ReduceOp};
+use flap::flap_lex::CompiledLexer;
 use std::ops::Range;
 
 use flap::{
@@ -375,10 +378,12 @@ fn agrees_with_oracle(name: &str, build: fn(&Toks) -> Cfe<String>, seed: u64) {
     let Engines {
         staged,
         loaded,
+        dgnf,
         mut oracle,
-        ..
     } = engines;
     let parsers = [("compiled", &staged), ("loaded", &loaded)];
+    let machine = DgnfParser::new(&dgnf);
+    let clex = CompiledLexer::build(&mut lexer().0);
     let mut rng = StdRng::seed_from_u64(seed);
 
     for _ in 0..40 {
@@ -389,6 +394,11 @@ fn agrees_with_oracle(name: &str, build: fn(&Toks) -> Cfe<String>, seed: u64) {
             want.is_ok(),
             "{name}: generated sentence rejected: {}",
             String::from_utf8_lossy(&doc)
+        );
+        assert_eq!(
+            machine.parse(&doc, clex.lexemes(&doc)).ok().as_ref(),
+            want.as_ref().ok(),
+            "{name}: lex-then-parse"
         );
         for (how, parser) in parsers {
             assert_eq!(parser.parse(&doc), want, "{name}: {how} one-shot parse");

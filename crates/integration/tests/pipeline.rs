@@ -12,8 +12,8 @@ use flap_grammars::GrammarDef;
 fn stage_agreement<V: 'static>(def: &GrammarDef<V>) {
     // staged-fused VM vs unstaged-fused interpreter: identical values
     // and identical errors (position, line/column, expected set).
-    // Both vs the token-level DGNF parser and the reference oracle:
-    // identical accept/reject and values.
+    // Both vs lex-then-parse (the token-level Fig 8 machine) and the
+    // reference oracle: identical accept/reject and values.
     let parser = def.flap_parser();
     let mut lexer = (def.lexer)();
     let grammar = flap_dgnf::normalize(&(def.cfe)()).expect("normalizes");
@@ -21,23 +21,18 @@ fn stage_agreement<V: 'static>(def: &GrammarDef<V>) {
     let fused = flap_fuse::fuse(&mut lexer, &grammar).expect("fuses");
     let mut lexer2 = (def.lexer)();
     let clex = flap_lex::CompiledLexer::build(&mut lexer2);
+    let machine = flap_dgnf::DgnfParser::new(&grammar);
 
     for input in &workload(def, 12) {
         let staged = parser.parse(input).map(def.finish);
         let unstaged = flap_fuse::parse_fused(&fused, lexer.arena_mut(), input).map(def.finish);
         assert_eq!(staged, unstaged, "[{}] staged vs unstaged", def.name);
         let staged = staged.ok();
-        let tokens = clex
-            .tokenize(input)
+        let tokens = machine
+            .parse(input, clex.lexemes(input))
             .ok()
-            .and_then(|lx| flap_dgnf::parse_tokens(&grammar, input, &lx).ok())
             .map(def.finish);
-        // token-level Fig 8 does not consume trailing whitespace,
-        // so only compare when both succeed or the fused side
-        // also failed
-        if tokens.is_some() || staged.is_none() {
-            assert_eq!(staged, tokens, "[{}] staged vs token-level", def.name);
-        }
+        assert_eq!(staged, tokens, "[{}] staged vs token-level", def.name);
         let oracle = (def.reference)(input).ok();
         assert_eq!(staged, oracle, "[{}] staged vs oracle", def.name);
     }

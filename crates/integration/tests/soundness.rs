@@ -5,7 +5,7 @@
 //! membership.
 
 use flap_cfe::{naive_matches, type_check, Cfe};
-use flap_dgnf::{expand_words, normalize, parse_tokens};
+use flap_dgnf::{expand_words, normalize, DgnfParser};
 use flap_lex::{CompiledLexer, Lexeme, Token};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,6 +117,7 @@ fn dgnf_parser_agrees_with_membership() {
         }
         tested += 1;
         let grammar = normalize(&g).expect("normalizes");
+        let parser = DgnfParser::new(&grammar);
         for w in &words {
             let lexemes: Vec<Lexeme> = w
                 .iter()
@@ -128,7 +129,9 @@ fn dgnf_parser_agrees_with_membership() {
                 })
                 .collect();
             let input = vec![b'x'; w.len()];
-            let parsed = parse_tokens(&grammar, &input, &lexemes).is_ok();
+            let parsed = parser
+                .parse(&input, lexemes.iter().copied().map(Ok))
+                .is_ok();
             let member = naive_matches(&g, w);
             assert_eq!(parsed, member, "Fig 8 disagrees with semantics on {:?}", w);
         }
