@@ -15,7 +15,7 @@ use std::sync::Arc;
 use flap_cfe::{Cfe, CfeNode, EpsAction, MapAction, SeqAction, TokAction, Ty, VarId};
 use flap_lex::{CompiledLexer, Lexer, Token, TokenSet};
 
-use crate::stream::{BaselineError, TokenStream};
+use crate::stream::{parse_error, BaselineError};
 
 enum Node<V> {
     Eps(EpsAction<V>),
@@ -130,7 +130,8 @@ impl<V: 'static> AspParser<V> {
             /// After a Map body: apply.
             MapDone(u32),
         }
-        let mut stream = TokenStream::new(&self.lexer, input)?;
+        let mut lexemes = self.lexer.lexemes(input);
+        let mut next = lexemes.next().transpose()?;
         let mut frames: Vec<Frame<V>> = Vec::new();
         let mut cur = self.root;
         let mut result: Option<V>;
@@ -138,22 +139,14 @@ impl<V: 'static> AspParser<V> {
             // descend until a leaf produces a value
             let v = loop {
                 match &self.nodes[cur as usize] {
-                    Node::Bot => {
-                        return Err(BaselineError::Parse {
-                            pos: stream.error_pos(),
-                        })
-                    }
+                    Node::Bot => return Err(parse_error(next, input)),
                     Node::Eps(f) => break f(),
-                    Node::Tok(t, a) => match stream.peek() {
+                    Node::Tok(t, a) => match next {
                         Some(lx) if lx.token == *t => {
-                            let lx = stream.advance()?;
+                            next = lexemes.next().transpose()?;
                             break a(lx.bytes(input));
                         }
-                        _ => {
-                            return Err(BaselineError::Parse {
-                                pos: stream.error_pos(),
-                            })
-                        }
+                        _ => return Err(parse_error(next, input)),
                     },
                     Node::Seq(x, y, _) => {
                         frames.push(Frame::SeqLeft(*y, cur));
@@ -167,16 +160,12 @@ impl<V: 'static> AspParser<V> {
                         first_right,
                         null_right,
                     } => {
-                        cur = match stream.peek() {
+                        cur = match next {
                             Some(lx) if first_left.contains(lx.token) => *left,
                             Some(lx) if first_right.contains(lx.token) => *right,
                             _ if *null_left => *left,
                             _ if *null_right => *right,
-                            _ => {
-                                return Err(BaselineError::Parse {
-                                    pos: stream.error_pos(),
-                                })
-                            }
+                            _ => return Err(parse_error(next, input)),
                         };
                     }
                     Node::Map(x, _) => {
@@ -212,7 +201,7 @@ impl<V: 'static> AspParser<V> {
             }
             break;
         }
-        if let Some(lx) = stream.peek() {
+        if let Some(lx) = next {
             return Err(BaselineError::Trailing { pos: lx.start });
         }
         Ok(result.expect("parse produced no value"))

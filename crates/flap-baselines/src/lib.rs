@@ -35,5 +35,5 @@ mod unfused;
 pub use asp::AspParser;
 pub use ll1::Ll1Parser;
 pub use lr::LrParser;
-pub use stream::{BaselineError, TokenStream};
+pub use stream::BaselineError;
 pub use unfused::UnfusedParser;

@@ -20,7 +20,7 @@ use flap_cfe::Cfe;
 use flap_lex::{CompiledLexer, Lexer};
 
 use crate::bnf::{Bnf, Sym};
-use crate::stream::{BaselineError, TokenStream};
+use crate::stream::{parse_error, BaselineError};
 
 const NO_PROD: u32 = u32::MAX;
 
@@ -99,7 +99,8 @@ impl<V: 'static> Ll1Parser<V> {
             R(u32),
         }
         let cols = self.bnf.token_count + 1;
-        let mut stream = TokenStream::new(&self.lexer, input)?;
+        let mut lexemes = self.lexer.lexemes(input);
+        let mut next = lexemes.next().transpose()?;
         let mut stack: Vec<M> = vec![M::N(self.bnf.start)];
         let mut values: Vec<V> = Vec::new();
         while let Some(m) = stack.pop() {
@@ -109,28 +110,19 @@ impl<V: 'static> Ll1Parser<V> {
                     let Sym::T(t, action) = &self.bnf.prods[pid as usize].rhs[idx] else {
                         unreachable!("M::T always points at a terminal");
                     };
-                    match stream.peek() {
+                    match next {
                         Some(lx) if lx.token == *t => {
-                            let lx = stream.advance()?;
+                            next = lexemes.next().transpose()?;
                             values.push(action(lx.bytes(input)));
                         }
-                        _ => {
-                            return Err(BaselineError::Parse {
-                                pos: stream.error_pos(),
-                            })
-                        }
+                        _ => return Err(parse_error(next, input)),
                     }
                 }
                 M::N(nt) => {
-                    let col = stream
-                        .peek()
-                        .map(|lx| lx.token.index())
-                        .unwrap_or(self.bnf.token_count);
+                    let col = next.map_or(self.bnf.token_count, |lx| lx.token.index());
                     let pid = self.table[nt as usize * cols + col];
                     if pid == NO_PROD {
-                        return Err(BaselineError::Parse {
-                            pos: stream.error_pos(),
-                        });
+                        return Err(parse_error(next, input));
                     }
                     let p = &self.bnf.prods[pid as usize];
                     stack.push(M::R(pid));
@@ -143,7 +135,7 @@ impl<V: 'static> Ll1Parser<V> {
                 }
             }
         }
-        if let Some(lx) = stream.peek() {
+        if let Some(lx) = next {
             return Err(BaselineError::Trailing { pos: lx.start });
         }
         debug_assert_eq!(values.len(), 1);

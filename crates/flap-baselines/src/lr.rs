@@ -23,7 +23,7 @@ use flap_cfe::Cfe;
 use flap_lex::{CompiledLexer, Lexer};
 
 use crate::bnf::{Bnf, Sym};
-use crate::stream::{BaselineError, TokenStream};
+use crate::stream::{parse_error, BaselineError};
 
 /// Grammar symbols for the LR construction (terminals and
 /// nonterminals in one dense space: `0..token_count` are terminals,
@@ -216,26 +216,24 @@ impl<V: 'static> LrParser<V> {
     pub fn parse(&self, input: &[u8]) -> Result<V, BaselineError> {
         let t_count = self.bnf.token_count;
         let cols = t_count + 1;
-        let mut stream = TokenStream::new(&self.lexer, input)?;
+        let mut lexemes = self.lexer.lexemes(input);
+        let mut next = lexemes.next().transpose()?;
         // state stack; terminal entries remember their lexeme span
         let mut stack: Vec<(u32, Option<(usize, usize)>)> = vec![(0, None)];
         let mut values: Vec<V> = Vec::new();
         loop {
             let state = stack.last().expect("stack never empties").0;
-            let col = stream.peek().map(|lx| lx.token.index()).unwrap_or(t_count);
+            let col = next.map_or(t_count, |lx| lx.token.index());
             match self.action[state as usize * cols + col] {
-                Action::Err => {
-                    return Err(BaselineError::Parse {
-                        pos: stream.error_pos(),
-                    })
-                }
+                Action::Err => return Err(parse_error(next, input)),
                 Action::Accept => {
                     debug_assert_eq!(values.len(), 1);
                     return Ok(values.pop().expect("parse produced no value"));
                 }
-                Action::Shift(next) => {
-                    let lx = stream.advance()?;
-                    stack.push((next, Some((lx.start, lx.end))));
+                Action::Shift(to) => {
+                    let lx = next.expect("SLR shifts only on a token");
+                    next = lexemes.next().transpose()?;
+                    stack.push((to, Some((lx.start, lx.end))));
                 }
                 Action::Reduce(pid) => {
                     let p = &self.bnf.prods[pid as usize];
@@ -258,9 +256,7 @@ impl<V: 'static> LrParser<V> {
                     let state = stack.last().expect("stack never empties").0;
                     let target = self.goto_nt[state as usize * self.bnf.nt_count + p.lhs as usize];
                     if target == u32::MAX {
-                        return Err(BaselineError::Parse {
-                            pos: stream.error_pos(),
-                        });
+                        return Err(parse_error(next, input));
                     }
                     stack.push((target, None));
                 }

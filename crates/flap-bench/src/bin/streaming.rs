@@ -3,9 +3,11 @@
 //! output next to the Fig 11 numbers.
 //!
 //! Usage: `cargo run -p flap-bench --release --bin streaming --
-//! [doc_kb] [iters] [--json]` (default one ≈256 KiB document, median
-//! of 5 timed runs). `--json` prints the results as the JSON document
-//! checked in as `BENCH_streaming.json`.
+//! [doc_kb] [iters] [--json] [--smoke [snapshot]]` (default one
+//! ≈256 KiB document, median of 5 timed runs; `--json` and `--smoke`
+//! as in `flap_bench::cli`, against `BENCH_streaming.json`). Every
+//! run, the smoke pass included, asserts that the contiguous and
+//! every chunked parse agree with the grammar's reference parser.
 //!
 //! One `flap::Parser` per grammar (JSON and s-expressions) parses the
 //! same document through one reused `ParseSession`, first as a single
@@ -145,9 +147,11 @@ fn print_table(results: &[GrammarResult], iters: usize) {
 }
 
 fn main() -> ExitCode {
-    let cli = Cli::parse("streaming", None);
-    let doc_kb: usize = cli.arg(0, 256);
-    let iters: usize = cli.arg(1, 5);
+    let cli = Cli::parse("streaming", Some("BENCH_streaming.json"));
+    // a smoke run is a fast schema-and-oracle pass: its numbers mean
+    // nothing
+    let doc_kb: usize = cli.arg(0, if cli.smoke() { 64 } else { 256 });
+    let iters: usize = cli.arg(1, if cli.smoke() { 2 } else { 5 });
 
     let results: Vec<GrammarResult> = [flap_grammars::json::def(), flap_grammars::sexp::def()]
         .iter()

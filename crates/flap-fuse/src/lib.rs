@@ -51,4 +51,4 @@ mod fuse;
 mod parse;
 
 pub use fuse::{fuse, DisplayFused, FuseError, FusedGrammar, FusedNt, FusedProd, FusedToken};
-pub use parse::{line_col, parse_fused, parse_fused_with, Expected, FusedParseError, FusedSession};
+pub use parse::{line_col, parse_fused, Expected, FusedParseError};

@@ -16,9 +16,8 @@
 //! The interpreter runs once over a whole input and is kept as the
 //! differential oracle for the staged VM, which alone suspends
 //! between chunks, re-parses incrementally and reports to observers.
-//! Its per-parse mutable state (control stack, value stack, live
-//! derivative set) lives in a caller-owned [`FusedSession`],
-//! mirroring `flap-staged`'s `ParseSession`.
+//! Each call owns its per-parse state (control stack, value stack,
+//! live derivative set).
 
 use std::fmt;
 use std::sync::Arc;
@@ -251,10 +250,9 @@ impl std::error::Error for FusedParseError {}
 /// Control-stack entry: parse a nonterminal, or run the reduce of
 /// production `prods[idx]` of nonterminal `nt`.
 ///
-/// Reduces are addressed by index rather than held by borrow or
-/// `Arc` clone, so entries stay `Copy` and the stack can live in a
-/// session that outlives any single call without refcount traffic on
-/// the per-token hot path.
+/// Reduces are addressed by index rather than held by `Arc` clone,
+/// so entries stay `Copy`, with no refcount traffic on the per-token
+/// path.
 #[derive(Clone, Copy)]
 enum Ctl {
     Nt(NtId),
@@ -270,41 +268,6 @@ enum K {
     On(usize),
 }
 
-/// Caller-owned scratch state for fused parsing: the control stack,
-/// value stack and live-derivative set of the Fig 9 interpreter. The
-/// unstaged counterpart of `flap_staged::ParseSession`.
-pub struct FusedSession<V> {
-    control: Vec<Ctl>,
-    values: Vec<V>,
-    /// Reused scratch buffer for the live derivative set.
-    live: Vec<(RegexId, usize)>,
-}
-
-impl<V> FusedSession<V> {
-    /// An empty session; buffers grow on first use and are then
-    /// retained across parses.
-    pub fn new() -> Self {
-        FusedSession {
-            control: Vec::new(),
-            values: Vec::new(),
-            live: Vec::new(),
-        }
-    }
-
-    /// Clears all per-parse state, retaining buffer capacity.
-    pub fn reset(&mut self) {
-        self.control.clear();
-        self.values.clear();
-        self.live.clear();
-    }
-}
-
-impl<V> Default for FusedSession<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// The immutable-per-call context of the fused interpreter: the
 /// grammar and the derivative arena.
 struct Machine<'a, V> {
@@ -313,17 +276,14 @@ struct Machine<'a, V> {
 }
 
 impl<V> Machine<'_, V> {
-    /// Runs Fig 9 over the whole input, leaving the start symbol's
-    /// value on `values`: `G` pops the control stack, `F` scans one
-    /// token for each nonterminal it pops, and once the stack is empty
-    /// the trailing skippable input is consumed.
-    fn run(
-        &mut self,
-        control: &mut Vec<Ctl>,
-        values: &mut Vec<V>,
-        live: &mut Vec<(RegexId, usize)>,
-        input: &[u8],
-    ) -> Result<(), FusedParseError> {
+    /// Runs Fig 9 over the whole input and returns the start
+    /// symbol's value: `G` pops the control stack, `F` scans one token
+    /// for each nonterminal it pops, and once the stack is empty the
+    /// trailing skippable input is consumed.
+    fn run(&mut self, input: &[u8]) -> Result<V, FusedParseError> {
+        let mut control = vec![Ctl::Nt(self.fg.start())];
+        let mut values: Vec<V> = Vec::new();
+        let mut live: Vec<(RegexId, usize)> = Vec::new();
         let mut pos = 0usize;
         while let Some(ctl) = control.pop() {
             let nt = match ctl {
@@ -332,7 +292,7 @@ impl<V> Machine<'_, V> {
                         .token
                         .as_ref()
                         .expect("Reduce entries address token productions");
-                    tok.reduce.run(values);
+                    tok.reduce.run(&mut values);
                     continue;
                 }
                 Ctl::Nt(nt) => nt,
@@ -378,7 +338,7 @@ impl<V> Machine<'_, V> {
                 K::Back => {
                     // consume nothing: pos stays at the token start
                     let (_, eps) = entry.eps.as_ref().expect("Back implies an ε rule");
-                    eps.run(values);
+                    eps.run(&mut values);
                 }
                 K::On(idx) => {
                     match &entry.prods[idx].token {
@@ -421,7 +381,8 @@ impl<V> Machine<'_, V> {
             let (line, col) = line_col(input, pos);
             return Err(FusedParseError::TrailingInput { pos, line, col });
         }
-        Ok(())
+        debug_assert_eq!(values.len(), 1, "parse must produce exactly one value");
+        Ok(values.pop().expect("parse produced no value"))
     }
 
     /// The expected-token set at a `NoMatch`: replays the failing
@@ -461,11 +422,13 @@ impl<V> Machine<'_, V> {
 /// Parses the whole input with the fused grammar, computing
 /// derivatives on the fly (the unstaged algorithm of §5.3).
 ///
-/// Convenience wrapper over [`parse_fused_with`] that allocates a
-/// fresh [`FusedSession`] per call.
-///
 /// Trailing skippable input (e.g. final whitespace) is consumed after
 /// the start symbol completes.
+///
+/// Unlike the staged VM, the unstaged interpreter *must* mutate the
+/// regex arena (derivatives are computed and memoized at parse time),
+/// so concurrent use requires one arena per thread. `arena` must be
+/// the one `fg` was fused into, i.e. its lexer's.
 ///
 /// # Errors
 ///
@@ -475,46 +438,7 @@ pub fn parse_fused<V>(
     arena: &mut RegexArena,
     input: &[u8],
 ) -> Result<V, FusedParseError> {
-    parse_fused_with(fg, arena, &mut FusedSession::new(), input)
-}
-
-/// As [`parse_fused`], with caller-owned scratch state.
-///
-/// Note that unlike the staged VM, the unstaged interpreter *must*
-/// mutate the regex arena (derivatives are computed and memoized at
-/// parse time), so concurrent use requires one arena per thread as
-/// well as one session per thread. `arena` must be the one `fg` was
-/// fused into, i.e. its lexer's.
-///
-/// # Errors
-///
-/// [`FusedParseError`] on mismatch or trailing input.
-pub fn parse_fused_with<V>(
-    fg: &FusedGrammar<V>,
-    arena: &mut RegexArena,
-    session: &mut FusedSession<V>,
-    input: &[u8],
-) -> Result<V, FusedParseError> {
-    session.reset();
-    session.control.push(Ctl::Nt(fg.start()));
-    let FusedSession {
-        control,
-        values,
-        live,
-    } = session;
-    match (Machine { fg, arena }).run(control, values, live, input) {
-        Ok(()) => {
-            debug_assert_eq!(values.len(), 1, "parse must produce exactly one value");
-            Ok(values.pop().expect("parse produced no value"))
-        }
-        Err(e) => {
-            // drop partially-reduced values now rather than holding
-            // them until the session's next parse
-            control.clear();
-            values.clear();
-            Err(e)
-        }
-    }
+    (Machine { fg, arena }).run(input)
 }
 
 #[cfg(test)]
@@ -580,17 +504,6 @@ mod tests {
             count(b"(a) !"),
             Err(FusedParseError::TrailingInput { .. })
         ));
-    }
-
-    #[test]
-    fn session_reuse_agrees_with_fresh_sessions() {
-        let (mut lexer, fused) = sexp_setup();
-        let mut session = FusedSession::new();
-        for input in [&b"(a (b c))"[..], b"a", b"(a", b"(x y z)", b"", b"(p q)"] {
-            let reused = parse_fused_with(&fused, lexer.arena_mut(), &mut session, input);
-            let fresh = parse_fused(&fused, lexer.arena_mut(), input);
-            assert_eq!(reused, fresh, "on {input:?}");
-        }
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! coordinate shifting and reuse statistics live in
 //! `crate::edit_log`; this module binds them to the VM and adds the
 //! one thing only an action-free parse can have: **suffix reuse**.
+//! It runs the VM through `CompiledParser::feed`, as one-shot and
+//! streaming parses do: one bounded feed of the document up to each
+//! checkpoint or convergence test, then a final feed that marks end
+//! of input.
 //! Validation runs the engine with actions compiled out, so its entire
 //! automaton state is `(control stack, resume point)` — no semantic
 //! values. When a post-edit re-validation, stopping at the previous
@@ -39,7 +43,7 @@ use flap_fuse::FusedParseError;
 use crate::compile::CompiledParser;
 use crate::edit_log::{Ckpt, EditLog, IncrementalConfig, ReuseStats};
 use crate::obs::{NoopObserver, Observer};
-use crate::vm::{Flow, ParseSession, Resume};
+use crate::vm::{ParseSession, Resume};
 
 /// Suspended state of the staged VM at a checkpoint.
 struct VmState<V> {
@@ -153,77 +157,6 @@ impl<V> IncrementalSession<V> {
 impl<V> Default for IncrementalSession<V> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// What one bounded feed produced (errors are returned separately).
-enum FeedEnd {
-    /// Suspended, needs more bytes.
-    More,
-    /// Parse completed (only on the final feed).
-    Done,
-}
-
-/// One run of the stepper over `chunk` (or, for the final call, over
-/// the retained tail with `last == true`), mirroring the buffering
-/// discipline of `StreamParse::feed`/`finish` but instantiable with
-/// actions compiled out.
-fn feed_step<const A: bool, V, O: Observer>(
-    p: &CompiledParser<V>,
-    s: &mut ParseSession<V>,
-    chunk: &[u8],
-    last: bool,
-    obs: &mut O,
-) -> Result<FeedEnd, FusedParseError> {
-    // no token tail retained: scan the caller's chunk in place and
-    // copy only what suspension must keep
-    let in_place = !last && s.stream.buf().is_empty();
-    if !in_place && !chunk.is_empty() {
-        s.stream.push_chunk(chunk);
-    }
-    let ParseSession {
-        control,
-        values,
-        resume,
-        stream,
-        ..
-    } = s;
-    let flow = if in_place {
-        p.engine::<A, _>(control, values, resume, chunk, last, obs)
-    } else {
-        p.engine::<A, _>(control, values, resume, stream.buf(), last, obs)
-    };
-    match flow {
-        Flow::More { keep_from } => {
-            if in_place {
-                stream.absorb(chunk, keep_from);
-            } else {
-                stream.consume(keep_from);
-            }
-            Ok(FeedEnd::More)
-        }
-        Flow::Done => {
-            stream.reset();
-            Ok(FeedEnd::Done)
-        }
-        Flow::NoMatch { pos, nt, state } => {
-            let bytes = if in_place { chunk } else { stream.buf() };
-            let (line, col) = stream.line_col_in(bytes, pos);
-            let err = p.no_match(stream.global(pos), line, col, nt, state);
-            stream.reset();
-            Err(err)
-        }
-        Flow::TrailingInput { pos } => {
-            let bytes = if in_place { chunk } else { stream.buf() };
-            let (line, col) = stream.line_col_in(bytes, pos);
-            let err = FusedParseError::TrailingInput {
-                pos: stream.global(pos),
-                line,
-                col,
-            };
-            stream.reset();
-            Err(err)
-        }
     }
 }
 
@@ -405,12 +338,9 @@ impl<V> CompiledParser<V> {
         let mut next_ck = pos + gap(&inc.scratch);
         let outcome = loop {
             if pos >= doc_len {
-                break feed_step::<A, V, O>(self, &mut inc.scratch, &[], true, obs).map(|end| {
-                    match end {
-                        FeedEnd::Done => {}
-                        FeedEnd::More => unreachable!("the final feed never suspends"),
-                    }
-                });
+                break self
+                    .feed::<A, O>(&mut inc.scratch, &[], true, obs)
+                    .map(drop);
             }
             // stop at the next stale checkpoint's position (to test
             // for convergence) or at the next checkpoint boundary,
@@ -425,21 +355,11 @@ impl<V> CompiledParser<V> {
                 }
             }
             debug_assert!(target > pos, "feed targets must advance");
-            match feed_step::<A, V, O>(
-                self,
-                &mut inc.scratch,
-                &inc.log.doc[pos..target],
-                false,
-                obs,
-            ) {
-                Ok(FeedEnd::More) => {}
-                Ok(FeedEnd::Done) => unreachable!("non-final feeds never complete"),
-                Err(e) => {
-                    inc.stats.parsed += target - pos;
-                    break Err(e);
-                }
-            }
+            let fed = self.feed::<A, O>(&mut inc.scratch, &inc.log.doc[pos..target], false, obs);
             inc.stats.parsed += target - pos;
+            if let Err(e) = fed {
+                break Err(e);
+            }
             pos = target;
             if pos >= doc_len {
                 continue;
@@ -510,18 +430,8 @@ impl<V> CompiledParser<V> {
         obs.reuse(&inc.stats);
         match outcome {
             Ok(()) => {
-                let v = if A {
-                    debug_assert_eq!(
-                        inc.scratch.values.len(),
-                        1,
-                        "parse must produce exactly one value"
-                    );
-                    inc.scratch.values.pop()
-                } else {
-                    None
-                };
                 inc.log.complete(Ok(()));
-                Ok(v)
+                Ok(A.then(|| inc.scratch.take_value()))
             }
             Err(e) => {
                 inc.log.complete(Err(e.clone()));

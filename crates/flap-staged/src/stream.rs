@@ -346,15 +346,11 @@ impl StreamState {
     /// Drops the first `n` buffered bytes (they are fully parsed),
     /// folding their newlines into the line/column accounting.
     pub fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.buf.len());
-        let dropped = &self.buf[..n];
-        let nl = dropped.iter().filter(|&&b| b == b'\n').count();
-        if let Some(j) = dropped.iter().rposition(|&b| b == b'\n') {
-            self.col_base = self.offset + j + 1;
-        }
-        self.lines_consumed += nl;
-        self.offset += n;
-        self.buf.drain(..n);
+        // moved out (no allocation) so `account` can borrow `self`
+        let mut buf = std::mem::take(&mut self.buf);
+        self.account(&buf[..n]);
+        buf.drain(..n);
+        self.buf = buf;
     }
 
     /// Zero-copy fast-path bookkeeping: `chunk` was scanned in place
@@ -438,6 +434,30 @@ mod tests {
         assert_eq!(src.next_chunk().unwrap(), Some(&b""[..]));
         assert_eq!(src.next_chunk().unwrap(), Some(&b"c"[..]));
         assert_eq!(src.next_chunk().unwrap(), None);
+    }
+
+    #[test]
+    fn one_shot_parses_leave_the_buffer_unallocated() {
+        // parse_with and recognize scan the caller's slice in place:
+        // none of it is copied into the session's stream buffer
+        use crate::obs::NoopObserver;
+        use crate::{CompiledParser, ParseSession};
+        use flap_cfe::Cfe;
+        let mut b = flap_lex::LexerBuilder::new();
+        let num = b.token("num", "[0-9]+").unwrap();
+        b.skip(" ").unwrap();
+        let mut lexer = b.build().unwrap();
+        let g: Cfe<i64> = Cfe::tok_with(num, |lx| lx.len() as i64);
+        let fused = flap_fuse::fuse(&mut lexer, &flap_dgnf::normalize(&g).unwrap()).unwrap();
+        let parser = CompiledParser::compile(&mut lexer, &fused);
+        let mut session = ParseSession::new();
+        assert_eq!(parser.parse_with(&mut session, b" 123 "), Ok(3));
+        assert_eq!(session.stream.buf.capacity(), 0);
+        // what recognize runs, on a session the test can inspect
+        parser
+            .one_shot::<false, _>(&mut session, b" 123 ", &mut NoopObserver)
+            .unwrap();
+        assert_eq!(session.stream.buf.capacity(), 0);
     }
 
     #[test]

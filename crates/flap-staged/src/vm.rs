@@ -35,12 +35,17 @@
 //! contiguous bytes it is given, and when they run out before end of
 //! input it suspends — current state, longest match so far, pending
 //! continuation — into the caller's [`ParseSession`] and reports how
-//! many bytes it fully consumed. Every entry point is a wrapper over
-//! that one loop: the one-shot [`CompiledParser::parse`] /
+//! many bytes it fully consumed. One function, `CompiledParser::feed`,
+//! runs that loop for every entry point: it scans a chunk in place
+//! while the session retains no token tail (after the tail
+//! otherwise), keeps what a suspension must, and turns the loop's
+//! outcome into completion or an error with global position and
+//! line/column. The one-shot [`CompiledParser::parse`] /
 //! [`CompiledParser::parse_with`] / [`CompiledParser::recognize`]
 //! hand it the whole slice with the end-of-input flag set (no
-//! buffering, no copying), while [`CompiledParser::stream`] feeds it
-//! chunk by chunk for network-style workloads.
+//! buffering, no copying), [`CompiledParser::stream`] feeds it chunk
+//! by chunk for network-style workloads, and the incremental layer
+//! feeds it the document between checkpoints.
 //!
 //! ### The chunk-boundary token-tail invariant
 //!
@@ -70,7 +75,7 @@
 //! hold one session per worker thread and reuse it.
 
 use flap_dgnf::cont::Ctl;
-use flap_fuse::{line_col, FusedParseError};
+use flap_fuse::FusedParseError;
 
 use crate::compile::{decode_stop, CompiledParser, StopAction, STOP};
 use crate::obs::{NoopObserver, Observer};
@@ -107,8 +112,8 @@ pub(crate) enum Resume {
 }
 
 /// What one run of the stepper produced. Positions are relative to
-/// the byte slice the stepper was given; wrappers translate them to
-/// global stream offsets and line/columns.
+/// the byte slice the stepper was given; `CompiledParser::feed`
+/// translates them to global stream offsets and line/columns.
 pub(crate) enum Flow {
     /// Out of bytes before end of input (only when `last == false`):
     /// everything before `keep_from` is fully consumed; the caller
@@ -171,13 +176,7 @@ impl<V> ParseSession<V> {
     /// An empty session; stacks grow on first use and are then
     /// retained across parses.
     pub fn new() -> Self {
-        ParseSession {
-            control: Vec::new(),
-            values: Vec::new(),
-            resume: Resume::Idle,
-            owner: 0,
-            stream: StreamState::new(),
-        }
+        Self::with_capacity(0, 0)
     }
 
     /// A session with preallocated stacks, for callers that know the
@@ -217,6 +216,12 @@ impl<V> ParseSession<V> {
         self.control.push(Ctl::nt(start_nt));
         self.resume = Resume::Control;
         self.owner = owner;
+    }
+
+    /// Takes the value a completed parse left on the value stack.
+    pub(crate) fn take_value(&mut self) -> V {
+        debug_assert_eq!(self.values.len(), 1, "parse must produce exactly one value");
+        self.values.pop().expect("parse produced no value")
     }
 }
 
@@ -460,6 +465,87 @@ impl<V> CompiledParser<V> {
         Flow::Done
     }
 
+    /// The one caller of [`CompiledParser::engine`]: every entry
+    /// point — one-shot, streaming and incremental — feeds its input
+    /// through here.
+    ///
+    /// While the session retains no token tail, `chunk` is scanned in
+    /// place, so a one-shot parse never copies its input, and a
+    /// suspension keeps only the tail it must; otherwise `chunk` is
+    /// appended after the tail and the retained buffer is scanned.
+    /// `last` marks end of input.
+    ///
+    /// Returns `Ok(false)` when the parse suspended for more input,
+    /// and `Ok(true)` (only when `last`) when it completed, leaving
+    /// the value — with actions — on the session's value stack.
+    /// Errors carry their global position and line/column, exactly as
+    /// a one-shot parse of the concatenated input reports them.
+    pub(crate) fn feed<const ACTIONS: bool, O: Observer>(
+        &self,
+        session: &mut ParseSession<V>,
+        chunk: &[u8],
+        last: bool,
+        obs: &mut O,
+    ) -> Result<bool, FusedParseError> {
+        let ParseSession {
+            control,
+            values,
+            resume,
+            stream,
+            ..
+        } = session;
+        let in_place = stream.buf().is_empty();
+        if !in_place {
+            stream.push_chunk(chunk);
+        }
+        let bytes = if in_place { chunk } else { stream.buf() };
+        let end = match self.engine::<ACTIONS, O>(control, values, resume, bytes, last, obs) {
+            Flow::More { keep_from } => {
+                if in_place {
+                    stream.absorb(chunk, keep_from);
+                } else {
+                    stream.consume(keep_from);
+                }
+                return Ok(false);
+            }
+            Flow::Done => Ok(true),
+            Flow::NoMatch { pos, nt, state } => {
+                let (line, col) = stream.line_col_in(bytes, pos);
+                Err(FusedParseError::NoMatch {
+                    pos: stream.global(pos),
+                    line,
+                    col,
+                    nt: flap_dgnf::NtId::from_index(nt as usize),
+                    // inline `Arc`s: the clone allocates nothing
+                    expected: self.state_expected[state as usize].clone(),
+                })
+            }
+            Flow::TrailingInput { pos } => {
+                let (line, col) = stream.line_col_in(bytes, pos);
+                Err(FusedParseError::TrailingInput {
+                    pos: stream.global(pos),
+                    line,
+                    col,
+                })
+            }
+        };
+        stream.reset();
+        end
+    }
+
+    /// A one-shot parse of the whole of `input` in `session`: `feed`
+    /// scans the caller's slice in place, so nothing is copied into
+    /// the session's stream buffer.
+    pub(crate) fn one_shot<const ACTIONS: bool, O: Observer>(
+        &self,
+        session: &mut ParseSession<V>,
+        input: &[u8],
+        obs: &mut O,
+    ) -> Result<(), FusedParseError> {
+        session.begin(self.start_nt, self.stream_id);
+        self.feed::<ACTIONS, O>(session, input, true, obs).map(drop)
+    }
+
     /// Parses the whole input, returning the semantic value.
     ///
     /// Convenience wrapper over [`CompiledParser::parse_with`] that
@@ -517,28 +603,8 @@ impl<V> CompiledParser<V> {
         input: &[u8],
         obs: &mut O,
     ) -> Result<V, FusedParseError> {
-        session.begin(self.start_nt, self.stream_id);
-        let ParseSession {
-            control,
-            values,
-            resume,
-            ..
-        } = session;
-        match self.engine::<true, O>(control, values, resume, input, true, obs) {
-            Flow::Done => {
-                debug_assert_eq!(values.len(), 1, "parse must produce exactly one value");
-                Ok(values.pop().expect("parse produced no value"))
-            }
-            Flow::NoMatch { pos, nt, state } => {
-                let (line, col) = line_col(input, pos);
-                Err(self.no_match(pos, line, col, nt, state))
-            }
-            Flow::TrailingInput { pos } => {
-                let (line, col) = line_col(input, pos);
-                Err(FusedParseError::TrailingInput { pos, line, col })
-            }
-            Flow::More { .. } => unreachable!("one-shot parses never suspend"),
-        }
+        self.one_shot::<true, O>(session, input, obs)?;
+        Ok(session.take_value())
     }
 
     /// Recognizes the input without running any semantic action —
@@ -551,26 +617,7 @@ impl<V> CompiledParser<V> {
     ///
     /// [`FusedParseError`], as for [`CompiledParser::parse`].
     pub fn recognize(&self, input: &[u8]) -> Result<(), FusedParseError> {
-        let mut session: ParseSession<V> = ParseSession::new();
-        session.begin(self.start_nt, self.stream_id);
-        let ParseSession {
-            control,
-            values,
-            resume,
-            ..
-        } = &mut session;
-        match self.engine::<false, _>(control, values, resume, input, true, &mut NoopObserver) {
-            Flow::Done => Ok(()),
-            Flow::NoMatch { pos, nt, state } => {
-                let (line, col) = line_col(input, pos);
-                Err(self.no_match(pos, line, col, nt, state))
-            }
-            Flow::TrailingInput { pos } => {
-                let (line, col) = line_col(input, pos);
-                Err(FusedParseError::TrailingInput { pos, line, col })
-            }
-            Flow::More { .. } => unreachable!("one-shot parses never suspend"),
-        }
+        self.one_shot::<false, _>(&mut ParseSession::new(), input, &mut NoopObserver)
     }
 
     /// Begins (or continues) a suspendable streaming parse backed by
@@ -649,26 +696,6 @@ impl<V> CompiledParser<V> {
     pub fn parse_source(&self, source: &mut impl ByteSource) -> Result<V, StreamError> {
         self.parse_source_with(&mut ParseSession::new(), source)
     }
-
-    /// Builds the `NoMatch` error for a failure in `state`, cloning
-    /// the state's precomputed expected set (inline `Arc`s — no
-    /// allocation).
-    pub(crate) fn no_match(
-        &self,
-        pos: usize,
-        line: usize,
-        col: usize,
-        nt: u32,
-        state: u32,
-    ) -> FusedParseError {
-        FusedParseError::NoMatch {
-            pos,
-            line,
-            col,
-            nt: flap_dgnf::NtId::from_index(nt as usize),
-            expected: self.state_expected[state as usize].clone(),
-        }
-    }
 }
 
 /// A suspendable streaming parse in progress; created by
@@ -710,13 +737,9 @@ impl<V> StreamParse<'_, V> {
             "no active stream: the previous parse completed; call stream() again"
         );
         obs.feed(chunk.len(), self.session.stream.buf().len());
-        if self.session.stream.buf().is_empty() {
-            // no token tail retained: scan the caller's chunk in
-            // place and copy only what suspension must keep
-            self.step(Some(chunk), false, obs)
-        } else {
-            self.session.stream.push_chunk(chunk);
-            self.step(None, false, obs)
+        match self.parser.feed::<true, O>(self.session, chunk, false, obs) {
+            Ok(_) => Step::NeedMore,
+            Err(e) => Step::Err(e),
         }
     }
 
@@ -736,12 +759,15 @@ impl<V> StreamParse<'_, V> {
     /// # Panics
     ///
     /// As for [`StreamParse::feed`].
-    pub fn finish_obs<O: Observer>(mut self, obs: &mut O) -> Step<V> {
+    pub fn finish_obs<O: Observer>(self, obs: &mut O) -> Step<V> {
         assert!(
             !matches!(self.session.resume, Resume::Idle),
             "no active stream: the previous parse completed; call stream() again"
         );
-        self.step(None, true, obs)
+        match self.parser.feed::<true, O>(self.session, &[], true, obs) {
+            Ok(_) => Step::Done(self.session.take_value()),
+            Err(e) => Step::Err(e),
+        }
     }
 
     /// Drains `source` through [`StreamParse::feed`] and then
@@ -763,58 +789,6 @@ impl<V> StreamParse<'_, V> {
             Step::Done(v) => Ok(v),
             Step::Err(e) => Err(StreamError::Parse(e)),
             Step::NeedMore => unreachable!("finish never suspends"),
-        }
-    }
-
-    /// One stepper run over either the retained buffer (`chunk ==
-    /// None`) or a caller's chunk scanned in place (fast path, buffer
-    /// empty). Either way `bytes[0]` sits at the stream's global
-    /// offset.
-    fn step<O: Observer>(&mut self, chunk: Option<&[u8]>, last: bool, obs: &mut O) -> Step<V> {
-        let parser = self.parser;
-        let ParseSession {
-            control,
-            values,
-            resume,
-            stream,
-            ..
-        } = &mut *self.session;
-        let flow = match chunk {
-            Some(c) => parser.engine::<true, _>(control, values, resume, c, last, obs),
-            None => parser.engine::<true, _>(control, values, resume, stream.buf(), last, obs),
-        };
-        match flow {
-            Flow::More { keep_from } => {
-                match chunk {
-                    Some(c) => stream.absorb(c, keep_from),
-                    None => stream.consume(keep_from),
-                }
-                Step::NeedMore
-            }
-            Flow::Done => {
-                debug_assert_eq!(values.len(), 1, "parse must produce exactly one value");
-                let v = values.pop().expect("parse produced no value");
-                stream.reset();
-                Step::Done(v)
-            }
-            Flow::NoMatch { pos, nt, state } => {
-                let bytes = chunk.unwrap_or_else(|| stream.buf());
-                let (line, col) = stream.line_col_in(bytes, pos);
-                let err = parser.no_match(stream.global(pos), line, col, nt, state);
-                stream.reset();
-                Step::Err(err)
-            }
-            Flow::TrailingInput { pos } => {
-                let bytes = chunk.unwrap_or_else(|| stream.buf());
-                let (line, col) = stream.line_col_in(bytes, pos);
-                let err = FusedParseError::TrailingInput {
-                    pos: stream.global(pos),
-                    line,
-                    col,
-                };
-                stream.reset();
-                Step::Err(err)
-            }
         }
     }
 }

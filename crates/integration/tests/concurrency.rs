@@ -17,7 +17,6 @@ mod common;
 
 use common::workload;
 use flap::serve::{JobError, PoolConfig};
-use flap_fuse::FusedSession;
 use flap_grammars::GrammarDef;
 
 const THREADS: usize = 6;
@@ -34,10 +33,9 @@ fn check_grammar(def: GrammarDef<i64>, seeds: u64) {
     let mut lexer = (def.lexer)();
     let grammar = flap::flap_dgnf::normalize(&(def.cfe)()).expect("normalizes");
     let fused = flap::flap_fuse::fuse(&mut lexer, &grammar).expect("fuses");
-    let mut session = FusedSession::new();
     let expected: Vec<Result<i64, flap::ParseError>> = inputs
         .iter()
-        .map(|i| flap::flap_fuse::parse_fused_with(&fused, lexer.arena_mut(), &mut session, i))
+        .map(|i| flap::flap_fuse::parse_fused(&fused, lexer.arena_mut(), i))
         .collect();
 
     // Staged side: ONE parser, shared by reference across threads.
